@@ -8,10 +8,7 @@ Example:
 import argparse
 import sys
 
-from dagmut import SLACK, trend
-
-KINDS = ("set_union", "set_difference", "set_concat", "pt", "ht", "tt",
-         "arc_insert", "arc_omit", "node_insert", "node_omit")
+from dagmut import BOUND_EXPONENTS, SLACK, trend
 
 
 def main() -> int:
@@ -24,7 +21,7 @@ def main() -> int:
 
     all_ok = True
     print(f"{'operation':<16} {'fitted':>7} {'bound':>6}  verdict  series")
-    for kind in KINDS:
+    for kind in BOUND_EXPONENTS:
         report = trend(kind, sizes, seed=args.seed, term_len=args.term_len)
         all_ok &= report.passed
         points = " ".join(f"{s}:{c}" for s, c in report.series)

@@ -15,14 +15,11 @@ from pathlib import Path
 
 from .errors import ModelError
 from .graph import enumerate_paths, parse_graph, render_graph, validate_acyclic
-from .metrics import trend
+from .metrics import BOUND_EXPONENTS, trend
 from .mutate import model_from_graph, apply_script
 from .ops import parse_script
 from .oracle import run_differential
 from .sopf import print_sopf
-
-_BENCH_KINDS = ("set_union", "set_concat", "pt", "ht", "tt",
-                "arc_insert", "arc_omit", "node_insert", "node_omit")
 
 
 def _read(path: Path) -> str:
@@ -90,7 +87,7 @@ def _run_verify(args) -> int:
 def _run_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        reports = [trend(kind, sizes, seed=args.seed) for kind in _BENCH_KINDS]
+        reports = [trend(kind, sizes, seed=args.seed) for kind in BOUND_EXPONENTS]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -210,17 +210,22 @@ def enumerate_paths(g: Dg) -> SopfRe:
     if witness is not None:
         raise CycleError(witness)
     words: list[tuple[str, ...]] = []
-
-    def walk(v: str, trail: list[str]) -> None:
+    # depth-first with an explicit stack, so long chains cannot exhaust the
+    # interpreter's recursion limit: pending[k + 1] walks the successors of
+    # trail[k], pending[0] the start nodes
+    trail: list[str] = []
+    pending = [iter(sorted(g.starts))]
+    while pending:
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            if trail:
+                trail.pop()
+            continue
         trail.append(v)
         if g.is_finish(v):
             words.append(tuple(trail))
-        for w in g.successors(v):
-            walk(w, trail)
-        trail.pop()
-
-    for s in sorted(g.starts):
-        walk(s, [])
+        pending.append(iter(g.successors(v)))
     return SopfRe(tuple(words))
 
 

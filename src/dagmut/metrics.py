@@ -9,11 +9,11 @@ fixed slack.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from statistics import linear_regression
 from typing import Sequence
-
-import numpy as np
 
 from .graph import Dg
 from .mutate import ModelState, arc_insert, arc_omit, model_from_graph, node_insert, node_omit
@@ -167,8 +167,11 @@ def fit_exponent(series: Sequence[tuple[int, int]]) -> float:
         raise ValueError("need at least 4 series points for a trend fit")
     if any(cost <= 0 for _, cost in series):
         raise ValueError("degenerate series: zero cost")
-    return float(np.polyfit(np.log([s for s, _ in series]),
-                            np.log([c for _, c in series]), 1)[0])
+    if len({size for size, _ in series}) < 2:
+        raise ValueError("degenerate series: all sizes equal")
+    slope, _ = linear_regression([math.log(s) for s, _ in series],
+                                 [math.log(c) for _, c in series])
+    return slope
 
 
 def trend(kind: str, sizes: Sequence[int], *, bound_exponent: float | None = None,

@@ -104,8 +104,8 @@ def model_from_graph(g: Dg) -> ModelState:
 
 
 def _entry(op: MutationOp, before: SopfRe, after: SopfRe, **extra) -> LogEntry:
-    old, new = set(before.terms), set(after.terms)
-    return LogEntry(op, terms_added=len(new - old), terms_removed=len(old - new), **extra)
+    kept = len(set(before.terms).intersection(after.terms))
+    return LogEntry(op, terms_added=len(after) - kept, terms_removed=len(before) - kept, **extra)
 
 
 def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:

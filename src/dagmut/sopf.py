@@ -8,10 +8,22 @@ equality is language equality.
 Every operation optionally threads an :class:`~dagmut.metrics.OpCounters`
 instance through which it tallies symbol comparisons, term copies and set
 lookups; passing ``None`` (the default) skips all accounting.
+
+The counts follow a per-position scan model.  A pattern search compares
+the pattern's first symbol at every position up to its match (to the end
+of the term for a last occurrence or a miss), and its second symbol after
+every hit of the first.  A set probe compares every symbol of the probed
+term.  Every term written into a result is one copy.  The operations do
+not run that scan: their per-term work runs in C builtins
+(``tuple.index``, ``dict.fromkeys``, set filtering) and the counts are
+computed in closed form, so counted and uncounted runs take the same path
+and the totals equal those of the per-position scan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, filterfalse, repeat
+from operator import contains
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ParseError
@@ -51,10 +63,11 @@ class SopfRe:
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        canon = tuple(sorted({tuple(t) for t in self.terms}, key=term_key))
-        for term in canon:
-            if not term:
-                raise ValueError("product terms must be nonempty")
+        # a lexicographic sort, then a stable sort by length: the order of
+        # term_key without a Python-level key call per term
+        canon = tuple(sorted(sorted(dict.fromkeys(map(tuple, self.terms))), key=len))
+        if canon and not canon[0]:
+            raise ValueError("product terms must be nonempty")
         object.__setattr__(self, "terms", canon)
 
     def __iter__(self) -> Iterator[Term]:
@@ -67,7 +80,7 @@ class SopfRe:
         return tuple(term) in self.terms
 
     def symbols(self) -> frozenset[str]:
-        return frozenset(sym for term in self.terms for sym in term)
+        return frozenset().union(*self.terms)
 
 
 # --------------------------------------------------------------------------
@@ -78,16 +91,16 @@ def _count_scan(counters: "OpCounters | None", n: int) -> None:
         counters.symbol_comparisons += n
 
 
-def _count_probe(counters: "OpCounters | None", term: Term) -> None:
+def _count_probes(counters: "OpCounters | None", terms: Sequence[Term]) -> None:
     # a set membership probe hashes/compares the whole term
     if counters is not None:
-        counters.set_lookups += 1
-        counters.symbol_comparisons += len(term)
+        counters.set_lookups += len(terms)
+        counters.symbol_comparisons += sum(map(len, terms))
 
 
-def _count_copy(counters: "OpCounters | None") -> None:
+def _count_copies(counters: "OpCounters | None", n: int) -> None:
     if counters is not None:
-        counters.term_copies += 1
+        counters.term_copies += n
 
 
 # --------------------------------------------------------------------------
@@ -103,30 +116,74 @@ def check_pattern(pattern: Sequence[str]) -> Term:
 
 def _find(term: Term, pattern: Term, counters: "OpCounters | None",
           *, last: bool = False) -> int | None:
-    """Index of the first (or last) occurrence of ``pattern`` in ``term``."""
+    """Index of the first (or last) occurrence of ``pattern`` in ``term``.
+
+    Only the occurrences of ``pattern[0]`` are visited (``tuple.index``);
+    the comparison count is the scan model's, in closed form.
+    """
+    p0 = pattern[0]
+    two = len(pattern) == 2
+    stop = len(term) - len(pattern) + 1      # positions a match may start at
+    hits = term.count(p0)                    # occurrences of p0 among them
+    if two and term[-1] == p0:
+        hits -= 1
     found = None
-    for k in range(len(term) - len(pattern) + 1):
-        _count_scan(counters, 1)
-        if term[k] != pattern[0]:
+    k = -1
+    for seen in range(1, hits + 1):
+        k = term.index(p0, k + 1)
+        if two and term[k + 1] != pattern[1]:
             continue
-        if len(pattern) == 2:
-            _count_scan(counters, 1)
-            if term[k + 1] != pattern[1]:
-                continue
-        if not last:
-            return k
         found = k
+        if not last:
+            if counters is not None:
+                counters.symbol_comparisons += k + 1 + (seen if two else 0)
+            return k
+    if counters is not None:
+        counters.symbol_comparisons += max(stop, 0) + (hits if two else 0)
     return found
+
+
+def _cut_points(terms: Sequence[Term], pattern: Term, counters: "OpCounters | None",
+                *, last: bool) -> list[int]:
+    """Index of the first (or last) occurrence of ``pattern`` in each term;
+    every term must contain it."""
+    p0 = pattern[0]
+    if len(pattern) == 1 and all(map(contains, terms, repeat(p0))):
+        if last:
+            ks = [len(t) - 1 - t[::-1].index(p0) for t in terms]
+        else:
+            ks = list(map(tuple.index, terms, repeat(p0)))
+        if counters is not None:
+            # a last occurrence is scanned to the end, a first one up to itself
+            counters.symbol_comparisons += sum(map(len, terms)) if last else sum(ks) + len(ks)
+        return ks
+    ks = [_find(t, pattern, counters, last=last) for t in terms]
+    if None in ks:
+        term = terms[ks.index(None)]
+        raise ValueError(f"term {''.join(term)!r} does not contain the pattern")
+    return ks
 
 
 def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Terms of ``r`` containing ``pattern`` as a contiguous symbol run."""
     pat = check_pattern(pattern)
-    picked = []
-    for term in r:
-        if _find(term, pat, counters) is not None:
-            _count_copy(counters)
-            picked.append(term)
+    p0 = pat[0]
+    terms = r.terms
+    # a term without the first symbol cannot match; only the others are searched
+    held = list(compress(terms, map(contains, terms, repeat(p0))))
+    if len(pat) == 1:
+        picked = held
+    else:
+        picked = [t for t in held if _find(t, pat, counters) is not None]
+    if counters is not None:
+        # every position of a skipped term is scanned; a single symbol is
+        # found at its first occurrence
+        skipped = len(terms) - len(held)
+        counters.symbol_comparisons += (sum(map(len, terms)) - sum(map(len, held))
+                                        - (len(pat) - 1) * skipped)
+        if len(pat) == 1:
+            counters.symbol_comparisons += sum(map(tuple.index, held, repeat(p0))) + len(held)
+        counters.term_copies += len(picked)
     return SopfRe(tuple(picked))
 
 
@@ -134,98 +191,66 @@ def ht(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     """Prefixes of the terms of ``p``, each cut just after the first occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
     pat = check_pattern(pattern)
-    seen: set[Term] = set()
-    cuts = []
-    for term in p:
-        k = _find(term, pat, counters)
-        if k is None:
-            raise ValueError(f"term {''.join(term)!r} does not contain the pattern")
-        head = term[:k + len(pat)]
-        _count_copy(counters)
-        _count_probe(counters, head)
-        if head not in seen:
-            seen.add(head)
-            cuts.append(head)
-    return SopfRe(tuple(cuts))
+    ends = _cut_points(p.terms, pat, counters, last=False)
+    heads = [t[:k + len(pat)] for t, k in zip(p.terms, ends)]
+    _count_copies(counters, len(heads))
+    _count_probes(counters, heads)
+    return SopfRe(tuple(heads))
 
 
 def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Suffixes of the terms of ``p``, each starting at the last occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
     pat = check_pattern(pattern)
-    seen: set[Term] = set()
-    cuts = []
-    for term in p:
-        k = _find(term, pat, counters, last=True)
-        if k is None:
-            raise ValueError(f"term {''.join(term)!r} does not contain the pattern")
-        tail = term[k:]
-        _count_copy(counters)
-        _count_probe(counters, tail)
-        if tail not in seen:
-            seen.add(tail)
-            cuts.append(tail)
-    return SopfRe(tuple(cuts))
+    starts = _cut_points(p.terms, pat, counters, last=True)
+    tails = [t[k:] for t, k in zip(p.terms, starts)]
+    _count_copies(counters, len(tails))
+    _count_probes(counters, tails)
+    return SopfRe(tuple(tails))
 
 
 # --------------------------------------------------------------------------
 # set operations
 
 def set_union(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
-    seen: set[Term] = set()
-    merged = []
-    for term in (*a, *b):
-        _count_probe(counters, term)
-        if term not in seen:
-            seen.add(term)
-            _count_copy(counters)
-            merged.append(term)
-    return SopfRe(tuple(merged))
+    merged = SopfRe(a.terms + b.terms)
+    _count_probes(counters, a.terms)
+    _count_probes(counters, b.terms)
+    _count_copies(counters, len(merged))
+    return merged
 
 
 def set_difference(r: SopfRe, c: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
-    drop: set[Term] = set()
-    for term in c:
-        _count_probe(counters, term)
-        drop.add(term)
-    kept = []
-    for term in r:
-        _count_probe(counters, term)
-        if term not in drop:
-            _count_copy(counters)
-            kept.append(term)
-    return SopfRe(tuple(kept))
+    drop = set(c.terms)
+    kept = tuple(filterfalse(drop.__contains__, r.terms))
+    _count_probes(counters, c.terms)
+    _count_probes(counters, r.terms)
+    _count_copies(counters, len(kept))
+    return SopfRe(kept)
 
 
 def set_concat(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
     """All pairwise concatenations; duplicates collapse at insertion."""
-    seen: set[Term] = set()
-    out = []
-    for x in a:
-        for y in b:
-            joined = x + y
-            _count_copy(counters)
-            _count_probe(counters, joined)
-            if joined not in seen:
-                seen.add(joined)
-                out.append(joined)
-    return SopfRe(tuple(out))
+    joined = [x + y for x in a.terms for y in b.terms]
+    _count_copies(counters, len(joined))
+    _count_probes(counters, joined)
+    return SopfRe(tuple(joined))
 
 
 def add_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     t = tuple(term)
     if not t:
         raise ValueError("product terms must be nonempty")
-    _count_probe(counters, t)
+    _count_probes(counters, (t,))
     if t in r.terms:
         return r
-    _count_copy(counters)
+    _count_copies(counters, 1)
     return SopfRe(r.terms + (t,))
 
 
 def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     t = tuple(term)
-    _count_probe(counters, t)
+    _count_probes(counters, (t,))
     if t not in r.terms:
         return r
     return SopfRe(tuple(x for x in r.terms if x != t))
@@ -283,6 +308,6 @@ def print_sopf(r: SopfRe, *, dotted: bool = False) -> str:
     """Render in canonical order; the empty expression prints as ``EMPTY``."""
     if not r.terms:
         return EMPTY_TOKEN
-    use_dots = dotted or any(len(sym) > 1 for term in r for sym in term)
+    use_dots = dotted or max(map(len, r.symbols())) > 1
     sep = "." if use_dots else ""
     return " + ".join(sep.join(term) for term in r.terms)

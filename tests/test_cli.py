@@ -1,6 +1,7 @@
 """Command-line behavior: output, formats, exit codes."""
 import pytest
 
+from dagmut import BOUND_EXPONENTS
 from dagmut.cli import main
 
 from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS
@@ -53,6 +54,16 @@ def test_convert_machine_form_is_dotted(capsys, tmp_path):
     path.write_text("arc a b\n")
     code, out, _ = run(capsys, "convert", path, "--format", "machine")
     assert code == 0 and out.strip() == "a.b"
+
+
+def test_convert_long_chain(capsys, tmp_path):
+    # deeper than the interpreter's default recursion limit
+    nodes = [f"n{k}" for k in range(1501)]
+    path = tmp_path / "chain.dg"
+    path.write_text("".join(f"arc {a} {b}\n" for a, b in zip(nodes, nodes[1:])))
+    code, out, err = run(capsys, "convert", path, "--format", "machine")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [".".join(nodes)]
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +163,14 @@ def test_bench_machine_records(capsys):
     assert len(lines) == 4
     assert all("size=" in l and "cost=" in l and "verdict=pass" in l
                for l in lines)
+
+
+def test_bench_reports_every_bounded_kind(capsys):
+    code, out, _ = run(capsys, "bench", "--format", "machine",
+                       "--sizes", "8,16,32,64")
+    assert code == 0
+    reported = {line.split()[0].removeprefix("op=") for line in out.splitlines()}
+    assert reported == set(BOUND_EXPONENTS)
 
 
 def test_bench_short_series_is_an_input_error(capsys):

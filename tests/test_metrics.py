@@ -109,10 +109,19 @@ def test_constant_cost_fits_a_flat_exponent():
     assert abs(fit_exponent([(8, 100), (16, 100), (32, 100), (64, 100)])) < 1e-9
 
 
+def test_power_law_fits_its_exponent():
+    from dagmut.metrics import fit_exponent
+    for exponent in (0.5, 1.0, 1.7, 2.0, 3.25):
+        series = [(s, 7 * s ** exponent) for s in (8, 16, 32, 64, 128)]
+        assert abs(fit_exponent(series) - exponent) < 1e-9
+
+
 def test_degenerate_series_rejected():
     from dagmut.metrics import fit_exponent
     with pytest.raises(ValueError, match="degenerate"):
         fit_exponent([(8, 0), (16, 0), (32, 0), (64, 0)])
+    with pytest.raises(ValueError, match="degenerate"):
+        fit_exponent([(8, 1), (8, 2), (8, 3), (8, 4)])
 
 
 def test_trend_requires_four_points():

@@ -18,6 +18,8 @@ from dagmut import (
     tt,
     validate_symbol,
 )
+from dagmut.metrics import OpCounters
+from dagmut.sopf import _find, term_key
 
 from support import sopf, spell
 
@@ -260,3 +262,133 @@ def test_reversal_swaps_head_and_tail_selectors(term, s):
         return
     tails = tt(pt(rev, s_rev), s_rev)
     assert {h[::-1] for h in heads} == set(tails.terms)
+
+
+# --------------------------------------------------------------------------
+# kernels against the per-position scan
+#
+# The reference below is the scan model itself: one comparison per position
+# visited, one per second-symbol check, one lookup and one comparison per
+# symbol for each set probe, one copy per term written.  The kernels must
+# return the same results and the same counts.
+
+def ref_find(term, pattern, counters, *, last=False):
+    found = None
+    for k in range(len(term) - len(pattern) + 1):
+        counters.symbol_comparisons += 1
+        if term[k] != pattern[0]:
+            continue
+        if len(pattern) == 2:
+            counters.symbol_comparisons += 1
+            if term[k + 1] != pattern[1]:
+                continue
+        if not last:
+            return k
+        found = k
+    return found
+
+
+def ref_probe(counters, term):
+    counters.set_lookups += 1
+    counters.symbol_comparisons += len(term)
+
+
+def ref_pt(r, pattern, counters):
+    picked = []
+    for term in r:
+        if ref_find(term, pattern, counters) is not None:
+            counters.term_copies += 1
+            picked.append(term)
+    return SopfRe(tuple(picked))
+
+
+def ref_cut(p, pattern, counters, *, last):
+    seen, cuts = set(), []
+    for term in p:
+        k = ref_find(term, pattern, counters, last=last)
+        assert k is not None
+        cut = term[k:] if last else term[:k + len(pattern)]
+        counters.term_copies += 1
+        ref_probe(counters, cut)
+        if cut not in seen:
+            seen.add(cut)
+            cuts.append(cut)
+    return SopfRe(tuple(cuts))
+
+
+def ref_union(a, b, counters):
+    seen, merged = set(), []
+    for term in (*a, *b):
+        ref_probe(counters, term)
+        if term not in seen:
+            seen.add(term)
+            counters.term_copies += 1
+            merged.append(term)
+    return SopfRe(tuple(merged))
+
+
+def ref_difference(r, c, counters):
+    drop = set()
+    for term in c:
+        ref_probe(counters, term)
+        drop.add(term)
+    kept = []
+    for term in r:
+        ref_probe(counters, term)
+        if term not in drop:
+            counters.term_copies += 1
+            kept.append(term)
+    return SopfRe(tuple(kept))
+
+
+def same_run(kernel, reference, *args):
+    """Results and every counter field of a kernel and its reference."""
+    got, want = OpCounters(), OpCounters()
+    assert kernel(*args, got) == reference(*args, want)
+    assert got == want
+
+
+# few symbols, some multi-character, so terms repeat symbols and patterns hit
+scan_symbols = st.sampled_from(["a", "b", "c", "n1", "n12"])
+scan_terms = st.lists(scan_symbols, min_size=1, max_size=9).map(tuple)
+scan_exprs = st.lists(scan_terms, max_size=10).map(lambda ts: SopfRe(tuple(ts)))
+scan_patterns = st.lists(scan_symbols, min_size=1, max_size=2).map(tuple)
+
+
+@given(scan_terms, scan_patterns, st.booleans())
+def test_find_matches_the_scan(term, s, last):
+    got, want = OpCounters(), OpCounters()
+    assert _find(term, s, got, last=last) == ref_find(term, s, want, last=last)
+    assert got == want
+
+
+@given(scan_exprs, scan_patterns)
+def test_pt_matches_the_scan(r, s):
+    same_run(pt, ref_pt, r, s)
+
+
+@given(scan_exprs, scan_patterns)
+def test_ht_tt_match_the_scan(r, s):
+    p = pt(r, s)
+    same_run(ht, lambda *a: ref_cut(*a, last=False), p, s)
+    same_run(tt, lambda *a: ref_cut(*a, last=True), p, s)
+
+
+@given(scan_exprs, scan_exprs)
+def test_union_and_difference_match_the_scan(a, b):
+    same_run(set_union, ref_union, a, b)
+    same_run(set_difference, ref_difference, a, b)
+    same_run(set_difference, ref_difference, a, set_union(a, b))
+
+
+def test_find_first_and_last_with_repeated_symbols():
+    term = ("a", "b", "a", "b", "a")
+    for s, first, final in [(("a",), 0, 4), (("a", "b"), 0, 2), (("b", "a"), 1, 3),
+                            (("a", "a"), None, None)]:
+        assert _find(term, s, None) == first
+        assert _find(term, s, None, last=True) == final
+
+
+@given(st.lists(scan_terms, max_size=12))
+def test_canonical_order_is_term_key_order(ts):
+    assert SopfRe(ts).terms == tuple(sorted(set(ts), key=term_key))
