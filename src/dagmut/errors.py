@@ -30,6 +30,10 @@ class OperationError(ModelError):
     """A mutation operator's precondition failed."""
 
 
+class InsertionCycleError(OperationError):
+    """An arc insertion would close a directed cycle."""
+
+
 class ScriptError(ModelError):
     """A script aborted; ``index`` is the 1-based position of the failing operator."""
 

@@ -4,16 +4,49 @@ The language of a model is the set of node sequences along directed paths
 from a start-flagged node to a finish-flagged node.  Flags default to the
 degree rule (no ingoing arcs = start, no outgoing arcs = finish) and are
 sticky: mutation history only ever adds flags, never clears them.
+
+Cost model: a :class:`Dg` indexes its arcs by endpoint once, when it is
+built, so ``successors``/``predecessors``/degree queries cost O(deg),
+:func:`path_exists` O(reachable) and :func:`validate_acyclic` (a Kahn pass
+over a heap) O(V log V + E).  :func:`apply_dg_op` derives the child graph
+from its parent and rebuilds only the index entries the operator touches
+(O(touched) Python work; the frozensets and the index dicts are still
+copied, at C speed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
-from .errors import CycleError, OperationError, ParseError
+from .errors import CycleError, InsertionCycleError, OperationError, ParseError
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit
 from .sopf import SopfRe, validate_symbol
 
 Arc = tuple[str, str]
+#: node -> its sorted neighbours on one side; nodes without any are absent
+Adjacency = dict[str, tuple[str, ...]]
+
+
+def _index(arcs) -> tuple[Adjacency, Adjacency]:
+    """The successor and the predecessor :data:`Adjacency` of ``arcs``.
+
+    Equal neighbour tuples are stored once (in a tree, every child of a
+    node has the same one-element predecessor tuple).
+    """
+    succ: defaultdict[str, list[str]] = defaultdict(list)
+    pred: defaultdict[str, list[str]] = defaultdict(list)
+    for src, dst in arcs:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def freeze(lists) -> Adjacency:
+        for neighbours in lists.values():
+            neighbours.sort()
+        return {v: shared.setdefault(t, t) for v, t in zip(lists, map(tuple, lists.values()))}
+
+    return freeze(succ), freeze(pred)
 
 
 @dataclass(frozen=True)
@@ -22,12 +55,16 @@ class Dg:
 
     Structural well-formedness (arc endpoints declared, no self-loops) is
     enforced at construction; acyclicity is not, see :func:`validate_acyclic`.
+    The successor and predecessor index is built here too; it is derived
+    from ``arcs`` and takes no part in equality, hashing or ``repr``.
     """
 
     nodes: frozenset[str] = frozenset()
     arcs: frozenset[Arc] = frozenset()
     starts: frozenset[str] = frozenset()
     finishes: frozenset[str] = frozenset()
+    _succ: Adjacency = field(init=False, repr=False, compare=False)
+    _pred: Adjacency = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
@@ -44,24 +81,47 @@ class Dg:
         for flagged in (self.starts, self.finishes):
             if not flagged <= self.nodes:
                 raise ValueError("flag on an undeclared node")
+        succ, pred = _index(self.arcs)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
 
     def successors(self, v: str) -> list[str]:
-        return sorted(dst for src, dst in self.arcs if src == v)
+        return list(self._succ.get(v, ()))
 
     def predecessors(self, v: str) -> list[str]:
-        return sorted(src for src, dst in self.arcs if dst == v)
+        return list(self._pred.get(v, ()))
 
     def out_degree(self, v: str) -> int:
-        return sum(1 for src, _ in self.arcs if src == v)
+        return len(self._succ.get(v, ()))
 
     def in_degree(self, v: str) -> int:
-        return sum(1 for _, dst in self.arcs if dst == v)
+        return len(self._pred.get(v, ()))
 
     def is_start(self, v: str) -> bool:
         return v in self.starts
 
     def is_finish(self, v: str) -> bool:
         return v in self.finishes
+
+
+def _derive(g: Dg, **changes) -> Dg:
+    """A :class:`Dg` with ``g``'s fields and index, ``changes`` replacing
+    some of them.  Nothing is checked: the caller validates what it adds,
+    and the rest was validated when ``g`` was built."""
+    child = object.__new__(Dg)
+    vars(child).update(vars(g), **changes)
+    return child
+
+
+def _patched(index: Adjacency, v: str, neighbours) -> Adjacency:
+    """Shallow copy of ``index`` with ``v`` mapped to ``neighbours``, sorted;
+    an empty entry is dropped."""
+    out = dict(index)
+    if neighbours:
+        out[v] = tuple(sorted(neighbours))
+    else:
+        del out[v]
+    return out
 
 
 def default_flags(nodes: frozenset[str], arcs: frozenset[Arc]) -> tuple[frozenset[str], frozenset[str]]:
@@ -85,12 +145,18 @@ def parse_graph(text: str) -> Dg:
     arcs: set[Arc] = set()
     start_lines: list[tuple[int, str]] = []
     finish_lines: list[tuple[int, str]] = []
+    # one validated string object per distinct name, shared by every
+    # node, arc and index entry that mentions it
+    names: dict[str, str] = {}
 
     def symbol(token: str, lineno: int) -> str:
-        try:
-            return validate_symbol(token)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+        name = names.get(token)
+        if name is None:
+            try:
+                name = names[token] = validate_symbol(token)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+        return name
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -104,7 +170,7 @@ def parse_graph(text: str) -> Dg:
         elif keyword == "arc":
             if len(args) != 2:
                 raise ParseError("'arc' takes two ids", line=lineno)
-            src, dst = (symbol(a, lineno) for a in args)
+            src, dst = symbol(args[0], lineno), symbol(args[1], lineno)
             if src == dst:
                 raise ParseError(f"self-loop arc on {src!r}", line=lineno)
             if (src, dst) in arcs:
@@ -123,10 +189,15 @@ def parse_graph(text: str) -> Dg:
         if sym not in nodes:
             raise ParseError(f"flag references unknown node {sym!r}", line=lineno)
 
-    deg_starts, deg_finishes = default_flags(frozenset(nodes), frozenset(arcs))
+    nodes, arcs = frozenset(nodes), frozenset(arcs)
+    deg_starts, deg_finishes = default_flags(nodes, arcs)
     starts = frozenset(s for _, s in start_lines) if start_lines else deg_starts
     finishes = frozenset(s for _, s in finish_lines) if finish_lines else deg_finishes
-    return Dg(frozenset(nodes), frozenset(arcs), starts, finishes)
+    # every check of the Dg constructor has been made above, with a line
+    # number, so the graph is assembled without repeating them
+    succ, pred = _index(arcs)
+    return _derive(Dg(), nodes=nodes, arcs=arcs, starts=starts, finishes=finishes,
+                   _succ=succ, _pred=pred)
 
 
 def render_graph(g: Dg) -> str:
@@ -147,22 +218,29 @@ def render_graph(g: Dg) -> str:
 # --------------------------------------------------------------------------
 # structure queries
 
+def topological_order(g: Dg) -> list[str]:
+    """Kahn's topological order, smallest ready node first.
+
+    On a cyclic graph the order stops short: it omits every node on or
+    behind a cycle.
+    """
+    indeg = {v: len(preds) for v, preds in g._pred.items()}
+    ready = sorted(g.nodes - indeg.keys())  # a sorted list is a heap
+    order: list[str] = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for w in g.successors(v):
+            indeg[w] -= 1
+            if not indeg[w]:
+                heappush(ready, w)
+    return order
+
+
 def validate_acyclic(g: Dg) -> tuple[str, ...] | None:
     """``None`` when a topological order exists, else one witness cycle
     as a node sequence whose first and last entries coincide."""
-    indeg = {v: 0 for v in g.nodes}
-    for _, dst in g.arcs:
-        indeg[dst] += 1
-    ready = sorted((v for v, d in indeg.items() if d == 0), reverse=True)
-    remaining = set(g.nodes)
-    while ready:
-        v = ready.pop()
-        remaining.discard(v)
-        for w in g.successors(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort(reverse=True)
+    remaining = g.nodes.difference(topological_order(g))
     if not remaining:
         return None
     # every remaining node keeps a predecessor among the remaining ones;
@@ -240,36 +318,34 @@ def apply_dg_op(g: Dg, op: MutationOp) -> Dg:
     no operator ever clears a flag.
     """
     if isinstance(op, ArcInsert):
-        for v in (op.src, op.dst):
+        src, dst = op.src, op.dst
+        for v in (src, dst):
             if v not in g.nodes:
                 raise OperationError(f"unknown node {v!r}")
-        if (op.src, op.dst) in g.arcs:
-            raise OperationError(f"arc {op.src} -> {op.dst} already present")
-        if path_exists(g, op.dst, op.src):
-            raise OperationError(
-                f"inserting arc {op.src} -> {op.dst} would create a cycle")
-        return Dg(g.nodes, g.arcs | {(op.src, op.dst)}, g.starts, g.finishes)
+        if (src, dst) in g.arcs:
+            raise OperationError(f"arc {src} -> {dst} already present")
+        if path_exists(g, dst, src):
+            raise InsertionCycleError(f"inserting arc {src} -> {dst} would create a cycle")
+        return _derive(g, arcs=g.arcs | {(src, dst)},
+                       _succ=_patched(g._succ, src, (*g._succ.get(src, ()), dst)),
+                       _pred=_patched(g._pred, dst, (*g._pred.get(dst, ()), src)))
 
     if isinstance(op, ArcOmit):
-        if (op.src, op.dst) not in g.arcs:
-            raise OperationError(f"arc {op.src} -> {op.dst} not present")
-        arcs = g.arcs - {(op.src, op.dst)}
-        starts, finishes = set(g.starts), set(g.finishes)
-        for v in (op.src, op.dst):
-            if not any(src == v for src, _ in arcs):
-                finishes.add(v)
-            if not any(dst == v for _, dst in arcs):
-                starts.add(v)
-        return Dg(g.nodes, arcs, frozenset(starts), frozenset(finishes))
+        src, dst = op.src, op.dst
+        if (src, dst) not in g.arcs:
+            raise OperationError(f"arc {src} -> {dst} not present")
+        succ = _patched(g._succ, src, [w for w in g._succ[src] if w != dst])
+        pred = _patched(g._pred, dst, [w for w in g._pred[dst] if w != src])
+        return _derive(g, arcs=g.arcs - {(src, dst)}, _succ=succ, _pred=pred,
+                       starts=g.starts.union(v for v in (src, dst) if v not in pred),
+                       finishes=g.finishes.union(v for v in (src, dst) if v not in succ))
 
     if isinstance(op, NodeInsert):
+        # the arc insertions check the neighbours
         if op.node in g.nodes:
             raise OperationError(f"node {op.node!r} already present")
-        for v in (*op.outgoing, *op.ingoing):
-            if v not in g.nodes:
-                raise OperationError(f"unknown node {v!r}")
-        out = Dg(g.nodes | {op.node}, g.arcs,
-                 g.starts | {op.node}, g.finishes | {op.node})
+        new = {op.node}
+        out = _derive(g, nodes=g.nodes | new, starts=g.starts | new, finishes=g.finishes | new)
         for x in op.outgoing:
             out = apply_dg_op(out, ArcInsert(op.node, x))
         for y in op.ingoing:
@@ -284,7 +360,9 @@ def apply_dg_op(g: Dg, op: MutationOp) -> Dg:
             out = apply_dg_op(out, ArcOmit(op.node, x))
         for y in out.predecessors(op.node):
             out = apply_dg_op(out, ArcOmit(y, op.node))
-        return Dg(out.nodes - {op.node}, out.arcs,
-                  out.starts - {op.node}, out.finishes - {op.node})
+        # the node is isolated now, so the index has no entry for it
+        gone = {op.node}
+        return _derive(out, nodes=out.nodes - gone,
+                       starts=out.starts - gone, finishes=out.finishes - gone)
 
     raise TypeError(f"not a mutation operator: {op!r}")

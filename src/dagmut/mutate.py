@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import OperationError, ScriptError
-from .graph import Dg, apply_dg_op, enumerate_paths, path_exists, validate_acyclic
+from .errors import InsertionCycleError, OperationError, ScriptError
+from .graph import Dg, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     SopfRe,
@@ -123,35 +123,28 @@ def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:
 def arc_insert(st: ModelState, src: str, dst: str,
                counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert arc ``src -> dst`` and extend the expression accordingly."""
-    dg = st.dg
-    for v in (src, dst):
-        if v not in dg.nodes:
-            raise OperationError(f"unknown node {v!r}")
-    if (src, dst) in dg.arcs:
-        raise OperationError(f"arc {src} -> {dst} already present")
-    if path_exists(dg, dst, src):
+    op = ArcInsert(src, dst)
+    try:
+        dg = apply_dg_op(st.dg, op)
+    except InsertionCycleError as exc:
         # reachability is authoritative; note when the term set alone would
         # not have caught the cycle
-        msg = f"inserting arc {src} -> {dst} would create a cycle"
-        if not _order_witnessed(st.re, dst, src):
-            msg += " (path not witnessed by any product term)"
-        raise OperationError(msg)
+        if _order_witnessed(st.re, dst, src):
+            raise
+        raise InsertionCycleError(f"{exc} (path not witnessed by any product term)") from None
     heads = ht(pt(st.re, (src,), counters), (src,), counters)
     tails = tt(pt(st.re, (dst,), counters), (dst,), counters)
     products = set_concat(heads, tails, counters)
     new_re = set_union(st.re, products, counters)
-    state = ModelState(apply_dg_op(dg, ArcInsert(src, dst)), new_re)
-    entry = _entry(ArcInsert(src, dst), st.re, new_re,
-                   added_bound=len(heads) * len(tails))
-    return state, entry
+    entry = _entry(op, st.re, new_re, added_bound=len(heads) * len(tails))
+    return ModelState(dg, new_re), entry
 
 
 def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
-    dg = st.dg
-    if (src, dst) not in dg.arcs:
-        raise OperationError(f"arc {src} -> {dst} not present")
+    op = ArcOmit(src, dst)
+    dg = apply_dg_op(st.dg, op)
     containing_src = pt(st.re, (src,), counters)
     containing_dst = pt(st.re, (dst,), counters)
     joined = pt(st.re, (src, dst), counters)
@@ -163,11 +156,9 @@ def arc_omit(st: ModelState, src: str, dst: str,
         tails = tt(containing_dst, (dst,), counters)
     shrunk = set_difference(st.re, joined, counters)
     new_re = set_union(shrunk, set_union(heads, tails, counters), counters)
-    state = ModelState(apply_dg_op(dg, ArcOmit(src, dst)), new_re)
-    entry = _entry(ArcOmit(src, dst), st.re, new_re,
-                   added_bound=len(heads) + len(tails),
+    entry = _entry(op, st.re, new_re, added_bound=len(heads) + len(tails),
                    removed_expected=len(joined))
-    return state, entry
+    return ModelState(dg, new_re), entry
 
 
 def node_insert(st: ModelState, node: str,
@@ -177,13 +168,8 @@ def node_insert(st: ModelState, node: str,
     arcs, then ingoing arcs (each a full arc insertion), then the bare term
     is dropped again if any arc was attached."""
     op = NodeInsert(node, tuple(outgoing), tuple(ingoing))
-    dg = st.dg
-    if node in dg.nodes:
-        raise OperationError(f"node {node!r} already present")
-    for v in (*op.outgoing, *op.ingoing):
-        if v not in dg.nodes:
-            raise OperationError(f"unknown node {v!r}")
-    work = ModelState(apply_dg_op(dg, NodeInsert(node)),
+    # the arc insertions check the neighbours
+    work = ModelState(apply_dg_op(st.dg, NodeInsert(node)),
                       add_term(st.re, (node,), counters))
     sub: list[LogEntry] = []
     for x in op.outgoing:
@@ -202,22 +188,20 @@ def node_omit(st: ModelState, node: str,
     """Omit ``node``: its outgoing arcs first, then its ingoing arcs (each a
     full arc omission, leaving the node flagged both ways), then the bare
     term and the node itself are dropped."""
-    dg = st.dg
-    if node not in dg.nodes:
-        raise OperationError(f"unknown node {node!r}")
+    op = NodeOmit(node)
     work = st
     sub: list[LogEntry] = []
-    for x in dg.successors(node):
+    # an unknown node has no arcs, and omitting it from the isolated-node
+    # graph below raises
+    for x in st.dg.successors(node):
         work, step = arc_omit(work, node, x, counters)
         sub.append(step)
-    for y in dg.predecessors(node):
+    for y in st.dg.predecessors(node):
         work, step = arc_omit(work, y, node, counters)
         sub.append(step)
+    final_dg = apply_dg_op(work.dg, op)
     final_re = remove_term(work.re, (node,), counters)
-    final_dg = Dg(work.dg.nodes - {node}, work.dg.arcs,
-                  work.dg.starts - {node}, work.dg.finishes - {node})
-    state = ModelState(final_dg, final_re)
-    return state, _entry(NodeOmit(node), st.re, final_re, sub=tuple(sub))
+    return ModelState(final_dg, final_re), _entry(op, st.re, final_re, sub=tuple(sub))
 
 
 def apply_op(st: ModelState, op: MutationOp,
@@ -249,11 +233,3 @@ def apply_script(st: ModelState, ops: Iterable[MutationOp],
         entries.append(entry)
     return state, MutationLog(tuple(entries))
 
-
-def assert_model_invariants(st: ModelState) -> None:
-    """Raise AssertionError if a state violates the model invariants
-    (acyclic graph, duplicate-free symbols within each term)."""
-    witness = validate_acyclic(st.dg)
-    assert witness is None, f"cyclic graph: {witness}"
-    for term in st.re:
-        assert len(set(term)) == len(term), f"repeated symbol in term {term}"

@@ -11,7 +11,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ModelError, OperationError
-from .graph import Dg, apply_dg_op, default_flags, parse_graph, path_exists, render_graph, validate_acyclic
+from .graph import (
+    Dg,
+    apply_dg_op,
+    default_flags,
+    parse_graph,
+    path_exists,
+    render_graph,
+    topological_order,
+    validate_acyclic,
+)
 from .mutate import ModelState, apply_op, model_from_graph
 from .ops import (
     ArcInsert,
@@ -275,7 +284,7 @@ def random_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
             name = fresh.pop(0)
             # split a topological order: ingoing from the left part,
             # outgoing into the right part, so no cycle can close
-            order = _topological(cur)
+            order = topological_order(cur)
             pivot = rng.randint(0, len(order))
             ingoing = sorted(rng.sample(order[:pivot], min(pivot, rng.randint(0, 2))))
             right = order[pivot:]
@@ -284,21 +293,6 @@ def random_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
         cur = apply_dg_op(cur, op)
         ops.append(op)
     return tuple(ops)
-
-
-def _topological(g: Dg) -> list[str]:
-    order: list[str] = []
-    indeg = {v: g.in_degree(v) for v in g.nodes}
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in g.successors(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    return order
 
 
 # --------------------------------------------------------------------------

@@ -39,9 +39,10 @@ def test_convert_single_node(capsys, tmp_path):
 def test_convert_cyclic_file(capsys, tmp_path):
     path = tmp_path / "loop.dg"
     path.write_text("arc a b\narc b a\n")
-    code, out, err = run(capsys, "convert", path)
-    assert code == 1
-    assert "cycle" in err and "a -> b -> a" in err
+    for argv in (("convert", path), ("mutate", path, "--script", "(ab)o_a")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: cycle detected: a -> b -> a\n"
 
 
 def test_convert_missing_file(capsys, tmp_path):
@@ -59,6 +60,15 @@ def test_convert_machine_form_is_dotted(capsys, tmp_path):
 def test_convert_long_chain(capsys, tmp_path):
     # deeper than the interpreter's default recursion limit
     nodes = [f"n{k}" for k in range(1501)]
+    path = tmp_path / "chain.dg"
+    path.write_text("".join(f"arc {a} {b}\n" for a, b in zip(nodes, nodes[1:])))
+    code, out, err = run(capsys, "convert", path, "--format", "machine")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [".".join(nodes)]
+
+
+def test_convert_very_long_chain(capsys, tmp_path):
+    nodes = [f"n{k}" for k in range(20_000)]
     path = tmp_path / "chain.dg"
     path.write_text("".join(f"arc {a} {b}\n" for a, b in zip(nodes, nodes[1:])))
     code, out, err = run(capsys, "convert", path, "--format", "machine")

@@ -8,6 +8,7 @@ from dagmut import (
     ArcOmit,
     CycleError,
     Dg,
+    GenConfig,
     NodeInsert,
     NodeOmit,
     OperationError,
@@ -16,9 +17,13 @@ from dagmut import (
     enumerate_paths,
     parse_graph,
     path_exists,
+    random_model,
+    random_script,
     render_graph,
     validate_acyclic,
 )
+from dagmut.graph import topological_order
+from dagmut.oracle import MAX_GEN_NODES
 
 from support import SAMPLE_TERMS, spell
 
@@ -81,6 +86,29 @@ def test_flag_on_unknown_node():
 def test_bad_symbol_reports_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_graph("node a\nnode x+y")
+    with pytest.raises(ParseError, match="line 3"):
+        parse_graph("arc a b\narc b c\narc c x+y")
+
+
+def test_parse_keeps_one_string_per_name():
+    g = parse_graph("node n1\narc n1 n2\narc n2 n3\narc n1 n3\nstart n1")
+    names = {id(v) for v in g.nodes}
+    assert {id(v) for arc in g.arcs for v in arc} <= names
+    assert {id(v) for v in g.starts | g.finishes} <= names
+
+
+# --------------------------------------------------------------------------
+# construction
+
+def test_constructor_rejects_malformed_input():
+    with pytest.raises(ValueError, match="reserved character"):
+        Dg({"a", "x+y"})
+    with pytest.raises(ValueError, match="undeclared node"):
+        Dg({"a"}, {("a", "b")})
+    with pytest.raises(ValueError, match="self-loop"):
+        Dg({"a"}, {("a", "a")})
+    with pytest.raises(ValueError, match="flag on an undeclared node"):
+        Dg({"a"}, set(), {"b"})
 
 
 # --------------------------------------------------------------------------
@@ -97,6 +125,30 @@ def test_two_cycle_witness():
 
 def test_empty_graph_is_acyclic():
     assert validate_acyclic(Dg()) is None
+
+
+def _sort_based_kahn(g):
+    """Reference Kahn order: re-sort the ready list after each pop and scan
+    the arc set for neighbours."""
+    indeg = {v: sum(1 for _, w in g.arcs if w == v) for v in g.nodes}
+    ready = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for w in sorted(w for u, w in g.arcs if u == v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    return order
+
+
+def test_topological_order_pops_the_smallest_ready_node(sample_graph):
+    cyclic = Dg({"a", "b", "c", "d", "e"}, {("a", "b"), ("b", "c"), ("c", "b"), ("a", "e")})
+    for g in (sample_graph, cyclic, Dg(), parse_graph("arc b a\narc c a\nnode d")):
+        assert topological_order(g) == _sort_based_kahn(g)
+    assert topological_order(cyclic) == ["a", "d", "e"]
 
 
 def test_longer_cycle_witness_is_closed():
@@ -263,3 +315,39 @@ def test_path_exists_is_transitive_over_arcs(g, i, j):
     if path_exists(g, u, v):
         for w in g.successors(v):
             assert path_exists(g, u, w)
+
+
+@st.composite
+def scripted_models(draw):
+    """A random model with a random valid script, as the oracle makes them."""
+    cfg = GenConfig(node_count=draw(st.integers(0, MAX_GEN_NODES)),
+                    arc_density=draw(st.floats(0.0, 1.0)),
+                    seed=draw(st.integers(0, 2**32)),
+                    script_length=draw(st.integers(0, 8)))
+    g = random_model(cfg)
+    return g, random_script(cfg, g)
+
+
+def assert_index_matches_arcs(g):
+    for v in g.nodes | {"absent"}:
+        assert g.successors(v) == sorted(w for u, w in g.arcs if u == v)
+        assert g.predecessors(v) == sorted(u for u, w in g.arcs if w == v)
+        assert g.out_degree(v) == sum(1 for u, _ in g.arcs if u == v)
+        assert g.in_degree(v) == sum(1 for _, w in g.arcs if w == v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scripted_models())
+def test_derived_graphs_keep_their_index_exact(model):
+    g, script = model
+    assert_index_matches_arcs(g)
+    for op in script:
+        g = apply_dg_op(g, op)
+        assert_index_matches_arcs(g)
+        assert "_succ" not in repr(g) and "_pred" not in repr(g)
+        for same in (Dg(g.nodes, g.arcs, g.starts, g.finishes), parse_graph(render_graph(g))):
+            assert g == same and hash(g) == hash(same)
+            assert_index_matches_arcs(same)
+            assert topological_order(same) == topological_order(g)
+        assert validate_acyclic(g) is None
+        assert topological_order(g) == _sort_based_kahn(g)

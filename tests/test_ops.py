@@ -219,6 +219,29 @@ def test_node_insert_errors():
         node_insert(st_, "v", outgoing=("a",), ingoing=("b",))
     with pytest.raises(ValueError):
         node_insert(st_, "v", outgoing=("v",))
+    stranded = model_from_graph(parse_graph("arc a b\narc j x\narc x i\nstart a\nfinish b"))
+    with pytest.raises(OperationError, match="cycle .*not witnessed"):
+        node_insert(stranded, "v", outgoing=("j",), ingoing=("i",))
+
+
+def test_insertions_check_reachability_once(monkeypatch):
+    import dagmut.graph
+    import dagmut.mutate
+    calls = []
+    real = dagmut.graph.path_exists
+
+    def counted(g, u, v):
+        calls.append((u, v))
+        return real(g, u, v)
+
+    for module in (dagmut.graph, dagmut.mutate):
+        monkeypatch.setattr(module, "path_exists", counted, raising=False)
+    st_ = model_from_graph(parse_graph("arc a b\narc b c"))
+    arc_insert(st_, "a", "c")
+    assert calls == [("c", "a")]
+    calls.clear()
+    node_insert(st_, "v", outgoing=("c",), ingoing=("a",))
+    assert calls == [("c", "v"), ("v", "a")]
 
 
 # --------------------------------------------------------------------------
