@@ -17,6 +17,8 @@ one-symbol term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import contains
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InsertionCycleError, OperationError, ScriptError
@@ -31,7 +33,6 @@ from .sopf import (
     set_concat,
     set_difference,
     set_union,
-    sets_equal,
     tt,
 )
 
@@ -50,6 +51,18 @@ class ModelState:
         stray = self.re.symbols() - self.dg.nodes
         if stray:
             raise ValueError(f"expression mentions undeclared nodes: {sorted(stray)}")
+
+
+def _state(dg: Dg, re: SopfRe) -> ModelState:
+    """A :class:`ModelState` built without the constructor's symbol check.
+
+    Callers pass the paths of ``dg`` or an operator result: operators add
+    no symbol that is not a node of the new graph (``apply_dg_op`` checked
+    each node it added), and node omission checks the one node it removes.
+    """
+    st = object.__new__(ModelState)
+    vars(st).update(dg=dg, re=re)
+    return st
 
 
 @dataclass(frozen=True)
@@ -100,17 +113,18 @@ class MutationLog:
 def model_from_graph(g: Dg) -> ModelState:
     """Build the synchronized state of an acyclic graph; its expression is
     the full start-to-finish path enumeration."""
-    return ModelState(g, enumerate_paths(g))
+    return _state(g, enumerate_paths(g))
 
 
-def _entry(op: MutationOp, before: SopfRe, after: SopfRe, **extra) -> LogEntry:
-    kept = len(set(before.terms).intersection(after.terms))
+def _entry(op: MutationOp, before: SopfRe, after: SopfRe, kept: int, **extra) -> LogEntry:
+    """Net term counts, ``kept`` being the number of terms of ``before``
+    still in ``after``."""
     return LogEntry(op, terms_added=len(after) - kept, terms_removed=len(before) - kept, **extra)
 
 
 def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:
     """True if some term places ``earlier`` strictly before ``later``."""
-    for term in r:
+    for term in r._terms:
         try:
             k = term.index(earlier)
         except ValueError:
@@ -118,6 +132,20 @@ def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:
         if later in term[k + 1:]:
             return True
     return False
+
+
+def _holds_only(containing: SopfRe, joined: SopfRe, counters: "OpCounters | None") -> bool:
+    """``sets_equal(containing, joined, counters)`` without sorting either.
+
+    ``joined`` is a subset of ``containing``, so equal sizes decide, and the
+    positional walk of ``sets_equal`` over two equal sets compares every
+    symbol of ``joined`` once.
+    """
+    if len(containing) != len(joined):
+        return False
+    if counters is not None:
+        counters.symbol_comparisons += sum(map(len, joined._terms))
+    return True
 
 
 def arc_insert(st: ModelState, src: str, dst: str,
@@ -136,8 +164,9 @@ def arc_insert(st: ModelState, src: str, dst: str,
     tails = tt(pt(st.re, (dst,), counters), (dst,), counters)
     products = set_concat(heads, tails, counters)
     new_re = set_union(st.re, products, counters)
-    entry = _entry(op, st.re, new_re, added_bound=len(heads) * len(tails))
-    return ModelState(dg, new_re), entry
+    # the union keeps every term of st.re
+    entry = _entry(op, st.re, new_re, len(st.re), added_bound=len(heads) * len(tails))
+    return _state(dg, new_re), entry
 
 
 def arc_omit(st: ModelState, src: str, dst: str,
@@ -149,16 +178,18 @@ def arc_omit(st: ModelState, src: str, dst: str,
     containing_dst = pt(st.re, (dst,), counters)
     joined = pt(st.re, (src, dst), counters)
     heads = SopfRe()
-    if sets_equal(containing_src, joined, counters):
+    if _holds_only(containing_src, joined, counters):
         heads = ht(containing_src, (src,), counters)
     tails = SopfRe()
-    if sets_equal(containing_dst, joined, counters):
+    if _holds_only(containing_dst, joined, counters):
         tails = tt(containing_dst, (dst,), counters)
     shrunk = set_difference(st.re, joined, counters)
     new_re = set_union(shrunk, set_union(heads, tails, counters), counters)
-    entry = _entry(op, st.re, new_re, added_bound=len(heads) + len(tails),
+    # a head ends at the first src and a tail starts at the last dst, so
+    # neither holds the pair src dst: no joined term comes back
+    entry = _entry(op, st.re, new_re, len(shrunk), added_bound=len(heads) + len(tails),
                    removed_expected=len(joined))
-    return ModelState(dg, new_re), entry
+    return _state(dg, new_re), entry
 
 
 def node_insert(st: ModelState, node: str,
@@ -169,8 +200,7 @@ def node_insert(st: ModelState, node: str,
     is dropped again if any arc was attached."""
     op = NodeInsert(node, tuple(outgoing), tuple(ingoing))
     # the arc insertions check the neighbours
-    work = ModelState(apply_dg_op(st.dg, NodeInsert(node)),
-                      add_term(st.re, (node,), counters))
+    work = _state(apply_dg_op(st.dg, NodeInsert(node)), add_term(st.re, (node,), counters))
     sub: list[LogEntry] = []
     for x in op.outgoing:
         work, step = arc_insert(work, node, x, counters)
@@ -179,8 +209,10 @@ def node_insert(st: ModelState, node: str,
         work, step = arc_insert(work, y, node, counters)
         sub.append(step)
     if op.outgoing or op.ingoing:
-        work = ModelState(work.dg, remove_term(work.re, (node,), counters))
-    return work, _entry(op, st.re, work.re, sub=tuple(sub))
+        work = _state(work.dg, remove_term(work.re, (node,), counters))
+    # the insertions keep every term of st.re, and the new node's bare term
+    # is not one of them
+    return work, _entry(op, st.re, work.re, len(st.re), sub=tuple(sub))
 
 
 def node_omit(st: ModelState, node: str,
@@ -201,7 +233,12 @@ def node_omit(st: ModelState, node: str,
         sub.append(step)
     final_dg = apply_dg_op(work.dg, op)
     final_re = remove_term(work.re, (node,), counters)
-    return ModelState(final_dg, final_re), _entry(op, st.re, final_re, sub=tuple(sub))
+    # only a term that is not a path of the graph can still hold the node
+    if any(map(contains, final_re._terms, repeat(node))):
+        raise ValueError(f"expression mentions undeclared nodes: {[node]}")
+    kept = len(set(st.re._terms).intersection(final_re._terms))
+    entry = _entry(op, st.re, final_re, kept, sub=tuple(sub))
+    return _state(final_dg, final_re), entry
 
 
 def apply_op(st: ModelState, op: MutationOp,

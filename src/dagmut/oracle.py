@@ -174,19 +174,18 @@ def ref_apply(lang: NaiveLang, op: MutationOp, companion: Dg) -> NaiveLang:
 # independent path enumeration
 
 def naive_enumerate(g: Dg) -> list[Word]:
-    """Exhaustive start-to-finish walk over the raw arc pairs."""
+    """Exhaustive start-to-finish walk over the raw arc pairs, scanning all
+    of them at every step; depth-first, smallest successor first."""
     words: list[Word] = []
-
-    def extend(trail: list[str]) -> None:
-        v = trail[-1]
-        if v in g.finishes:
-            words.append(tuple(trail))
-        for a, b in sorted(g.arcs):
-            if a == v:
-                extend(trail + [b])
-
-    for s in sorted(g.starts):
-        extend([s])
+    arcs = sorted(g.arcs, reverse=True)
+    # a stack of trails, not recursion, so long chains cannot exhaust the
+    # interpreter's recursion limit; reversed order pops the smallest first
+    stack = [(s,) for s in sorted(g.starts, reverse=True)]
+    while stack:
+        trail = stack.pop()
+        if trail[-1] in g.finishes:
+            words.append(trail)
+        stack.extend(trail + (b,) for a, b in arcs if a == trail[-1])
     return words
 
 

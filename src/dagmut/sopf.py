@@ -1,9 +1,12 @@
 """Sum-of-products term algebra for star-free regular expressions.
 
 A product term is a nonempty tuple of symbols.  A :class:`SopfRe` is a
-duplicate-free collection of product terms kept in canonical order
-(shortest first, then lexicographic by symbol sequence), so structural
-equality is language equality.
+duplicate-free set of product terms; equality is set equality, which is
+language equality.  Canonical order (shortest first, then lexicographic by
+symbol sequence) is computed once, on the first read of
+:attr:`SopfRe.terms` (printing, iteration, :func:`sets_equal`); the
+selectors and set operations work on the terms in the order they were
+built and never sort.
 
 Every operation optionally threads an :class:`~dagmut.metrics.OpCounters`
 instance through which it tallies symbol comparisons, term copies and set
@@ -21,10 +24,10 @@ and the totals equal those of the per-position scan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import compress, filterfalse, repeat
 from operator import contains
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -56,31 +59,74 @@ def term_key(term: Term) -> tuple[int, Term]:
     return (len(term), term)
 
 
-@dataclass(frozen=True)
+def _canonical_order(terms: tuple[Term, ...]) -> tuple[Term, ...]:
+    # a lexicographic sort, then a stable sort by length: the order of
+    # term_key without a Python-level key call per term
+    return tuple(sorted(sorted(terms), key=len))
+
+
 class SopfRe:
-    """A canonical, duplicate-free set of product terms (possibly empty)."""
+    """A duplicate-free set of product terms (possibly empty).
 
-    terms: tuple[Term, ...] = ()
+    Construction drops repeated terms and keeps the rest in the order
+    given.  The first read of :attr:`terms` sorts them into canonical order
+    and stores the sorted tuple in place of the unsorted one.  ``==`` and
+    ``hash`` are those of the term set, so they never sort.  Code in this
+    package that needs no order reads ``_terms``, which holds the terms in
+    whichever of the two orders they are in.
+    """
 
-    def __post_init__(self):
-        # a lexicographic sort, then a stable sort by length: the order of
-        # term_key without a Python-level key call per term
-        canon = tuple(sorted(sorted(dict.fromkeys(map(tuple, self.terms))), key=len))
-        if canon and not canon[0]:
+    __slots__ = ("_terms", "_canonical")
+
+    def __init__(self, terms: Iterable[Sequence[str]] = ()):
+        unique = dict.fromkeys(map(tuple, terms))
+        if () in unique:
             raise ValueError("product terms must be nonempty")
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_terms", tuple(unique))
+        object.__setattr__(self, "_canonical", len(unique) < 2)
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms in canonical order: shortest first, then lexicographic."""
+        if not self._canonical:
+            object.__setattr__(self, "_terms", _canonical_order(self._terms))
+            object.__setattr__(self, "_canonical", True)
+        return self._terms
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy through the constructor; the fields are read-only
+        return SopfRe, (self._terms,)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SopfRe):
+            return NotImplemented
+        # both sides are duplicate-free, so equal sizes and one inclusion
+        # make equal sets
+        return len(self._terms) == len(other._terms) and set(self._terms).issuperset(other._terms)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms))
+
+    def __repr__(self) -> str:
+        return f"SopfRe(terms={self.terms!r})"
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
     def __contains__(self, term) -> bool:
-        return tuple(term) in self.terms
+        return tuple(term) in self._terms
 
     def symbols(self) -> frozenset[str]:
-        return frozenset().union(*self.terms)
+        return frozenset().union(*self._terms)
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +205,8 @@ def _cut_points(terms: Sequence[Term], pattern: Term, counters: "OpCounters | No
         return ks
     ks = [_find(t, pattern, counters, last=last) for t in terms]
     if None in ks:
-        term = terms[ks.index(None)]
+        # name the canonically first term without the pattern
+        term = min((t for t, k in zip(terms, ks) if k is None), key=term_key)
         raise ValueError(f"term {''.join(term)!r} does not contain the pattern")
     return ks
 
@@ -168,7 +215,7 @@ def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     """Terms of ``r`` containing ``pattern`` as a contiguous symbol run."""
     pat = check_pattern(pattern)
     p0 = pat[0]
-    terms = r.terms
+    terms = r._terms
     # a term without the first symbol cannot match; only the others are searched
     held = list(compress(terms, map(contains, terms, repeat(p0))))
     if len(pat) == 1:
@@ -191,8 +238,8 @@ def ht(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     """Prefixes of the terms of ``p``, each cut just after the first occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
     pat = check_pattern(pattern)
-    ends = _cut_points(p.terms, pat, counters, last=False)
-    heads = [t[:k + len(pat)] for t, k in zip(p.terms, ends)]
+    ends = _cut_points(p._terms, pat, counters, last=False)
+    heads = [t[:k + len(pat)] for t, k in zip(p._terms, ends)]
     _count_copies(counters, len(heads))
     _count_probes(counters, heads)
     return SopfRe(tuple(heads))
@@ -202,8 +249,8 @@ def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     """Suffixes of the terms of ``p``, each starting at the last occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
     pat = check_pattern(pattern)
-    starts = _cut_points(p.terms, pat, counters, last=True)
-    tails = [t[k:] for t, k in zip(p.terms, starts)]
+    starts = _cut_points(p._terms, pat, counters, last=True)
+    tails = [t[k:] for t, k in zip(p._terms, starts)]
     _count_copies(counters, len(tails))
     _count_probes(counters, tails)
     return SopfRe(tuple(tails))
@@ -213,25 +260,25 @@ def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
 # set operations
 
 def set_union(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
-    merged = SopfRe(a.terms + b.terms)
-    _count_probes(counters, a.terms)
-    _count_probes(counters, b.terms)
+    merged = SopfRe(a._terms + b._terms)
+    _count_probes(counters, a._terms)
+    _count_probes(counters, b._terms)
     _count_copies(counters, len(merged))
     return merged
 
 
 def set_difference(r: SopfRe, c: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
-    drop = set(c.terms)
-    kept = tuple(filterfalse(drop.__contains__, r.terms))
-    _count_probes(counters, c.terms)
-    _count_probes(counters, r.terms)
+    drop = set(c._terms)
+    kept = tuple(filterfalse(drop.__contains__, r._terms))
+    _count_probes(counters, c._terms)
+    _count_probes(counters, r._terms)
     _count_copies(counters, len(kept))
     return SopfRe(kept)
 
 
 def set_concat(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
     """All pairwise concatenations; duplicates collapse at insertion."""
-    joined = [x + y for x in a.terms for y in b.terms]
+    joined = [x + y for x in a._terms for y in b._terms]
     _count_copies(counters, len(joined))
     _count_probes(counters, joined)
     return SopfRe(tuple(joined))
@@ -242,23 +289,24 @@ def add_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = Non
     if not t:
         raise ValueError("product terms must be nonempty")
     _count_probes(counters, (t,))
-    if t in r.terms:
+    if t in r._terms:
         return r
     _count_copies(counters, 1)
-    return SopfRe(r.terms + (t,))
+    return SopfRe(r._terms + (t,))
 
 
 def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     t = tuple(term)
     _count_probes(counters, (t,))
-    if t not in r.terms:
+    if t not in r._terms:
         return r
-    return SopfRe(tuple(x for x in r.terms if x != t))
+    return SopfRe(filterfalse(t.__eq__, r._terms))
 
 
 def sets_equal(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> bool:
-    """Set equality of two canonical term sets, with comparison accounting."""
-    if len(a.terms) != len(b.terms):
+    """Set equality, counted as a walk over both term sets in canonical
+    order that stops at the first mismatch."""
+    if len(a) != len(b):
         return False
     for x, y in zip(a.terms, b.terms):
         _count_scan(counters, min(len(x), len(y)))

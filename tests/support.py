@@ -1,5 +1,9 @@
-"""Shared fixtures: the branching sample model and its expected languages."""
-from dagmut import SopfRe
+"""Shared fixtures: the branching sample model and its expected languages,
+and random models with scripts."""
+from hypothesis import strategies as st
+
+from dagmut import GenConfig, SopfRe, random_model, random_script
+from dagmut.oracle import MAX_GEN_NODES
 
 # Seventeen nodes a..q, twenty arcs, one start (a) and one finish (q).
 SAMPLE_ARCS = [
@@ -44,3 +48,14 @@ def sopf(*words: str) -> SopfRe:
 def spell(re: SopfRe) -> set[str]:
     """Compact spellings of all terms, as a set."""
     return {"".join(term) for term in re}
+
+
+@st.composite
+def scripted_models(draw):
+    """A random model with a random valid script, as the oracle makes them."""
+    cfg = GenConfig(node_count=draw(st.integers(0, MAX_GEN_NODES)),
+                    arc_density=draw(st.floats(0.0, 1.0)),
+                    seed=draw(st.integers(0, 2**32)),
+                    script_length=draw(st.integers(0, 8)))
+    g = random_model(cfg)
+    return g, random_script(cfg, g)

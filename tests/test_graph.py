@@ -8,7 +8,6 @@ from dagmut import (
     ArcOmit,
     CycleError,
     Dg,
-    GenConfig,
     NodeInsert,
     NodeOmit,
     OperationError,
@@ -17,15 +16,12 @@ from dagmut import (
     enumerate_paths,
     parse_graph,
     path_exists,
-    random_model,
-    random_script,
     render_graph,
     validate_acyclic,
 )
 from dagmut.graph import topological_order
-from dagmut.oracle import MAX_GEN_NODES
 
-from support import SAMPLE_TERMS, spell
+from support import SAMPLE_TERMS, scripted_models, spell
 
 
 # --------------------------------------------------------------------------
@@ -315,17 +311,6 @@ def test_path_exists_is_transitive_over_arcs(g, i, j):
     if path_exists(g, u, v):
         for w in g.successors(v):
             assert path_exists(g, u, w)
-
-
-@st.composite
-def scripted_models(draw):
-    """A random model with a random valid script, as the oracle makes them."""
-    cfg = GenConfig(node_count=draw(st.integers(0, MAX_GEN_NODES)),
-                    arc_density=draw(st.floats(0.0, 1.0)),
-                    seed=draw(st.integers(0, 2**32)),
-                    script_length=draw(st.integers(0, 8)))
-    g = random_model(cfg)
-    return g, random_script(cfg, g)
 
 
 def assert_index_matches_arcs(g):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dagmut import (
     ArcInsert,
     ArcOmit,
+    ModelState,
     NodeInsert,
     NodeOmit,
     OperationError,
@@ -13,6 +14,7 @@ from dagmut import (
     ScriptError,
     SopfRe,
     apply_dg_op,
+    apply_op,
     apply_script,
     arc_insert,
     arc_omit,
@@ -23,9 +25,11 @@ from dagmut import (
     node_omit,
     parse_graph,
     parse_script,
+    print_sopf,
 )
+from dagmut.sopf import term_key
 
-from support import MUTATED_TERMS, spell, sopf
+from support import MUTATED_TERMS, scripted_models, spell, sopf
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +117,28 @@ def test_model_single_node():
 
 def test_model_empty_graph():
     assert model_from_graph(parse_graph("")).re == SopfRe()
+
+
+def test_model_state_rejects_stray_symbols():
+    with pytest.raises(ValueError, match=r"undeclared nodes: \['z'\]"):
+        ModelState(parse_graph("arc a b"), sopf("abz"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scripted_models())
+def test_operator_states_and_logs_stay_exact(model):
+    # operators derive their states without the constructor's check, and
+    # count their log entries from the terms they touched
+    g, script = model
+    state = model_from_graph(g)
+    assert state.re.symbols() <= state.dg.nodes
+    for op in script:
+        before = set(state.re)
+        state, entry = apply_op(state, op)
+        assert state.re.symbols() <= state.dg.nodes
+        after = set(state.re)
+        assert (entry.terms_added, entry.terms_removed) == (len(after - before),
+                                                            len(before - after))
 
 
 # --------------------------------------------------------------------------
@@ -265,6 +291,14 @@ def test_node_omit_isolated():
     assert out.re == sopf("ab")
 
 
+def test_node_omit_rejects_a_term_left_holding_the_node():
+    # "ab" is not a path of the graph, so omitting a's (absent) arcs
+    # leaves it in place
+    st_ = ModelState(parse_graph("node a\nnode b"), sopf("ab"))
+    with pytest.raises(ValueError, match=r"undeclared nodes: \['a'\]"):
+        node_omit(st_, "a")
+
+
 def test_node_omit_unknown(sample_state):
     with pytest.raises(OperationError, match="unknown node"):
         node_omit(sample_state, "zz")
@@ -288,6 +322,28 @@ def test_script_composition(sample_state):
     assert final.dg.finishes == {"q"}
     assert [(e.terms_added, e.terms_removed) for e in log] == \
         [(0, 3), (3, 0), (1, 3)]
+
+
+def test_operators_sort_only_when_the_result_is_printed(monkeypatch):
+    import dagmut.sopf
+    sorted_sizes = []
+    real = dagmut.sopf._canonical_order
+
+    def counted(terms):
+        sorted_sizes.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(dagmut.sopf, "_canonical_order", counted)
+    mids = [f"m{k}" for k in range(1000)]
+    g = parse_graph("".join(f"arc in0 {m}\narc {m} out0\n" for m in mids))
+    script = parse_script("(in0,out0)i_a (m0,out0)o_a (v,{(v,out0),(in0,v)})i_n (m1)o_n")
+    final, _ = apply_script(model_from_graph(g), script)
+    assert sorted_sizes == []
+    text = print_sopf(final.re)
+    assert sorted_sizes == [len(final.re)] and len(final.re) > 1000
+    assert print_sopf(final.re) == text
+    assert len(sorted_sizes) == 1
+    assert text.split(" + ") == [".".join(t) for t in sorted(final.re, key=term_key)]
 
 
 def test_empty_script_is_identity(sample_state):

@@ -103,6 +103,15 @@ def test_naive_enumeration_matches_sample(sample_graph):
     assert len(naive_enumerate(sample_graph)) == 9
 
 
+def test_cross_check_long_chain():
+    # deeper than the interpreter's default recursion limit
+    names = [f"n{k}" for k in range(1500)]
+    g = parse_graph("".join(f"arc {u} {v}\n" for u, v in zip(names, names[1:])))
+    check = cross_check_initial(g)
+    assert check.ok
+    assert check.expected == (tuple(names),)
+
+
 # --------------------------------------------------------------------------
 # generators
 

@@ -1,4 +1,7 @@
 """Term algebra: selectors, set operations and the textual form."""
+import copy
+import pickle
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -50,6 +53,14 @@ def test_terms_are_deduplicated():
 def test_empty_terms_rejected():
     with pytest.raises(ValueError):
         SopfRe(((),))
+
+
+def test_expressions_are_immutable_and_copy_as_sets():
+    r = sopf("ba", "c", "ab")
+    for name in ("terms", "_terms"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, ())
+    assert pickle.loads(pickle.dumps(r)) == copy.copy(r) == r
 
 
 # --------------------------------------------------------------------------
@@ -112,10 +123,11 @@ def test_pattern_length_is_bounded():
 
 
 def test_ht_rejects_terms_missing_the_pattern():
-    with pytest.raises(ValueError):
-        ht(sopf("abc", "xyz"), ("a",))
-    with pytest.raises(ValueError):
-        tt(sopf("abc", "xyz"), ("a",))
+    # the message names the canonically first such term
+    with pytest.raises(ValueError, match="term 'qz' does not"):
+        ht(sopf("abc", "xyz", "qz"), ("a",))
+    with pytest.raises(ValueError, match="term 'qz' does not"):
+        tt(sopf("abc", "xyz", "qz"), ("a",))
 
 
 # --------------------------------------------------------------------------
@@ -389,6 +401,31 @@ def test_find_first_and_last_with_repeated_symbols():
         assert _find(term, s, None, last=True) == final
 
 
-@given(st.lists(scan_terms, max_size=12))
-def test_canonical_order_is_term_key_order(ts):
-    assert SopfRe(ts).terms == tuple(sorted(set(ts), key=term_key))
+@given(st.lists(scan_terms, max_size=12), st.randoms(use_true_random=False))
+def test_canonical_order_is_term_key_order(ts, rnd):
+    a, b = SopfRe(ts), SopfRe(rnd.sample(ts, len(ts)))
+    assert hash(a) == hash(b) and a == b
+    assert repr(a) == repr(b)
+    assert a.terms == b.terms == tuple(sorted(set(ts), key=term_key))
+
+
+@given(st.lists(scan_terms, max_size=10), st.lists(scan_terms, max_size=10),
+       scan_patterns, st.randoms(use_true_random=False))
+def test_kernel_results_do_not_depend_on_term_order(xs, ys, s, rnd):
+    # each kernel runs on two constructions of the same sets, in
+    # different orders
+    a1, a2 = SopfRe(xs), SopfRe(rnd.sample(xs, len(xs)))
+    b1, b2 = SopfRe(ys), SopfRe(rnd.sample(ys, len(ys)))
+    p1, p2 = pt(a1, s), pt(a2, s)
+    pairs = [(p1, p2), (ht(p1, s), ht(p2, s)), (tt(p1, s), tt(p2, s)),
+             (set_union(a1, b1), set_union(a2, b2)),
+             (set_difference(a1, b1), set_difference(a2, b2)),
+             (set_concat(a1, b1), set_concat(a2, b2)),
+             (add_term(a1, ("c",)), add_term(a2, ("c",))),
+             (remove_term(a1, ("a",)), remove_term(a2, ("a",)))]
+    for x, y in pairs:
+        built = x._terms  # construction order, until the first read of terms
+        assert len(set(built)) == len(built)
+        assert hash(x) == hash(y) and x == y
+        assert repr(x) == repr(y)
+        assert x.terms == y.terms == tuple(sorted(built, key=term_key))
