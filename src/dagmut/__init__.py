@@ -11,7 +11,6 @@ from .errors import CycleError, ModelError, OperationError, ParseError, ScriptEr
 from .graph import (
     Dg,
     apply_dg_op,
-    default_flags,
     enumerate_paths,
     parse_graph,
     path_exists,
@@ -45,9 +44,7 @@ from .oracle import (
     GenConfig,
     NaiveLang,
     VerifyReport,
-    cross_check_initial,
     equivalent,
-    naive_enumerate,
     random_model,
     random_script,
     ref_apply,
@@ -65,7 +62,6 @@ from .sopf import (
     set_difference,
     set_union,
     tt,
-    validate_symbol,
 )
 
 __version__ = "0.1.0"

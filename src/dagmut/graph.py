@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 
 from .errors import CycleError, InsertionCycleError, OperationError, ParseError
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit
-from .sopf import SopfRe, validate_symbol
+from .sopf import SopfRe, _trusted, validate_symbol
 
 Arc = tuple[str, str]
 #: node -> its sorted neighbours on one side; nodes without any are absent
@@ -304,7 +304,8 @@ def enumerate_paths(g: Dg) -> SopfRe:
         if g.is_finish(v):
             words.append(tuple(trail))
         pending.append(iter(g.successors(v)))
-    return SopfRe(tuple(words))
+    # each trail is reached once, so the words are distinct
+    return _trusted(tuple(words))
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .graph import Dg, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     SopfRe,
+    _extend,
+    _select,
     add_term,
     ht,
     pt,
@@ -98,17 +100,6 @@ class MutationLog:
     def __len__(self) -> int:
         return len(self.applied)
 
-    def arc_entries(self) -> list[LogEntry]:
-        """All arc-level entries, including those nested in node operators."""
-        out: list[LogEntry] = []
-        stack = list(self.applied)
-        while stack:
-            entry = stack.pop()
-            if isinstance(entry.op, (ArcInsert, ArcOmit)):
-                out.append(entry)
-            stack.extend(entry.sub)
-        return out
-
 
 def model_from_graph(g: Dg) -> ModelState:
     """Build the synchronized state of an acyclic graph; its expression is
@@ -135,11 +126,12 @@ def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:
 
 
 def _holds_only(containing: SopfRe, joined: SopfRe, counters: "OpCounters | None") -> bool:
-    """``sets_equal(containing, joined, counters)`` without sorting either.
+    """True if ``containing`` and its subset ``joined`` are equal sets.
 
-    ``joined`` is a subset of ``containing``, so equal sizes decide, and the
-    positional walk of ``sets_equal`` over two equal sets compares every
-    symbol of ``joined`` once.
+    Equal sizes decide.  The count is that of a positional walk over both
+    sets in canonical order, which compares every symbol of ``joined`` once
+    when the sets are equal and stops before the first term when their
+    sizes differ.
     """
     if len(containing) != len(joined):
         return False
@@ -160,10 +152,12 @@ def arc_insert(st: ModelState, src: str, dst: str,
         if _order_witnessed(st.re, dst, src):
             raise
         raise InsertionCycleError(f"{exc} (path not witnessed by any product term)") from None
-    heads = ht(pt(st.re, (src,), counters), (src,), counters)
+    containing_src = pt(st.re, (src,), counters)
+    heads = ht(containing_src, (src,), counters)
     tails = tt(pt(st.re, (dst,), counters), (dst,), counters)
     products = set_concat(heads, tails, counters)
-    new_re = set_union(st.re, products, counters)
+    # every product holds src, so only a term holding src can equal one
+    new_re = _extend(st.re, products, containing_src._terms, counters)
     # the union keeps every term of st.re
     entry = _entry(op, st.re, new_re, len(st.re), added_bound=len(heads) * len(tails))
     return _state(dg, new_re), entry
@@ -176,7 +170,8 @@ def arc_omit(st: ModelState, src: str, dst: str,
     dg = apply_dg_op(st.dg, op)
     containing_src = pt(st.re, (src,), counters)
     containing_dst = pt(st.re, (dst,), counters)
-    joined = pt(st.re, (src, dst), counters)
+    # the terms holding the pair are among those holding src
+    joined = _select(st.re, containing_src._terms, (src, dst), counters)
     heads = SopfRe()
     if _holds_only(containing_src, joined, counters):
         heads = ht(containing_src, (src,), counters)
@@ -184,7 +179,9 @@ def arc_omit(st: ModelState, src: str, dst: str,
     if _holds_only(containing_dst, joined, counters):
         tails = tt(containing_dst, (dst,), counters)
     shrunk = set_difference(st.re, joined, counters)
-    new_re = set_union(shrunk, set_union(heads, tails, counters), counters)
+    # heads hold src and come back only once every term holding src is
+    # dropped, and tails likewise hold dst, so no fragment equals a kept term
+    new_re = _extend(shrunk, set_union(heads, tails, counters), (), counters)
     # a head ends at the first src and a tail starts at the last dst, so
     # neither holds the pair src dst: no joined term comes back
     entry = _entry(op, st.re, new_re, len(shrunk), added_bound=len(heads) + len(tails),
@@ -236,7 +233,9 @@ def node_omit(st: ModelState, node: str,
     # only a term that is not a path of the graph can still hold the node
     if any(map(contains, final_re._terms, repeat(node))):
         raise ValueError(f"expression mentions undeclared nodes: {[node]}")
-    kept = len(set(st.re._terms).intersection(final_re._terms))
+    # the arc steps drop only terms holding the node, and none is left, so
+    # exactly the terms of st.re without the node are kept
+    kept = len(st.re) - sum(map(contains, st.re._terms, repeat(node)))
     entry = _entry(op, st.re, final_re, kept, sub=tuple(sub))
     return _state(final_dg, final_re), entry
 

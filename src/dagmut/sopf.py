@@ -4,9 +4,19 @@ A product term is a nonempty tuple of symbols.  A :class:`SopfRe` is a
 duplicate-free set of product terms; equality is set equality, which is
 language equality.  Canonical order (shortest first, then lexicographic by
 symbol sequence) is computed once, on the first read of
-:attr:`SopfRe.terms` (printing, iteration, :func:`sets_equal`); the
-selectors and set operations work on the terms in the order they were
-built and never sort.
+:attr:`SopfRe.terms` (printing, iteration); the selectors and set
+operations work on the terms in the order they were built and never sort.
+
+The public constructor drops repeated terms, which hashes every term it is
+given.  Results that are duplicate-free by construction skip that step
+through the private :func:`_trusted`: the filters :func:`pt`,
+:func:`set_difference` and :func:`remove_term`, :func:`add_term` (after
+its one probe) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
+Unions go through one private helper, :func:`_extend`, which adds terms
+to an expression and checks them only against the terms they can equal,
+which the caller names: :func:`set_union` names the whole first operand,
+the mutation operators only the terms that hold a symbol every new term
+holds.
 
 Every operation optionally threads an :class:`~dagmut.metrics.OpCounters`
 instance through which it tallies symbol comparisons, term copies and set
@@ -26,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from itertools import compress, filterfalse, repeat
-from operator import contains
+from operator import contains, is_not
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -129,13 +139,20 @@ class SopfRe:
         return frozenset().union(*self._terms)
 
 
+def _trusted(terms: tuple[Term, ...]) -> SopfRe:
+    """A :class:`SopfRe` over ``terms`` without the constructor's checks.
+
+    The caller guarantees a tuple of distinct nonempty tuples: a filter of
+    one expression's terms, or terms it built distinct.
+    """
+    r = object.__new__(SopfRe)
+    object.__setattr__(r, "_terms", terms)
+    object.__setattr__(r, "_canonical", len(terms) < 2)
+    return r
+
+
 # --------------------------------------------------------------------------
 # counter plumbing
-
-def _count_scan(counters: "OpCounters | None", n: int) -> None:
-    if counters is not None:
-        counters.symbol_comparisons += n
-
 
 def _count_probes(counters: "OpCounters | None", terms: Sequence[Term]) -> None:
     # a set membership probe hashes/compares the whole term
@@ -160,33 +177,55 @@ def check_pattern(pattern: Sequence[str]) -> Term:
     return pat
 
 
-def _find(term: Term, pattern: Term, counters: "OpCounters | None",
-          *, last: bool = False) -> int | None:
-    """Index of the first (or last) occurrence of ``pattern`` in ``term``.
+def _find(terms: Sequence[Term], pattern: Term, counters: "OpCounters | None",
+          *, last: bool = False) -> list[int | None]:
+    """Index of the first (or last) occurrence of ``pattern`` in each term,
+    ``None`` where it is missing.
 
-    Only the occurrences of ``pattern[0]`` are visited (``tuple.index``);
-    the comparison count is the scan model's, in closed form.
+    Only the occurrences of ``pattern[0]`` are visited (``tuple.index``).
+    A search for the first occurrence stops there when it matches; the
+    occurrences are counted only when it misses, and looped over only when
+    the symbol repeats.  The comparison count is the scan model's, in
+    closed form.
     """
     p0 = pattern[0]
-    two = len(pattern) == 2
-    stop = len(term) - len(pattern) + 1      # positions a match may start at
-    hits = term.count(p0)                    # occurrences of p0 among them
-    if two and term[-1] == p0:
-        hits -= 1
-    found = None
-    k = -1
-    for seen in range(1, hits + 1):
-        k = term.index(p0, k + 1)
-        if two and term[k + 1] != pattern[1]:
-            continue
-        found = k
+    p1 = pattern[-1]
+    w = len(pattern) - 1            # 1 if a second symbol is checked
+    ks: list[int | None] = []
+    cost = 0
+    for t in terms:
+        n = len(t)
+        k = -1
+        seen = 0                    # occurrences of p0 visited so far
         if not last:
-            if counters is not None:
-                counters.symbol_comparisons += k + 1 + (seen if two else 0)
-            return k
+            try:
+                k = t.index(p0)
+                seen = 1
+            except ValueError:      # no p0: only on ht's and tt's error path
+                pass
+            else:
+                if not w or (k + 1 < n and t[k + 1] == p1):
+                    ks.append(k)
+                    cost += k + 1 + w
+                    continue
+        hits = t.count(p0) - (w and t[-1] == p0)    # where a match may start
+        found = None
+        while seen < hits:
+            seen += 1
+            k = t.index(p0, k + 1)
+            if not w or t[k + 1] == p1:
+                found = k
+                if not last:
+                    break
+        ks.append(found)
+        if found is None or last:
+            # every start position, and the second symbol after each hit
+            cost += n - w + w * hits
+        else:
+            cost += found + 1 + w * seen
     if counters is not None:
-        counters.symbol_comparisons += max(stop, 0) + (hits if two else 0)
-    return found
+        counters.symbol_comparisons += cost
+    return ks
 
 
 def _cut_points(terms: Sequence[Term], pattern: Term, counters: "OpCounters | None",
@@ -203,7 +242,7 @@ def _cut_points(terms: Sequence[Term], pattern: Term, counters: "OpCounters | No
             # a last occurrence is scanned to the end, a first one up to itself
             counters.symbol_comparisons += sum(map(len, terms)) if last else sum(ks) + len(ks)
         return ks
-    ks = [_find(t, pattern, counters, last=last) for t in terms]
+    ks = _find(terms, pattern, counters, last=last)
     if None in ks:
         # name the canonically first term without the pattern
         term = min((t for t, k in zip(terms, ks) if k is None), key=term_key)
@@ -211,27 +250,37 @@ def _cut_points(terms: Sequence[Term], pattern: Term, counters: "OpCounters | No
     return ks
 
 
-def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
-    """Terms of ``r`` containing ``pattern`` as a contiguous symbol run."""
-    pat = check_pattern(pattern)
-    p0 = pat[0]
-    terms = r._terms
-    # a term without the first symbol cannot match; only the others are searched
-    held = list(compress(terms, map(contains, terms, repeat(p0))))
-    if len(pat) == 1:
+def _select(r: SopfRe, held: tuple[Term, ...], pattern: Term,
+            counters: "OpCounters | None") -> SopfRe:
+    """``pt(r, pattern)``, given ``held``: the terms of ``r`` that hold
+    ``pattern[0]``, in ``r``'s order.  Counted as :func:`pt`'s scan of all
+    of ``r``."""
+    if len(pattern) == 1:
         picked = held
     else:
-        picked = [t for t in held if _find(t, pat, counters) is not None]
+        picked = tuple(compress(held, map(is_not, _find(held, pattern, counters),
+                                          repeat(None))))
     if counters is not None:
         # every position of a skipped term is scanned; a single symbol is
         # found at its first occurrence
+        terms = r._terms
         skipped = len(terms) - len(held)
         counters.symbol_comparisons += (sum(map(len, terms)) - sum(map(len, held))
-                                        - (len(pat) - 1) * skipped)
-        if len(pat) == 1:
-            counters.symbol_comparisons += sum(map(tuple.index, held, repeat(p0))) + len(held)
+                                        - (len(pattern) - 1) * skipped)
+        if len(pattern) == 1:
+            counters.symbol_comparisons += (sum(map(tuple.index, held, repeat(pattern[0])))
+                                            + len(held))
         counters.term_copies += len(picked)
-    return SopfRe(tuple(picked))
+    return _trusted(picked)
+
+
+def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
+    """Terms of ``r`` containing ``pattern`` as a contiguous symbol run."""
+    pat = check_pattern(pattern)
+    terms = r._terms
+    # a term without the first symbol cannot match; only the others are searched
+    held = tuple(compress(terms, map(contains, terms, repeat(pat[0]))))
+    return _select(r, held, pat, counters)
 
 
 def ht(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
@@ -260,11 +309,26 @@ def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
 # set operations
 
 def set_union(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
-    merged = SopfRe(a._terms + b._terms)
-    _count_probes(counters, a._terms)
-    _count_probes(counters, b._terms)
-    _count_copies(counters, len(merged))
-    return merged
+    return _extend(a, b, a._terms, counters)
+
+
+def _extend(r: SopfRe, extra: SopfRe, candidates: Sequence[Term],
+            counters: "OpCounters | None" = None) -> SopfRe:
+    """The union of ``r`` and ``extra``, hashing only ``extra`` and
+    ``candidates``: ``r``'s terms, then those of ``extra`` not among them.
+
+    ``candidates`` are the terms of ``r`` that may equal a term of
+    ``extra``; the caller guarantees that no other term of ``r`` does
+    (:func:`set_union` names all of ``r``).  The counts are the union's: a
+    probe of every term of both sets.
+    """
+    fresh = extra._terms
+    if fresh and candidates:
+        fresh = tuple(filterfalse(set(candidates).__contains__, fresh))
+    _count_probes(counters, r._terms)
+    _count_probes(counters, extra._terms)
+    _count_copies(counters, len(r) + len(fresh))
+    return _trusted(r._terms + fresh) if fresh else r
 
 
 def set_difference(r: SopfRe, c: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
@@ -273,7 +337,7 @@ def set_difference(r: SopfRe, c: SopfRe, counters: "OpCounters | None" = None) -
     _count_probes(counters, c._terms)
     _count_probes(counters, r._terms)
     _count_copies(counters, len(kept))
-    return SopfRe(kept)
+    return _trusted(kept)
 
 
 def set_concat(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
@@ -292,7 +356,7 @@ def add_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = Non
     if t in r._terms:
         return r
     _count_copies(counters, 1)
-    return SopfRe(r._terms + (t,))
+    return _trusted(r._terms + (t,))
 
 
 def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
@@ -300,19 +364,7 @@ def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = 
     _count_probes(counters, (t,))
     if t not in r._terms:
         return r
-    return SopfRe(filterfalse(t.__eq__, r._terms))
-
-
-def sets_equal(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> bool:
-    """Set equality, counted as a walk over both term sets in canonical
-    order that stops at the first mismatch."""
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a.terms, b.terms):
-        _count_scan(counters, min(len(x), len(y)))
-        if x != y:
-            return False
-    return True
+    return _trusted(tuple(filterfalse(t.__eq__, r._terms)))
 
 
 # --------------------------------------------------------------------------

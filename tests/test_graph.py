@@ -19,7 +19,7 @@ from dagmut import (
     render_graph,
     validate_acyclic,
 )
-from dagmut.graph import topological_order
+from dagmut.graph import default_flags, topological_order
 
 from support import SAMPLE_TERMS, scripted_models, spell
 
@@ -279,7 +279,6 @@ def dags(draw):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 arcs.add((order[i], order[j]))
-    from dagmut import default_flags
     starts, finishes = default_flags(frozenset(names), frozenset(arcs))
     return Dg(frozenset(names), frozenset(arcs), starts, finishes)
 

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from dagmut import (
     ArcInsert,
     ArcOmit,
+    GenConfig,
     ModelState,
+    NaiveLang,
     NodeInsert,
     NodeOmit,
+    OpCounters,
     OperationError,
     ParseError,
     ScriptError,
@@ -18,6 +21,7 @@ from dagmut import (
     apply_script,
     arc_insert,
     arc_omit,
+    equivalent,
     format_op,
     format_script,
     model_from_graph,
@@ -26,6 +30,9 @@ from dagmut import (
     parse_graph,
     parse_script,
     print_sopf,
+    random_model,
+    random_script,
+    ref_apply,
 )
 from dagmut.sopf import term_key
 
@@ -209,6 +216,103 @@ def test_arc_omit_two_node_path():
 def test_arc_omit_missing_arc(sample_state):
     with pytest.raises(OperationError, match="not present"):
         arc_omit(sample_state, "a", "q")
+
+
+# --------------------------------------------------------------------------
+# hand-built states: terms that are not paths of the graph
+#
+# Operators build their results without re-deduplicating them, checking new
+# terms only against the terms they can equal.  These states put such terms
+# exactly where a product or a fragment lands.
+
+def rebuilt(re: SopfRe) -> SopfRe:
+    """``re`` through the public constructor, after checking that its terms
+    are already distinct."""
+    assert len(set(re._terms)) == len(re._terms)
+    return SopfRe(re._terms)
+
+
+def test_arc_insert_product_equal_to_a_hand_built_term():
+    # "ab" is no path while a -> b is missing, and it is the one product
+    st_ = ModelState(parse_graph("node a\nnode b"), sopf("a", "b", "ab"))
+    out, entry = arc_insert(st_, "a", "b")
+    assert out.re == rebuilt(out.re) == sopf("a", "b", "ab")
+    assert entry.terms_added == 0 and entry.added_bound == 1
+
+
+def test_arc_omit_keeps_a_hand_built_head_once():
+    # "ab" is the head that "abc" would leave, but it holds b without the
+    # pair, so no head comes back and "ab" stays once
+    st_ = ModelState(parse_graph("arc a b\narc b c"), sopf("abc", "ab"))
+    out, entry = arc_omit(st_, "b", "c")
+    assert out.re == rebuilt(out.re) == sopf("ab", "c")
+    assert (entry.terms_added, entry.terms_removed, entry.added_bound) == (1, 1, 1)
+
+
+def test_arc_omit_merges_a_head_equal_to_a_tail():
+    # both terms hold the pair b c; "cbc" leaves the head "cb" and "bcb" the
+    # tail "cb"
+    st_ = ModelState(parse_graph("arc b c"), sopf("bcb", "cbc"))
+    out, entry = arc_omit(st_, "b", "c")
+    assert out.re == rebuilt(out.re) == sopf("b", "cb", "c")
+    assert (entry.terms_added, entry.added_bound) == (3, 4)
+
+
+def test_arc_omit_finds_the_pair_past_a_first_miss():
+    # the first b of "babc" is followed by a, the second by c
+    st_ = ModelState(parse_graph("arc a b\narc b c"), sopf("babc", "bab"))
+    out, entry = arc_omit(st_, "b", "c")
+    assert out.re == rebuilt(out.re) == sopf("bab", "c")
+    assert entry.removed_expected == 1 and entry.terms_removed == 1
+
+
+@st.composite
+def hand_built_states(draw):
+    """A scripted model whose expression also holds terms over its nodes
+    that need not be paths and may repeat a symbol."""
+    g, script = draw(scripted_models())
+    terms = []
+    if g.nodes:
+        terms = draw(st.lists(st.lists(st.sampled_from(sorted(g.nodes)), min_size=1,
+                                       max_size=5).map(tuple), max_size=6))
+    re = SopfRe(model_from_graph(g).re._terms + tuple(terms))
+    return ModelState(g, re), script
+
+
+@settings(max_examples=80, deadline=None)
+@given(hand_built_states())
+def test_operator_results_are_distinct_and_match_the_reference(model):
+    state, script = model
+    for op in script:
+        expected = ref_apply(NaiveLang(list(state.re._terms)), op, state.dg)
+        try:
+            state, _ = apply_op(state, op)
+        except ValueError:
+            # node omission refuses a hand-built term left holding the node
+            assert isinstance(op, NodeOmit)
+            assert any(op.node in w for w in expected.words)
+            return
+        assert state.re == rebuilt(state.re)
+        assert equivalent(state.re, expected)
+
+
+# The summed counts of a fixed set of seeded runs.  The counts are the cost
+# model of the term algebra, so a change that moves them must say so.
+PINNED_COUNTS = OpCounters(symbol_comparisons=2002203, term_copies=218212,
+                           set_lookups=164149)
+
+
+def test_operator_counts_are_pinned():
+    total = OpCounters()
+    steps = 0
+    for seed in range(40):
+        cfg = GenConfig(node_count=12, arc_density=0.2 + 0.15 * (seed % 5), seed=seed,
+                        script_length=8)
+        g = random_model(cfg)
+        _, log = apply_script(model_from_graph(g), random_script(cfg, g), total)
+        steps += len(log)
+    assert steps == 320
+    assert total == PINNED_COUNTS
 
 
 # --------------------------------------------------------------------------

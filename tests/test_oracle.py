@@ -10,10 +10,8 @@ from dagmut import (
     NodeOmit,
     OperationError,
     SopfRe,
-    cross_check_initial,
     equivalent,
     model_from_graph,
-    naive_enumerate,
     parse_graph,
     random_model,
     random_script,
@@ -21,6 +19,7 @@ from dagmut import (
     run_differential,
     validate_acyclic,
 )
+from dagmut.oracle import cross_check_initial, naive_enumerate
 
 from support import sopf
 

@@ -19,10 +19,9 @@ from dagmut import (
     set_difference,
     set_union,
     tt,
-    validate_symbol,
 )
 from dagmut.metrics import OpCounters
-from dagmut.sopf import _find, term_key
+from dagmut.sopf import _extend, _find, term_key, validate_symbol
 
 from support import sopf, spell
 
@@ -367,10 +366,10 @@ scan_exprs = st.lists(scan_terms, max_size=10).map(lambda ts: SopfRe(tuple(ts)))
 scan_patterns = st.lists(scan_symbols, min_size=1, max_size=2).map(tuple)
 
 
-@given(scan_terms, scan_patterns, st.booleans())
-def test_find_matches_the_scan(term, s, last):
+@given(st.lists(scan_terms, max_size=6), scan_patterns, st.booleans())
+def test_find_matches_the_scan(terms, s, last):
     got, want = OpCounters(), OpCounters()
-    assert _find(term, s, got, last=last) == ref_find(term, s, want, last=last)
+    assert _find(terms, s, got, last=last) == [ref_find(t, s, want, last=last) for t in terms]
     assert got == want
 
 
@@ -393,12 +392,23 @@ def test_union_and_difference_match_the_scan(a, b):
     same_run(set_difference, ref_difference, a, set_union(a, b))
 
 
+@given(scan_exprs, scan_exprs, st.randoms(use_true_random=False))
+def test_extend_matches_the_union(a, b, rnd):
+    # the candidates hold every term of a that b holds, plus some others
+    shared = [t for t in a._terms if t in b]
+    others = [t for t in a._terms if t not in b]
+    candidates = shared + rnd.sample(others, rnd.randint(0, len(others)))
+    same_run(lambda x, y, c: _extend(x, y, candidates, c), ref_union, a, b)
+    merged = _extend(a, b, candidates)
+    assert len(set(merged._terms)) == len(merged._terms)
+
+
 def test_find_first_and_last_with_repeated_symbols():
     term = ("a", "b", "a", "b", "a")
     for s, first, final in [(("a",), 0, 4), (("a", "b"), 0, 2), (("b", "a"), 1, 3),
                             (("a", "a"), None, None)]:
-        assert _find(term, s, None) == first
-        assert _find(term, s, None, last=True) == final
+        assert _find([term], s, None) == [first]
+        assert _find([term], s, None, last=True) == [final]
 
 
 @given(st.lists(scan_terms, max_size=12), st.randoms(use_true_random=False))
