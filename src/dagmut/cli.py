@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -95,7 +96,10 @@ def _run_bench(args) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call in a process: building
+    it costs about a millisecond, as much as converting a small model."""
     parser = argparse.ArgumentParser(
         prog="dagmut",
         description="Mutate acyclic graph models and their sum-of-products "
@@ -128,8 +132,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("pretty", "machine"), default="pretty")
     p.set_defaults(run=_run_bench)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except ModelError as exc:

@@ -8,7 +8,10 @@ sticky: mutation history only ever adds flags, never clears them.
 Cost model: a :class:`Dg` indexes its arcs by endpoint once, when it is
 built, so ``successors``/``predecessors``/degree queries cost O(deg),
 :func:`path_exists` O(reachable) and :func:`validate_acyclic` (a Kahn pass
-over a heap) O(V log V + E).  :func:`apply_dg_op` derives the child graph
+over a heap) O(V log V + E).  The Kahn pass and the path walk of
+:func:`enumerate_paths` read the index and the flag sets directly, with no
+method call or list copy per node; the walk costs one step per trie node
+of its words plus one length sort.  :func:`apply_dg_op` derives the child graph
 from its parent and rebuilds only the index entries the operator touches
 (O(touched) Python work; the frozensets and the index dicts are still
 copied, at C speed).
@@ -97,12 +100,6 @@ class Dg:
     def in_degree(self, v: str) -> int:
         return len(self._pred.get(v, ()))
 
-    def is_start(self, v: str) -> bool:
-        return v in self.starts
-
-    def is_finish(self, v: str) -> bool:
-        return v in self.finishes
-
 
 def _derive(g: Dg, **changes) -> Dg:
     """A :class:`Dg` with ``g``'s fields and index, ``changes`` replacing
@@ -146,57 +143,59 @@ def parse_graph(text: str) -> Dg:
     start_lines: list[tuple[int, str]] = []
     finish_lines: list[tuple[int, str]] = []
     # one validated string object per distinct name, shared by every
-    # node, arc and index entry that mentions it
+    # node, arc and index entry that mentions it; a token is looked up
+    # there first, and only a name not seen before goes through symbol()
     names: dict[str, str] = {}
 
     def symbol(token: str, lineno: int) -> str:
-        name = names.get(token)
-        if name is None:
-            try:
-                name = names[token] = validate_symbol(token)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+        try:
+            name = names[token] = validate_symbol(token)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
         return name
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        keyword, *args = line.split()
-        if keyword == "node":
-            if len(args) != 1:
-                raise ParseError("'node' takes one id", line=lineno)
-            nodes.add(symbol(args[0], lineno))
-        elif keyword == "arc":
-            if len(args) != 2:
+        keyword = tokens[0]
+        if keyword == "arc":
+            if len(tokens) != 3:
                 raise ParseError("'arc' takes two ids", line=lineno)
-            src, dst = symbol(args[0], lineno), symbol(args[1], lineno)
+            src = names.get(tokens[1]) or symbol(tokens[1], lineno)
+            dst = names.get(tokens[2]) or symbol(tokens[2], lineno)
             if src == dst:
                 raise ParseError(f"self-loop arc on {src!r}", line=lineno)
-            if (src, dst) in arcs:
+            arc = (src, dst)
+            if arc in arcs:
                 raise ParseError(f"duplicate arc {src} -> {dst}", line=lineno)
-            arcs.add((src, dst))
-            nodes.update((src, dst))
+            arcs.add(arc)
+        elif keyword == "node":
+            if len(tokens) != 2:
+                raise ParseError("'node' takes one id", line=lineno)
+            nodes.add(names.get(tokens[1]) or symbol(tokens[1], lineno))
         elif keyword in ("start", "finish"):
-            if len(args) != 1:
+            if len(tokens) != 2:
                 raise ParseError(f"'{keyword}' takes one id", line=lineno)
             sink = start_lines if keyword == "start" else finish_lines
-            sink.append((lineno, symbol(args[0], lineno)))
+            sink.append((lineno, names.get(tokens[1]) or symbol(tokens[1], lineno)))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=lineno)
 
+    succ, pred = _index(arcs)
+    nodes.update(succ.keys(), pred.keys())
     for lineno, sym in (*start_lines, *finish_lines):
         if sym not in nodes:
             raise ParseError(f"flag references unknown node {sym!r}", line=lineno)
 
-    nodes, arcs = frozenset(nodes), frozenset(arcs)
-    deg_starts, deg_finishes = default_flags(nodes, arcs)
-    starts = frozenset(s for _, s in start_lines) if start_lines else deg_starts
-    finishes = frozenset(s for _, s in finish_lines) if finish_lines else deg_finishes
+    # the degree rule, read off the index: a node without predecessors is
+    # a start, one without successors a finish
+    nodes = frozenset(nodes)
+    starts = frozenset(s for _, s in start_lines) if start_lines else nodes.difference(pred)
+    finishes = frozenset(s for _, s in finish_lines) if finish_lines else nodes.difference(succ)
     # every check of the Dg constructor has been made above, with a line
     # number, so the graph is assembled without repeating them
-    succ, pred = _index(arcs)
-    return _derive(Dg(), nodes=nodes, arcs=arcs, starts=starts, finishes=finishes,
+    return _derive(Dg(), nodes=nodes, arcs=frozenset(arcs), starts=starts, finishes=finishes,
                    _succ=succ, _pred=pred)
 
 
@@ -224,15 +223,17 @@ def topological_order(g: Dg) -> list[str]:
     On a cyclic graph the order stops short: it omits every node on or
     behind a cycle.
     """
+    succ = g._succ
     indeg = {v: len(preds) for v, preds in g._pred.items()}
     ready = sorted(g.nodes - indeg.keys())  # a sorted list is a heap
     order: list[str] = []
     while ready:
         v = heappop(ready)
         order.append(v)
-        for w in g.successors(v):
-            indeg[w] -= 1
-            if not indeg[w]:
+        for w in succ.get(v, ()):
+            left = indeg[w] - 1
+            indeg[w] = left
+            if not left:
                 heappush(ready, w)
     return order
 
@@ -287,25 +288,31 @@ def enumerate_paths(g: Dg) -> SopfRe:
     witness = validate_acyclic(g)
     if witness is not None:
         raise CycleError(witness)
+    succ, finishes = g._succ, g.finishes
     words: list[tuple[str, ...]] = []
     # depth-first with an explicit stack, so long chains cannot exhaust the
-    # interpreter's recursion limit: pending[k + 1] walks the successors of
-    # trail[k], pending[0] the start nodes
+    # interpreter's recursion limit: pending[0] walks the start nodes and
+    # pending[k + 1] the successors of trail[k]; a node without successors
+    # is finished inside the loop over its siblings
     trail: list[str] = []
     pending = [iter(sorted(g.starts))]
     while pending:
-        v = next(pending[-1], None)
-        if v is None:
+        for v in pending[-1]:
+            if v in finishes:
+                words.append((*trail, v))
+            below = succ.get(v)
+            if below:
+                trail.append(v)
+                pending.append(iter(below))
+                break
+        else:
             pending.pop()
-            if trail:
-                trail.pop()
-            continue
-        trail.append(v)
-        if g.is_finish(v):
-            words.append(tuple(trail))
-        pending.append(iter(g.successors(v)))
-    # each trail is reached once, so the words are distinct
-    return _trusted(tuple(words))
+            del trail[-1:]
+    # each trail is reached once, so the words are distinct; the walk visits
+    # sorted neighbours in preorder, so they come out lexicographic, and a
+    # stable sort by length makes that canonical order
+    words.sort(key=len)
+    return _trusted(tuple(words), canonical=True)
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 A product term is a nonempty tuple of symbols.  A :class:`SopfRe` is a
 duplicate-free set of product terms; equality is set equality, which is
 language equality.  Canonical order (shortest first, then lexicographic by
-symbol sequence) is computed once, on the first read of
+symbol sequence) is computed at most once, on the first read of
 :attr:`SopfRe.terms` (printing, iteration); the selectors and set
 operations work on the terms in the order they were built and never sort.
+:func:`dagmut.graph.enumerate_paths` builds its result already in
+canonical order, so a converted graph is never sorted.
 
 The public constructor drops repeated terms, which hashes every term it is
 given.  Results that are duplicate-free by construction skip that step
@@ -59,6 +61,8 @@ def validate_symbol(sym: str) -> str:
         raise ValueError("symbol must be a nonempty string")
     if sym == EMPTY_TOKEN:
         raise ValueError(f"{EMPTY_TOKEN!r} is reserved for the empty expression")
+    if sym.isidentifier():
+        return sym  # letters, digits and underscores: nothing reserved
     for ch in sym:
         if ch.isspace() or ch in RESERVED_CHARS:
             raise ValueError(f"symbol {sym!r} contains reserved character {ch!r}")
@@ -80,10 +84,11 @@ class SopfRe:
 
     Construction drops repeated terms and keeps the rest in the order
     given.  The first read of :attr:`terms` sorts them into canonical order
-    and stores the sorted tuple in place of the unsorted one.  ``==`` and
-    ``hash`` are those of the term set, so they never sort.  Code in this
-    package that needs no order reads ``_terms``, which holds the terms in
-    whichever of the two orders they are in.
+    and stores the sorted tuple in place of the unsorted one, unless they
+    were built in that order (:func:`dagmut.graph.enumerate_paths`).
+    ``==`` and ``hash`` are those of the term set, so they never sort.
+    Code in this package that needs no order reads ``_terms``, which holds
+    the terms in whichever of the two orders they are in.
     """
 
     __slots__ = ("_terms", "_canonical")
@@ -139,15 +144,16 @@ class SopfRe:
         return frozenset().union(*self._terms)
 
 
-def _trusted(terms: tuple[Term, ...]) -> SopfRe:
+def _trusted(terms: tuple[Term, ...], *, canonical: bool = False) -> SopfRe:
     """A :class:`SopfRe` over ``terms`` without the constructor's checks.
 
     The caller guarantees a tuple of distinct nonempty tuples: a filter of
-    one expression's terms, or terms it built distinct.
+    one expression's terms, or terms it built distinct.  ``canonical``
+    says that they are already in canonical order, so no read sorts them.
     """
     r = object.__new__(SopfRe)
     object.__setattr__(r, "_terms", terms)
-    object.__setattr__(r, "_canonical", len(terms) < 2)
+    object.__setattr__(r, "_canonical", canonical or len(terms) < 2)
     return r
 
 
@@ -410,4 +416,4 @@ def print_sopf(r: SopfRe, *, dotted: bool = False) -> str:
         return EMPTY_TOKEN
     use_dots = dotted or max(map(len, r.symbols())) > 1
     sep = "." if use_dots else ""
-    return " + ".join(sep.join(term) for term in r.terms)
+    return " + ".join(map(sep.join, r.terms))

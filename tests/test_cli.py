@@ -1,7 +1,8 @@
 """Command-line behavior: output, formats, exit codes."""
 import pytest
 
-from dagmut import BOUND_EXPONENTS
+import dagmut.sopf
+from dagmut import BOUND_EXPONENTS, cli
 from dagmut.cli import main
 
 from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS
@@ -76,6 +77,22 @@ def test_convert_very_long_chain(capsys, tmp_path):
     assert out.splitlines() == [".".join(nodes)]
 
 
+def test_convert_never_sorts(capsys, graph_file, tmp_path, monkeypatch):
+    # the path walk emits canonical order, so printing has nothing to sort
+    calls = []
+    real = dagmut.sopf._canonical_order
+    monkeypatch.setattr(dagmut.sopf, "_canonical_order",
+                        lambda terms: calls.append(len(terms)) or real(terms))
+    multi = tmp_path / "multi.dg"
+    multi.write_text("arc n1 n10\narc n1 n2\narc n10 x\narc n2 x\nfinish n2\nfinish x\n")
+    code, out, _ = run(capsys, "convert", graph_file)
+    canonical = sorted(SAMPLE_TERMS, key=lambda w: (len(w), w))
+    assert code == 0 and out.strip().split(" + ") == canonical
+    code, out, _ = run(capsys, "convert", multi, "--format", "machine")
+    assert code == 0 and out == "n1.n2 + n1.n10.x + n1.n2.x\n"
+    assert calls == []
+
+
 # --------------------------------------------------------------------------
 # mutate
 
@@ -131,6 +148,31 @@ def test_mutate_machine_format_round_trips(capsys, graph_file):
                          if l.startswith("graph="))
     g = parse_graph(graph_text)
     assert "o" in g.starts and "n" not in g.nodes
+
+
+# --------------------------------------------------------------------------
+# repeated in-process calls
+
+def test_repeated_calls_share_one_parser(capsys, graph_file):
+    def session():
+        outputs = [run(capsys, "convert", graph_file, "--format", "machine"),
+                   run(capsys, "mutate", graph_file, "--script", "(cd)o_a (df)i_a (n)o_n")]
+        with pytest.raises(SystemExit) as usage:
+            main(["convert"])
+        captured = capsys.readouterr()
+        outputs.append((usage.value.code, captured.out, captured.err))
+        outputs.append(run(capsys, "mutate", graph_file, "--script", "(zz)o_n"))
+        outputs.append(run(capsys, "convert", graph_file, "--format", "machine"))
+        return outputs
+
+    cli._parser.cache_clear()
+    first = session()
+    assert [code for code, _, _ in first] == [0, 0, 2, 1, 0]
+    assert "required: graph" in first[2][2] and "unknown node 'zz'" in first[3][2]
+    assert first[-1] == first[0]
+    assert session() == first
+    assert cli._parser.cache_info().misses == 1
+    assert cli._parser() is cli._parser()
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from dagmut import (
     validate_acyclic,
 )
 from dagmut.graph import default_flags, topological_order
+from dagmut.oracle import naive_enumerate
+from dagmut.sopf import term_key
 
 from support import SAMPLE_TERMS, scripted_models, spell
 
@@ -84,6 +86,49 @@ def test_bad_symbol_reports_line():
         parse_graph("node a\nnode x+y")
     with pytest.raises(ParseError, match="line 3"):
         parse_graph("arc a b\narc b c\narc c x+y")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("node", "line 1: 'node' takes one id"),
+    ("arc a b\nnode a b", "line 2: 'node' takes one id"),
+    ("arc a", "line 1: 'arc' takes two ids"),
+    ("node a\n\narc a b c", "line 3: 'arc' takes two ids"),
+    ("arc a b\nstart", "line 2: 'start' takes one id"),
+    ("arc a b\nstart a b", "line 2: 'start' takes one id"),
+    ("arc a b\nfinish", "line 2: 'finish' takes one id"),
+    ("arc a b\nfinish a b", "line 2: 'finish' takes one id"),
+    ("node x+y z", "line 1: 'node' takes one id"),
+    ("edge a b", "line 1: unknown keyword 'edge'"),
+    ("# a comment\nArc a b", "line 2: unknown keyword 'Arc'"),
+    ("arc a b\narc b b", "line 2: self-loop arc on 'b'"),
+    ("arc a b\narc b c\narc a b", "line 3: duplicate arc a -> b"),
+    ("node a\nstart b", "line 2: flag references unknown node 'b'"),
+    ("node a\nfinish b", "line 2: flag references unknown node 'b'"),
+    # start lines are checked before finish lines
+    ("node a\nfinish z\nstart y", "line 3: flag references unknown node 'y'"),
+    ("node a\nnode x+y", "line 2: symbol 'x+y' contains reserved character '+'"),
+    ("arc a b\narc b c\narc c x(y", "line 3: symbol 'x(y' contains reserved character '('"),
+    ("arc a.b c", "line 1: symbol 'a.b' contains reserved character '.'"),
+    ("node a\nstart a,b", "line 2: symbol 'a,b' contains reserved character ','"),
+    ("node EMPTY", "line 1: 'EMPTY' is reserved for the empty expression"),
+])
+def test_parse_errors_name_their_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+    assert err.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
+def test_layout_does_not_change_the_parsed_graph():
+    plain = "node z\narc a b\narc b c\narc a c\nstart a\nstart b\nfinish c\nfinish b\n"
+    spaced = ("# a model\n\n\tnode\tz\n  arc a   b  # first arc\n# arc x y\n"
+              "arc\tb c\t\n\n   \narc a c#no space\nstart a\n  start b  \n"
+              "finish c # end\nfinish\tb\n# trailing comment")
+    g = parse_graph(plain)
+    assert g == parse_graph(spaced) == parse_graph(plain.replace("\n", "\r\n"))
+    assert render_graph(g) == render_graph(parse_graph(spaced))
+    assert g.starts == {"a", "b"} and g.finishes == {"b", "c"}
+    assert parse_graph("start a\narc a b") == parse_graph("arc a b\nstart a")
 
 
 def test_parse_keeps_one_string_per_name():
@@ -335,3 +380,34 @@ def test_derived_graphs_keep_their_index_exact(model):
             assert topological_order(same) == topological_order(g)
         assert validate_acyclic(g) is None
         assert topological_order(g) == _sort_based_kahn(g)
+
+
+@st.composite
+def flagged_models(draw):
+    """A scripted model after its script, so operators have left sticky
+    flags on inner nodes, renamed to multi-character names, with more
+    start and finish flags on top."""
+    g, script = draw(scripted_models())
+    for op in script:
+        g = apply_dg_op(g, op)
+    nodes = sorted(g.nodes)
+    # names over a small alphabet share prefixes ("a" < "a1" < "ab"), so
+    # the order of name sequences differs from that of their spellings
+    names = draw(st.lists(st.text("ab1", min_size=1, max_size=3),
+                          min_size=len(nodes), max_size=len(nodes), unique=True))
+    rename = dict(zip(nodes, names))
+    extra = st.sets(st.sampled_from(nodes)) if nodes else st.just(set())
+    starts = g.starts | draw(extra)
+    finishes = g.finishes | draw(extra)
+    return Dg({rename[v] for v in g.nodes}, {(rename[a], rename[b]) for a, b in g.arcs},
+              {rename[v] for v in starts}, {rename[v] for v in finishes})
+
+
+@settings(max_examples=150, deadline=None)
+@given(flagged_models())
+def test_enumerated_terms_come_out_in_canonical_order(g):
+    re = enumerate_paths(g)
+    assert re._canonical
+    assert re._terms == tuple(sorted(re._terms, key=term_key))
+    naive = naive_enumerate(g)
+    assert len(re._terms) == len(naive) and set(re._terms) == set(naive)
