@@ -50,18 +50,6 @@ from .oracle import (
     ref_apply,
     run_differential,
 )
-from .sopf import (
-    SopfRe,
-    add_term,
-    ht,
-    parse_sopf,
-    print_sopf,
-    pt,
-    remove_term,
-    set_concat,
-    set_difference,
-    set_union,
-    tt,
-)
+from .sopf import SopfRe, parse_sopf, print_sopf
 
 __version__ = "0.1.0"

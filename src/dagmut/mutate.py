@@ -13,11 +13,22 @@ adjacently and, when that removal exhausts all terms containing the source
 (target), re-adds the head (tail) fragments as terms of their own.  Node
 operators are composites of arc operators around adding/removing the bare
 one-symbol term.
+
+A node operator selects the terms holding its node once and hands that
+selection to each inner arc step (the private cores behind
+:func:`arc_insert` and :func:`arc_omit`), which then searches the
+expression only for the arc's other endpoint.  Node insertion needs no
+search at all: no term of the pre-state holds the new node, and every term
+appended after them does.  Node omission searches once and, after each
+step, drops the step's removed terms from its selection and adds the new
+fragments that hold the node; the selection also gives its kept count and
+its final check.  Results, log entries and counts are those of the
+composition of the public arc operators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, filterfalse, repeat
 from operator import contains
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -26,7 +37,9 @@ from .graph import Dg, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     SopfRe,
+    Term,
     _extend,
+    _remove_at,
     _select,
     add_term,
     ht,
@@ -143,6 +156,23 @@ def _holds_only(containing: SopfRe, joined: SopfRe, counters: "OpCounters | None
 def arc_insert(st: ModelState, src: str, dst: str,
                counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert arc ``src -> dst`` and extend the expression accordingly."""
+    return _arc_insert(st, src, dst, counters)
+
+
+def _holding(r: SopfRe, sym: str, held: tuple[Term, ...] | None,
+             counters: "OpCounters | None") -> SopfRe:
+    """``pt(r, (sym,))``, from the caller's selection ``held`` if given:
+    the terms of ``r`` that hold ``sym``, in ``r``'s order."""
+    if held is None:
+        return pt(r, (sym,), counters)
+    return _select(r, held, (sym,), counters)
+
+
+def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None",
+                held_src: tuple[Term, ...] | None = None,
+                held_dst: tuple[Term, ...] | None = None) -> tuple[ModelState, LogEntry]:
+    """:func:`arc_insert`, given the terms holding ``src`` or ``dst`` if
+    the caller has them.  The new terms go after those of ``st.re``."""
     op = ArcInsert(src, dst)
     try:
         dg = apply_dg_op(st.dg, op)
@@ -152,9 +182,9 @@ def arc_insert(st: ModelState, src: str, dst: str,
         if _order_witnessed(st.re, dst, src):
             raise
         raise InsertionCycleError(f"{exc} (path not witnessed by any product term)") from None
-    containing_src = pt(st.re, (src,), counters)
+    containing_src = _holding(st.re, src, held_src, counters)
     heads = ht(containing_src, (src,), counters)
-    tails = tt(pt(st.re, (dst,), counters), (dst,), counters)
+    tails = tt(_holding(st.re, dst, held_dst, counters), (dst,), counters)
     products = set_concat(heads, tails, counters)
     # every product holds src, so only a term holding src can equal one
     new_re = _extend(st.re, products, containing_src._terms, counters)
@@ -166,10 +196,21 @@ def arc_insert(st: ModelState, src: str, dst: str,
 def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
+    state, entry, _ = _arc_omit(st, src, dst, counters)
+    return state, entry
+
+
+def _arc_omit(st: ModelState, src: str, dst: str, counters: "OpCounters | None",
+              held_src: tuple[Term, ...] | None = None,
+              held_dst: tuple[Term, ...] | None = None,
+              ) -> tuple[ModelState, LogEntry, SopfRe]:
+    """:func:`arc_omit`, given the terms holding ``src`` or ``dst`` if the
+    caller has them; also returns the dropped terms.  The kept terms stay
+    in ``st.re``'s order and the fragments come after them."""
     op = ArcOmit(src, dst)
     dg = apply_dg_op(st.dg, op)
-    containing_src = pt(st.re, (src,), counters)
-    containing_dst = pt(st.re, (dst,), counters)
+    containing_src = _holding(st.re, src, held_src, counters)
+    containing_dst = _holding(st.re, dst, held_dst, counters)
     # the terms holding the pair are among those holding src
     joined = _select(st.re, containing_src._terms, (src, dst), counters)
     heads = SopfRe()
@@ -186,7 +227,7 @@ def arc_omit(st: ModelState, src: str, dst: str,
     # neither holds the pair src dst: no joined term comes back
     entry = _entry(op, st.re, new_re, len(shrunk), added_bound=len(heads) + len(tails),
                    removed_expected=len(joined))
-    return _state(dg, new_re), entry
+    return _state(dg, new_re), entry, joined
 
 
 def node_insert(st: ModelState, node: str,
@@ -198,15 +239,18 @@ def node_insert(st: ModelState, node: str,
     op = NodeInsert(node, tuple(outgoing), tuple(ingoing))
     # the arc insertions check the neighbours
     work = _state(apply_dg_op(st.dg, NodeInsert(node)), add_term(st.re, (node,), counters))
+    # no term of st.re holds the new node, and every later term does: the
+    # bare term at position n, then the products of each insertion
+    n = len(st.re)
     sub: list[LogEntry] = []
     for x in op.outgoing:
-        work, step = arc_insert(work, node, x, counters)
+        work, step = _arc_insert(work, node, x, counters, held_src=work.re._terms[n:])
         sub.append(step)
     for y in op.ingoing:
-        work, step = arc_insert(work, y, node, counters)
+        work, step = _arc_insert(work, y, node, counters, held_dst=work.re._terms[n:])
         sub.append(step)
-    if op.outgoing or op.ingoing:
-        work = _state(work.dg, remove_term(work.re, (node,), counters))
+    if sub:
+        work = _state(work.dg, _remove_at(work.re, n, counters))
     # the insertions keep every term of st.re, and the new node's bare term
     # is not one of them
     return work, _entry(op, st.re, work.re, len(st.re), sub=tuple(sub))
@@ -218,26 +262,42 @@ def node_omit(st: ModelState, node: str,
     full arc omission, leaving the node flagged both ways), then the bare
     term and the node itself are dropped."""
     op = NodeOmit(node)
+    # the terms holding the node, selected once and kept up to date: each
+    # step drops some of them and appends fragments, some holding the node
+    held = pt(st.re, (node,))._terms
+    # the arc steps drop only terms holding the node, and none is left at
+    # the end (checked below), so exactly the others are kept
+    kept = len(st.re) - len(held)
     work = st
     sub: list[LogEntry] = []
     # an unknown node has no arcs, and omitting it from the isolated-node
     # graph below raises
     for x in st.dg.successors(node):
-        work, step = arc_omit(work, node, x, counters)
+        before = len(work.re)
+        work, step, joined = _arc_omit(work, node, x, counters, held_src=held)
+        held = _reselect(held, joined, work.re._terms[before - len(joined):], node)
         sub.append(step)
     for y in st.dg.predecessors(node):
-        work, step = arc_omit(work, y, node, counters)
+        before = len(work.re)
+        work, step, joined = _arc_omit(work, y, node, counters, held_dst=held)
+        held = _reselect(held, joined, work.re._terms[before - len(joined):], node)
         sub.append(step)
     final_dg = apply_dg_op(work.dg, op)
     final_re = remove_term(work.re, (node,), counters)
     # only a term that is not a path of the graph can still hold the node
-    if any(map(contains, final_re._terms, repeat(node))):
+    if len(held) > ((node,) in held):
         raise ValueError(f"expression mentions undeclared nodes: {[node]}")
-    # the arc steps drop only terms holding the node, and none is left, so
-    # exactly the terms of st.re without the node are kept
-    kept = len(st.re) - sum(map(contains, st.re._terms, repeat(node)))
     entry = _entry(op, st.re, final_re, kept, sub=tuple(sub))
     return _state(final_dg, final_re), entry
+
+
+def _reselect(held: tuple[Term, ...], joined: SopfRe, fragments: tuple[Term, ...],
+              node: str) -> tuple[Term, ...]:
+    """The terms holding ``node`` after an arc omission that dropped
+    ``joined`` (all among ``held``) and appended ``fragments``."""
+    drop = set(joined._terms)
+    return (tuple(filterfalse(drop.__contains__, held))
+            + tuple(compress(fragments, map(contains, fragments, repeat(node)))))
 
 
 def apply_op(st: ModelState, op: MutationOp,

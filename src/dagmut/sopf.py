@@ -12,8 +12,9 @@ canonical order, so a converted graph is never sorted.
 The public constructor drops repeated terms, which hashes every term it is
 given.  Results that are duplicate-free by construction skip that step
 through the private :func:`_trusted`: the filters :func:`pt`,
-:func:`set_difference` and :func:`remove_term`, :func:`add_term` (after
-its one probe) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
+:func:`set_difference` and :func:`remove_term` (and :func:`_remove_at`,
+which drops a term at a known position), :func:`add_term` (after its one
+probe) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
 Unions go through one private helper, :func:`_extend`, which adds terms
 to an expression and checks them only against the terms they can equal,
 which the caller names: :func:`set_union` names the whole first operand,
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from itertools import compress, filterfalse, repeat
-from operator import contains, is_not
+from operator import contains, eq, is_not, itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -260,11 +261,16 @@ def _select(r: SopfRe, held: tuple[Term, ...], pattern: Term,
             counters: "OpCounters | None") -> SopfRe:
     """``pt(r, pattern)``, given ``held``: the terms of ``r`` that hold
     ``pattern[0]``, in ``r``'s order.  Counted as :func:`pt`'s scan of all
-    of ``r``."""
+    of ``r``.
+
+    A pair is searched for only in the terms that also hold its second
+    symbol; the others are counted as scanned to their end.
+    """
     if len(pattern) == 1:
         picked = held
     else:
-        picked = tuple(compress(held, map(is_not, _find(held, pattern, counters),
+        both = tuple(compress(held, map(contains, held, repeat(pattern[1]))))
+        picked = tuple(compress(both, map(is_not, _find(both, pattern, counters),
                                           repeat(None))))
     if counters is not None:
         # every position of a skipped term is scanned; a single symbol is
@@ -276,6 +282,16 @@ def _select(r: SopfRe, held: tuple[Term, ...], pattern: Term,
         if len(pattern) == 1:
             counters.symbol_comparisons += (sum(map(tuple.index, held, repeat(pattern[0])))
                                             + len(held))
+        elif len(both) < len(held):
+            # a term without the second symbol is a miss: every start
+            # position, and the second symbol after each hit of the first
+            # (_find's count)
+            p0, p1 = pattern
+            rest = tuple(compress(held, map(not_, map(contains, held, repeat(p1)))))
+            counters.symbol_comparisons += (
+                sum(map(len, rest)) - len(rest)
+                + sum(map(tuple.count, rest, repeat(p0)))
+                - sum(map(eq, map(itemgetter(-1), rest), repeat(p0))))
         counters.term_copies += len(picked)
     return _trusted(picked)
 
@@ -371,6 +387,14 @@ def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = 
     if t not in r._terms:
         return r
     return _trusted(tuple(filterfalse(t.__eq__, r._terms)))
+
+
+def _remove_at(r: SopfRe, k: int, counters: "OpCounters | None" = None) -> SopfRe:
+    """``remove_term(r, term)`` for a term known to sit at position ``k``
+    of ``r._terms``: no scan, the same counts."""
+    terms = r._terms
+    _count_probes(counters, (terms[k],))
+    return _trusted(terms[:k] + terms[k + 1:])
 
 
 # --------------------------------------------------------------------------

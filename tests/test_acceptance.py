@@ -14,18 +14,16 @@ from dagmut import (
     apply_script,
     arc_insert,
     arc_omit,
-    ht,
     model_from_graph,
     parse_graph,
     parse_script,
     path_exists,
-    pt,
     random_model,
     random_script,
     run_differential,
     trend,
-    tt,
 )
+from dagmut.sopf import ht, pt, tt
 
 from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, spell
 

@@ -4,6 +4,7 @@ import pytest
 import dagmut.sopf
 from dagmut import BOUND_EXPONENTS, cli
 from dagmut.cli import main
+from dagmut.oracle import MAX_GEN_NODES
 
 from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS
 
@@ -193,6 +194,18 @@ def test_verify_machine_output_is_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "verdict=pass" in out1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--max-nodes", MAX_GEN_NODES + 1),
+     f"--max-nodes must be in 0..{MAX_GEN_NODES}, got {MAX_GEN_NODES + 1}"),
+    (("--max-nodes", -1), f"--max-nodes must be in 0..{MAX_GEN_NODES}, got -1"),
+    (("--trials", -3), "--trials must be nonnegative, got -3"),
+])
+def test_verify_out_of_range_arguments_are_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 # --------------------------------------------------------------------------

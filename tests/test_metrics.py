@@ -11,10 +11,9 @@ from dagmut import (
     model_from_graph,
     parse_graph,
     parse_sopf,
-    set_concat,
-    set_union,
     trend,
 )
+from dagmut.sopf import set_concat, set_union
 
 from support import SAMPLE_GRAPH_TEXT, sopf
 
@@ -72,7 +71,7 @@ exprs = st.lists(terms, max_size=6).map(lambda ts: SopfRe(tuple(ts)))
 
 @given(exprs, exprs)
 def test_counted_runs_match_uncounted_runs(a, b):
-    from dagmut import pt, set_difference
+    from dagmut.sopf import pt, set_difference
     counters = OpCounters()
     assert set_union(a, b, counters) == set_union(a, b)
     assert set_difference(a, b, counters) == set_difference(a, b)

@@ -7,6 +7,7 @@ from dagmut import (
     ArcInsert,
     ArcOmit,
     GenConfig,
+    LogEntry,
     ModelState,
     NaiveLang,
     NodeInsert,
@@ -34,7 +35,7 @@ from dagmut import (
     random_script,
     ref_apply,
 )
-from dagmut.sopf import term_key
+from dagmut.sopf import add_term, remove_term, term_key
 
 from support import MUTATED_TERMS, scripted_models, spell, sopf
 
@@ -296,6 +297,79 @@ def test_operator_results_are_distinct_and_match_the_reference(model):
         assert equivalent(state.re, expected)
 
 
+# Node operators as the step-by-step composition of the public arc
+# operators around the bare term: the result, the log entry with every
+# inner step, and the counts must all be those of the composition.
+
+def composed_node_insert(state, op, counters):
+    work = ModelState(apply_dg_op(state.dg, NodeInsert(op.node)),
+                      add_term(state.re, (op.node,), counters))
+    sub = []
+    for x in op.outgoing:
+        work, step = arc_insert(work, op.node, x, counters)
+        sub.append(step)
+    for y in op.ingoing:
+        work, step = arc_insert(work, y, op.node, counters)
+        sub.append(step)
+    if sub:
+        work = ModelState(work.dg, remove_term(work.re, (op.node,), counters))
+    return work, sub
+
+
+def composed_node_omit(state, op, counters):
+    work = state
+    sub = []
+    for x in state.dg.successors(op.node):
+        work, step = arc_omit(work, op.node, x, counters)
+        sub.append(step)
+    for y in state.dg.predecessors(op.node):
+        work, step = arc_omit(work, y, op.node, counters)
+        sub.append(step)
+    # the constructor refuses a term left holding the node
+    return ModelState(apply_dg_op(work.dg, op), remove_term(work.re, (op.node,), counters)), sub
+
+
+def check_against_composition(state, op):
+    compose = composed_node_insert if isinstance(op, NodeInsert) else composed_node_omit
+    expected_counters, counters = OpCounters(), OpCounters()
+    try:
+        expected, sub = compose(state, op, expected_counters)
+    except (OperationError, ValueError) as exc:
+        with pytest.raises(type(exc)) as err:
+            apply_op(state, op, counters)
+        assert str(err.value) == str(exc)
+        return
+    out, entry = apply_op(state, op, counters)
+    assert out.dg == expected.dg
+    assert out.re == rebuilt(out.re) == expected.re
+    before, after = set(state.re._terms), set(out.re._terms)
+    assert entry == LogEntry(op, terms_added=len(after - before),
+                             terms_removed=len(before - after), sub=tuple(sub))
+    assert counters == expected_counters
+
+
+@settings(max_examples=80, deadline=None)
+@given(hand_built_states(), st.data())
+def test_node_operators_equal_their_arc_composition(model, data):
+    state, script = model
+    nodes = sorted(state.dg.nodes)
+    extra = []
+    if nodes:
+        extra.append(NodeOmit(data.draw(st.sampled_from(nodes))))
+        neighbors = data.draw(st.lists(st.sampled_from(nodes), max_size=4, unique=True))
+        cut = data.draw(st.integers(0, len(neighbors)))
+        extra.append(NodeInsert("new", tuple(neighbors[:cut]), tuple(neighbors[cut:])))
+    for op in extra:
+        check_against_composition(state, op)
+    for op in script:
+        if isinstance(op, (NodeInsert, NodeOmit)):
+            check_against_composition(state, op)
+        try:
+            state, _ = apply_op(state, op)
+        except ValueError:
+            return
+
+
 # The summed counts of a fixed set of seeded runs.  The counts are the cost
 # model of the term algebra, so a change that moves them must say so.
 PINNED_COUNTS = OpCounters(symbol_comparisons=2002203, term_copies=218212,
@@ -403,6 +477,29 @@ def test_node_omit_rejects_a_term_left_holding_the_node():
         node_omit(st_, "a")
 
 
+def test_node_operators_select_their_node_once(monkeypatch, sample_state):
+    # the inner arc steps reuse the node operator's selection of the terms
+    # holding its node; only their other endpoints are searched for
+    import dagmut.mutate
+    calls = []
+    real = dagmut.mutate.pt
+
+    def counted(r, pattern, counters=None):
+        calls.append(tuple(pattern))
+        return real(r, pattern, counters)
+
+    monkeypatch.setattr(dagmut.mutate, "pt", counted)
+    _, entry = node_omit(sample_state, "h", OpCounters())
+    assert len(entry.sub) == 3
+    assert calls.count(("h",)) == 1
+    assert sorted(set(calls) - {("h",)}) == [("g",), ("i",), ("j",)]
+    calls.clear()
+    _, entry = node_insert(sample_state, "v", ("h", "i"), ("a", "c"), OpCounters())
+    assert len(entry.sub) == 4
+    assert ("v",) not in calls
+    assert sorted(set(calls)) == [("a",), ("c",), ("h",), ("i",)]
+
+
 def test_node_omit_unknown(sample_state):
     with pytest.raises(OperationError, match="unknown node"):
         node_omit(sample_state, "zz")
@@ -476,7 +573,8 @@ def test_failed_script_returns_no_partial_state(sample_state):
 @settings(max_examples=50)
 @given(st.integers(0, 10_000))
 def test_insert_then_omit_restores_fresh_states(seed):
-    from dagmut import GenConfig, random_model, path_exists, pt
+    from dagmut import GenConfig, random_model, path_exists
+    from dagmut.sopf import pt
     g = random_model(GenConfig(node_count=6, arc_density=0.5, seed=seed))
     st_ = model_from_graph(g)
     nodes = sorted(g.nodes)

@@ -6,22 +6,22 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dagmut import (
-    ParseError,
-    SopfRe,
+from dagmut import ParseError, SopfRe, parse_sopf, print_sopf
+from dagmut.metrics import OpCounters
+from dagmut.sopf import (
+    _extend,
+    _find,
     add_term,
     ht,
-    parse_sopf,
-    print_sopf,
     pt,
     remove_term,
     set_concat,
     set_difference,
     set_union,
+    term_key,
     tt,
+    validate_symbol,
 )
-from dagmut.metrics import OpCounters
-from dagmut.sopf import _extend, _find, term_key, validate_symbol
 
 from support import sopf, spell
 
