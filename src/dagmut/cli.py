@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ModelError
 from .graph import enumerate_paths, parse_graph, render_graph
-from .metrics import BOUND_EXPONENTS, trend
+from .metrics import BOUND_EXPONENTS, MAX_TREND_SIZE, trend
 from .mutate import model_from_graph, apply_script
 from .ops import parse_script
 from .oracle import MAX_GEN_NODES, run_differential
@@ -135,7 +135,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="empirical growth-rate trend reports")
     p.add_argument("--sizes", default="8,16,32,64",
-                   help="comma-separated term-set sizes (at least 4)")
+                   help="comma-separated term-set sizes (at least 4, each in "
+                        f"2..{MAX_TREND_SIZE})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("pretty", "machine"), default="pretty")
     p.set_defaults(run=_run_bench)

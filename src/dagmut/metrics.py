@@ -33,6 +33,10 @@ from .sopf import (
 #: noise allowance; corpora are average-case while bounds are worst-case).
 SLACK = 0.3
 
+#: Largest term-set size :func:`trend` accepts: ``set_concat`` builds
+#: size**2 terms, about a million and a peak of about 300 MB at this size.
+MAX_TREND_SIZE = 1024
+
 
 @dataclass
 class OpCounters:
@@ -181,8 +185,9 @@ def trend(kind: str, sizes: Sequence[int], *, bound_exponent: float | None = Non
     sizes = [int(s) for s in sizes]
     if len(sizes) < 4:
         raise ValueError("need at least 4 series points for a trend fit")
-    if min(sizes) < 2:
-        raise ValueError("series sizes must be at least 2")
+    for size in sizes:
+        if not 2 <= size <= MAX_TREND_SIZE:
+            raise ValueError(f"series sizes must be in 2..{MAX_TREND_SIZE}, got {size}")
     if bound_exponent is None:
         if kind not in BOUND_EXPONENTS:
             raise ValueError(f"no bound exponent known for {kind!r}")

@@ -14,22 +14,39 @@ adjacently and, when that removal exhausts all terms containing the source
 operators are composites of arc operators around adding/removing the bare
 one-symbol term.
 
-A node operator selects the terms holding its node once and hands that
-selection to each inner arc step (the private cores behind
-:func:`arc_insert` and :func:`arc_omit`), which then searches the
-expression only for the arc's other endpoint.  Node insertion needs no
-search at all: no term of the pre-state holds the new node, and every term
-appended after them does.  Node omission searches once and, after each
-step, drops the step's removed terms from its selection and adds the new
-fragments that hold the node; the selection also gives its kept count and
-its final check.  Results, log entries and counts are those of the
-composition of the public arc operators.
+Omission works on the terms that hold its arc.  It splits the expression
+once into ``held``, the terms holding one endpoint (the source for
+:func:`arc_omit`, the node for :func:`node_omit`), and ``rest``, the
+others, and does all its work on ``held``: the pair is searched for only
+there, and the selected endpoint is exhausted when every term of ``held``
+is joined.  The other endpoint is exhausted when its hits in ``held`` are
+all joined and no term of ``rest`` holds it, which a scan of ``rest``
+stops reading at the first term that does.  An exhausted endpoint's
+selection is the joined terms themselves, so they are what the heads or
+tails are cut from.  The kept terms are ``rest`` and what ``held`` keeps,
+so no term of the expression is hashed.  Each step sends its fragments to
+``held`` or ``rest`` by whether they hold the selected endpoint; node
+omission splits once and passes both on from step to step, without
+building the intermediate expressions, as the inner log entries need only
+counts.  An omission result is ``rest + held``: an order other than its
+input's, which only printing reads, and printing sorts.
+
+Node insertion searches for no term holding its node: no term of the
+pre-state holds the new node, and every term appended after them does, so
+each inner arc step (the private core behind :func:`arc_insert`) takes
+that slice as its selection and searches the expression only for the
+arc's other endpoint.
+
+Results, log entries and counts are those of the composition of the
+public arc operators around the bare term.  The counts are those of the
+full scans and set operations the operators no longer run, computed in
+closed form only when counters are given.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
-from operator import contains
+from itertools import compress, repeat
+from operator import contains, is_not, not_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InsertionCycleError, OperationError, ScriptError
@@ -38,15 +55,19 @@ from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     SopfRe,
     Term,
+    _count_copies,
+    _count_probes,
+    _count_select,
     _extend,
+    _find,
     _remove_at,
     _select,
+    _split,
+    _trusted,
     add_term,
     ht,
     pt,
-    remove_term,
     set_concat,
-    set_difference,
     set_union,
     tt,
 )
@@ -138,21 +159,6 @@ def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:
     return False
 
 
-def _holds_only(containing: SopfRe, joined: SopfRe, counters: "OpCounters | None") -> bool:
-    """True if ``containing`` and its subset ``joined`` are equal sets.
-
-    Equal sizes decide.  The count is that of a positional walk over both
-    sets in canonical order, which compares every symbol of ``joined`` once
-    when the sets are equal and stops before the first term when their
-    sizes differ.
-    """
-    if len(containing) != len(joined):
-        return False
-    if counters is not None:
-        counters.symbol_comparisons += sum(map(len, joined._terms))
-    return True
-
-
 def arc_insert(st: ModelState, src: str, dst: str,
                counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert arc ``src -> dst`` and extend the expression accordingly."""
@@ -196,38 +202,68 @@ def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None
 def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
-    state, entry, _ = _arc_omit(st, src, dst, counters)
-    return state, entry
+    dg = apply_dg_op(st.dg, ArcOmit(src, dst))
+    held, rest, entry = _omit(*_split(st.re._terms, src), src, dst, src, counters)
+    return _state(dg, _trusted(rest + held)), entry
 
 
-def _arc_omit(st: ModelState, src: str, dst: str, counters: "OpCounters | None",
-              held_src: tuple[Term, ...] | None = None,
-              held_dst: tuple[Term, ...] | None = None,
-              ) -> tuple[ModelState, LogEntry, SopfRe]:
-    """:func:`arc_omit`, given the terms holding ``src`` or ``dst`` if the
-    caller has them; also returns the dropped terms.  The kept terms stay
-    in ``st.re``'s order and the fragments come after them."""
-    op = ArcOmit(src, dst)
-    dg = apply_dg_op(st.dg, op)
-    containing_src = _holding(st.re, src, held_src, counters)
-    containing_dst = _holding(st.re, dst, held_dst, counters)
-    # the terms holding the pair are among those holding src
-    joined = _select(st.re, containing_src._terms, (src, dst), counters)
-    heads = SopfRe()
-    if _holds_only(containing_src, joined, counters):
-        heads = ht(containing_src, (src,), counters)
-    tails = SopfRe()
-    if _holds_only(containing_dst, joined, counters):
-        tails = tt(containing_dst, (dst,), counters)
-    shrunk = set_difference(st.re, joined, counters)
+def _omit(held: tuple[Term, ...], rest: tuple[Term, ...], src: str, dst: str, sym: str,
+          counters: "OpCounters | None") -> tuple[tuple[Term, ...], tuple[Term, ...], LogEntry]:
+    """Omit arc ``src -> dst`` from the expression ``rest + held`` on the
+    term side alone, where ``held`` are its terms that hold ``sym`` (``src``
+    or ``dst``) and ``rest`` the others.
+
+    Returns the new ``held`` and ``rest`` and the step's log entry: the
+    kept terms of ``held`` followed by the fragments that hold ``sym``, and
+    ``rest`` followed by the other fragments.  Only ``held`` is searched;
+    ``rest`` is read only to learn whether a term holds the other endpoint,
+    and only up to the first that does.  The counts are those of the
+    composition over the whole expression: :func:`pt` for each endpoint
+    and for the pair, :func:`set_difference` of the joined terms, and the
+    union of the kept terms with the fragments.
+    """
+    other = dst if sym == src else src
+    # the terms holding the pair are among those holding both endpoints
+    has_other = list(map(contains, held, repeat(other)))
+    both = tuple(compress(held, has_other))
+    found = list(map(is_not, _find(both, (src, dst), counters), repeat(None)))
+    joined = tuple(compress(both, found))
+    kept = tuple(compress(held, map(not_, has_other))) + tuple(compress(both, map(not_, found)))
+    # an endpoint is exhausted once every term holding it is joined; then
+    # its selection is ``joined`` itself
+    sym_out = not kept
+    other_out = (len(joined) == len(both)
+                 and not any(map(contains, rest, repeat(other))))
+    src_out, dst_out = (sym_out, other_out) if sym == src else (other_out, sym_out)
+    dropped = _trusted(joined)
+    heads = ht(dropped, (src,), counters) if src_out else SopfRe()
+    tails = tt(dropped, (dst,), counters) if dst_out else SopfRe()
     # heads hold src and come back only once every term holding src is
-    # dropped, and tails likewise hold dst, so no fragment equals a kept term
-    new_re = _extend(shrunk, set_union(heads, tails, counters), (), counters)
-    # a head ends at the first src and a tail starts at the last dst, so
-    # neither holds the pair src dst: no joined term comes back
-    entry = _entry(op, st.re, new_re, len(shrunk), added_bound=len(heads) + len(tails),
-                   removed_expected=len(joined))
-    return _state(dg, new_re), entry, joined
+    # dropped, and tails likewise hold dst, so no fragment equals a kept
+    # term; a head ends at the first src and a tail starts at the last dst,
+    # so neither holds the pair src dst: no joined term comes back
+    fragments = set_union(heads, tails, counters)._terms
+    if counters is not None:
+        terms = rest + held
+        held_other = tuple(compress(terms, map(contains, terms, repeat(other))))
+        held_src, held_dst = (held, held_other) if sym == src else (held_other, held)
+        _count_select(terms, held_src, (src,), len(held_src), counters)
+        _count_select(terms, held_dst, (dst,), len(held_dst), counters)
+        _count_select(terms, held_src, (src, dst), len(joined), counters)
+        # an exhausted endpoint's selection is checked equal to the joined
+        # terms by a walk over them
+        counters.symbol_comparisons += (src_out + dst_out) * sum(map(len, joined))
+        # set_difference(R, joined) probes both and copies the kept terms;
+        # their union with the fragments probes and copies both again
+        _count_probes(counters, terms)
+        _count_probes(counters, terms)
+        _count_probes(counters, fragments)
+        _count_copies(counters, 2 * (len(terms) - len(joined)) + len(fragments))
+    holds = list(map(contains, fragments, repeat(sym)))
+    entry = LogEntry(ArcOmit(src, dst), terms_added=len(fragments), terms_removed=len(joined),
+                     added_bound=len(heads) + len(tails), removed_expected=len(joined))
+    return (kept + tuple(compress(fragments, holds)),
+            rest + tuple(compress(fragments, map(not_, holds))), entry)
 
 
 def node_insert(st: ModelState, node: str,
@@ -262,42 +298,26 @@ def node_omit(st: ModelState, node: str,
     full arc omission, leaving the node flagged both ways), then the bare
     term and the node itself are dropped."""
     op = NodeOmit(node)
-    # the terms holding the node, selected once and kept up to date: each
-    # step drops some of them and appends fragments, some holding the node
-    held = pt(st.re, (node,))._terms
+    # an unknown node raises here, before any term is read
+    dg = apply_dg_op(st.dg, op)
+    held, rest = _split(st.re._terms, node)
     # the arc steps drop only terms holding the node, and none is left at
     # the end (checked below), so exactly the others are kept
-    kept = len(st.re) - len(held)
-    work = st
+    kept = len(rest)
     sub: list[LogEntry] = []
-    # an unknown node has no arcs, and omitting it from the isolated-node
-    # graph below raises
     for x in st.dg.successors(node):
-        before = len(work.re)
-        work, step, joined = _arc_omit(work, node, x, counters, held_src=held)
-        held = _reselect(held, joined, work.re._terms[before - len(joined):], node)
+        held, rest, step = _omit(held, rest, node, x, node, counters)
         sub.append(step)
     for y in st.dg.predecessors(node):
-        before = len(work.re)
-        work, step, joined = _arc_omit(work, y, node, counters, held_dst=held)
-        held = _reselect(held, joined, work.re._terms[before - len(joined):], node)
+        held, rest, step = _omit(held, rest, y, node, node, counters)
         sub.append(step)
-    final_dg = apply_dg_op(work.dg, op)
-    final_re = remove_term(work.re, (node,), counters)
+    # remove_term's probe for the bare term
+    _count_probes(counters, ((node,),))
     # only a term that is not a path of the graph can still hold the node
     if len(held) > ((node,) in held):
         raise ValueError(f"expression mentions undeclared nodes: {[node]}")
-    entry = _entry(op, st.re, final_re, kept, sub=tuple(sub))
-    return _state(final_dg, final_re), entry
-
-
-def _reselect(held: tuple[Term, ...], joined: SopfRe, fragments: tuple[Term, ...],
-              node: str) -> tuple[Term, ...]:
-    """The terms holding ``node`` after an arc omission that dropped
-    ``joined`` (all among ``held``) and appended ``fragments``."""
-    drop = set(joined._terms)
-    return (tuple(filterfalse(drop.__contains__, held))
-            + tuple(compress(fragments, map(contains, fragments, repeat(node)))))
+    final_re = _trusted(rest)
+    return _state(dg, final_re), _entry(op, st.re, final_re, kept, sub=tuple(sub))
 
 
 def apply_op(st: ModelState, op: MutationOp,

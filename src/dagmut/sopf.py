@@ -18,8 +18,13 @@ probe) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
 Unions go through one private helper, :func:`_extend`, which adds terms
 to an expression and checks them only against the terms they can equal,
 which the caller names: :func:`set_union` names the whole first operand,
-the mutation operators only the terms that hold a symbol every new term
-holds.
+arc insertion only the terms that hold the arc's source.
+
+The mutation operators call no :func:`set_difference`.  Omission splits
+an expression once into the terms that hold a symbol and the others
+(:func:`_split`), keeps the others whole and filters only the first, so
+it never probes the terms it keeps; its fragments can equal no kept term
+and are appended unchecked.
 
 Every operation optionally threads an :class:`~dagmut.metrics.OpCounters`
 instance through which it tallies symbol comparisons, term copies and set
@@ -273,27 +278,42 @@ def _select(r: SopfRe, held: tuple[Term, ...], pattern: Term,
         picked = tuple(compress(both, map(is_not, _find(both, pattern, counters),
                                           repeat(None))))
     if counters is not None:
-        # every position of a skipped term is scanned; a single symbol is
-        # found at its first occurrence
-        terms = r._terms
-        skipped = len(terms) - len(held)
-        counters.symbol_comparisons += (sum(map(len, terms)) - sum(map(len, held))
-                                        - (len(pattern) - 1) * skipped)
-        if len(pattern) == 1:
-            counters.symbol_comparisons += (sum(map(tuple.index, held, repeat(pattern[0])))
-                                            + len(held))
-        elif len(both) < len(held):
-            # a term without the second symbol is a miss: every start
-            # position, and the second symbol after each hit of the first
-            # (_find's count)
-            p0, p1 = pattern
-            rest = tuple(compress(held, map(not_, map(contains, held, repeat(p1)))))
-            counters.symbol_comparisons += (
-                sum(map(len, rest)) - len(rest)
-                + sum(map(tuple.count, rest, repeat(p0)))
-                - sum(map(eq, map(itemgetter(-1), rest), repeat(p0))))
-        counters.term_copies += len(picked)
+        _count_select(r._terms, held, pattern, len(picked), counters)
     return _trusted(picked)
+
+
+def _count_select(terms: Sequence[Term], held: Sequence[Term], pattern: Term,
+                  picked: int, counters: "OpCounters") -> None:
+    """Count :func:`pt`'s scan of ``terms`` for ``pattern``, given ``held``,
+    the terms that hold ``pattern[0]``, and the number of matches: all of
+    it but the pair search in the terms that hold both symbols, which
+    :func:`_find` counts."""
+    # every position of a skipped term is scanned; a single symbol is
+    # found at its first occurrence
+    skipped = len(terms) - len(held)
+    counters.symbol_comparisons += (sum(map(len, terms)) - sum(map(len, held))
+                                    - (len(pattern) - 1) * skipped)
+    if len(pattern) == 1:
+        counters.symbol_comparisons += (sum(map(tuple.index, held, repeat(pattern[0])))
+                                        + len(held))
+    else:
+        # a term without the second symbol is a miss: every start
+        # position, and the second symbol after each hit of the first
+        # (_find's count)
+        p0, p1 = pattern
+        rest = tuple(compress(held, map(not_, map(contains, held, repeat(p1)))))
+        counters.symbol_comparisons += (
+            sum(map(len, rest)) - len(rest)
+            + sum(map(tuple.count, rest, repeat(p0)))
+            - sum(map(eq, map(itemgetter(-1), rest), repeat(p0))))
+    counters.term_copies += picked
+
+
+def _split(terms: tuple[Term, ...], sym: str) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The terms that hold ``sym`` and the others, each in ``terms``' order:
+    :func:`pt`'s one-symbol selection and its complement, from one scan."""
+    holds = list(map(contains, terms, repeat(sym)))
+    return tuple(compress(terms, holds)), tuple(compress(terms, map(not_, holds)))
 
 
 def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:

@@ -4,6 +4,7 @@ import pytest
 import dagmut.sopf
 from dagmut import BOUND_EXPONENTS, cli
 from dagmut.cli import main
+from dagmut.metrics import MAX_TREND_SIZE
 from dagmut.oracle import MAX_GEN_NODES
 
 from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS
@@ -241,3 +242,14 @@ def test_bench_reports_every_bounded_kind(capsys):
 def test_bench_short_series_is_an_input_error(capsys):
     code, _, err = run(capsys, "bench", "--sizes", "8,16")
     assert code == 1 and "series" in err
+
+
+@pytest.mark.parametrize("sizes, bad", [
+    (f"{MAX_TREND_SIZE + 1},2,3,4", MAX_TREND_SIZE + 1),
+    ("8,16,32,1", 1),
+])
+def test_bench_sizes_out_of_range_are_input_errors(capsys, sizes, bad):
+    # set_concat builds size**2 terms, so a huge size would run for minutes
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert (code, out) == (1, "")
+    assert err == f"error: series sizes must be in 2..{MAX_TREND_SIZE}, got {bad}\n"

@@ -267,6 +267,18 @@ def test_arc_omit_finds_the_pair_past_a_first_miss():
     assert entry.removed_expected == 1 and entry.terms_removed == 1
 
 
+def test_arc_omit_finds_the_last_holder_of_its_target():
+    # "cb" is the one term holding b that is not joined; it holds no a and
+    # sits last, behind a term that holds neither endpoint
+    st_ = ModelState(parse_graph("arc a b\narc c b\nnode d"), sopf("ab", "d", "cb"))
+    expected = ref_apply(NaiveLang(list(st_.re._terms)), ArcOmit("a", "b"), st_.dg)
+    out, entry = arc_omit(st_, "a", "b")
+    assert out.re == rebuilt(out.re) == sopf("a", "d", "cb")
+    assert equivalent(out.re, expected)
+    # the head "a" comes back, no tail does
+    assert (entry.terms_added, entry.terms_removed, entry.added_bound) == (1, 1, 1)
+
+
 @st.composite
 def hand_built_states(draw):
     """A scripted model whose expression also holds terms over its nodes
@@ -367,6 +379,50 @@ def test_node_operators_equal_their_arc_composition(model, data):
         try:
             state, _ = apply_op(state, op)
         except ValueError:
+            return
+
+
+def test_node_omit_sees_a_fragment_left_by_an_earlier_step():
+    # omitting v -> a leaves the tail "ab", which holds no v; it is then the
+    # only other term holding b, so omitting v -> b brings no tail "b" back
+    state = model_from_graph(parse_graph("arc v a\narc v b\narc a b"))
+    assert state.re == sopf("vab", "vb")
+    expected = ref_apply(NaiveLang(list(state.re._terms)), NodeOmit("v"), state.dg)
+    out, entry = node_omit(state, "v")
+    assert [step.notation for step in entry.sub] == ["(va)o_a", "(vb)o_a"]
+    assert [step.terms_added for step in entry.sub] == [1, 1]
+    assert out.re == rebuilt(out.re) == sopf("ab")
+    assert equivalent(out.re, expected)
+    composed, sub = composed_node_omit(state, NodeOmit("v"), None)
+    assert out.re == composed.re and entry.sub == tuple(sub)
+
+
+def applied_with_and_without_counts(state, op):
+    """The result of ``op`` on ``state``, after checking that applying it
+    with counters gives the same result, log entry or error."""
+    try:
+        expected, expected_entry = apply_op(state, op)
+    except (OperationError, ValueError) as exc:
+        with pytest.raises(type(exc)) as err:
+            apply_op(state, op, OpCounters())
+        assert str(err.value) == str(exc)
+        return None
+    out, entry = apply_op(state, op, OpCounters())
+    assert (out.dg, out.re, entry) == (expected.dg, expected.re, expected_entry)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(hand_built_states())
+def test_counting_never_changes_results(model):
+    state, script = model
+    for node in sorted(state.dg.nodes)[:3]:
+        applied_with_and_without_counts(state, NodeOmit(node))
+    for src, dst in sorted(state.dg.arcs)[:3]:
+        applied_with_and_without_counts(state, ArcOmit(src, dst))
+    for op in script:
+        state = applied_with_and_without_counts(state, op)
+        if state is None:
             return
 
 
@@ -478,26 +534,34 @@ def test_node_omit_rejects_a_term_left_holding_the_node():
 
 
 def test_node_operators_select_their_node_once(monkeypatch, sample_state):
-    # the inner arc steps reuse the node operator's selection of the terms
-    # holding its node; only their other endpoints are searched for
+    # node omission splits the expression once, by its node, and its inner
+    # arc steps search only the terms holding it; arc omission splits once,
+    # by its source; node insertion searches only for its neighbours
     import dagmut.mutate
-    calls = []
-    real = dagmut.mutate.pt
+    scans = []
+    real_pt, real_split = dagmut.mutate.pt, dagmut.mutate._split
 
-    def counted(r, pattern, counters=None):
-        calls.append(tuple(pattern))
-        return real(r, pattern, counters)
+    def counted_pt(r, pattern, counters=None):
+        scans.append(tuple(pattern))
+        return real_pt(r, pattern, counters)
 
-    monkeypatch.setattr(dagmut.mutate, "pt", counted)
+    def counted_split(terms, sym):
+        scans.append((sym,))
+        return real_split(terms, sym)
+
+    monkeypatch.setattr(dagmut.mutate, "pt", counted_pt)
+    monkeypatch.setattr(dagmut.mutate, "_split", counted_split)
     _, entry = node_omit(sample_state, "h", OpCounters())
     assert len(entry.sub) == 3
-    assert calls.count(("h",)) == 1
-    assert sorted(set(calls) - {("h",)}) == [("g",), ("i",), ("j",)]
-    calls.clear()
+    assert scans == [("h",)]
+    scans.clear()
+    arc_omit(sample_state, "g", "h", OpCounters())
+    assert scans == [("g",)]
+    scans.clear()
     _, entry = node_insert(sample_state, "v", ("h", "i"), ("a", "c"), OpCounters())
     assert len(entry.sub) == 4
-    assert ("v",) not in calls
-    assert sorted(set(calls)) == [("a",), ("c",), ("h",), ("i",)]
+    assert ("v",) not in scans
+    assert sorted(set(scans)) == [("a",), ("c",), ("h",), ("i",)]
 
 
 def test_node_omit_unknown(sample_state):
