@@ -26,7 +26,7 @@ from .sopf import print_sopf
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
 
 

@@ -31,11 +31,20 @@ building the intermediate expressions, as the inner log entries need only
 counts.  An omission result is ``rest + held``: an order other than its
 input's, which only printing reads, and printing sorts.
 
+Arc insertion cuts its fragments from its two selections, the terms
+holding the source and those holding the target, without re-checking
+them (``sopf._heads``/``sopf._tails``).  Every product holds both
+endpoints, so a term equal to a product is in both selections, and the
+union checks the products only against the smaller one.
+
 Node insertion searches for no term holding its node: no term of the
 pre-state holds the new node, and every term appended after them does, so
 each inner arc step (the private core behind :func:`arc_insert`) takes
 that slice as its selection and searches the expression only for the
-arc's other endpoint.
+arc's other endpoint.  The slice is also the union's candidates whenever
+it is the smaller selection.  The bare term is appended without a probe:
+every symbol of a model is a node, so no term of the pre-state equals the
+bare term of a new node.
 
 Results, log entries and counts are those of the composition of the
 public arc operators around the bare term.  The counts are those of the
@@ -60,16 +69,15 @@ from .sopf import (
     _count_select,
     _extend,
     _find,
+    _heads,
     _remove_at,
     _select,
     _split,
+    _tails,
     _trusted,
-    add_term,
-    ht,
     pt,
     set_concat,
     set_union,
-    tt,
 )
 
 if TYPE_CHECKING:
@@ -166,12 +174,12 @@ def arc_insert(st: ModelState, src: str, dst: str,
 
 
 def _holding(r: SopfRe, sym: str, held: tuple[Term, ...] | None,
-             counters: "OpCounters | None") -> SopfRe:
-    """``pt(r, (sym,))``, from the caller's selection ``held`` if given:
-    the terms of ``r`` that hold ``sym``, in ``r``'s order."""
+             counters: "OpCounters | None") -> tuple[Term, ...]:
+    """The terms of ``pt(r, (sym,))``, from the caller's selection ``held``
+    if given: the terms of ``r`` that hold ``sym``, in ``r``'s order."""
     if held is None:
-        return pt(r, (sym,), counters)
-    return _select(r, held, (sym,), counters)
+        return pt(r, (sym,), counters)._terms
+    return _select(r, held, (sym,), counters)._terms
 
 
 def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None",
@@ -189,11 +197,13 @@ def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None
             raise
         raise InsertionCycleError(f"{exc} (path not witnessed by any product term)") from None
     containing_src = _holding(st.re, src, held_src, counters)
-    heads = ht(containing_src, (src,), counters)
-    tails = tt(_holding(st.re, dst, held_dst, counters), (dst,), counters)
+    containing_dst = _holding(st.re, dst, held_dst, counters)
+    heads = _heads(containing_src, src, counters)
+    tails = _tails(containing_dst, dst, counters)
     products = set_concat(heads, tails, counters)
-    # every product holds src, so only a term holding src can equal one
-    new_re = _extend(st.re, products, containing_src._terms, counters)
+    # every product holds both endpoints, so a term equal to one is in
+    # both selections: the smaller one is all the union need check
+    new_re = _extend(st.re, products, min(containing_src, containing_dst, key=len), counters)
     # the union keeps every term of st.re
     entry = _entry(op, st.re, new_re, len(st.re), added_bound=len(heads) * len(tails))
     return _state(dg, new_re), entry
@@ -235,9 +245,8 @@ def _omit(held: tuple[Term, ...], rest: tuple[Term, ...], src: str, dst: str, sy
     other_out = (len(joined) == len(both)
                  and not any(map(contains, rest, repeat(other))))
     src_out, dst_out = (sym_out, other_out) if sym == src else (other_out, sym_out)
-    dropped = _trusted(joined)
-    heads = ht(dropped, (src,), counters) if src_out else SopfRe()
-    tails = tt(dropped, (dst,), counters) if dst_out else SopfRe()
+    heads = _heads(joined, src, counters) if src_out else SopfRe()
+    tails = _tails(joined, dst, counters) if dst_out else SopfRe()
     # heads hold src and come back only once every term holding src is
     # dropped, and tails likewise hold dst, so no fragment equals a kept
     # term; a head ends at the first src and a tail starts at the last dst,
@@ -274,7 +283,14 @@ def node_insert(st: ModelState, node: str,
     is dropped again if any arc was attached."""
     op = NodeInsert(node, tuple(outgoing), tuple(ingoing))
     # the arc insertions check the neighbours
-    work = _state(apply_dg_op(st.dg, NodeInsert(node)), add_term(st.re, (node,), counters))
+    dg = apply_dg_op(st.dg, NodeInsert(node))
+    # every symbol of st.re is a node, so no term equals the bare term of
+    # the new node: it is appended unprobed, counted as add_term's probe
+    # and copy
+    bare = (node,)
+    _count_probes(counters, (bare,))
+    _count_copies(counters, 1)
+    work = _state(dg, _trusted(st.re._terms + (bare,)))
     # no term of st.re holds the new node, and every later term does: the
     # bare term at position n, then the products of each insertion
     n = len(st.re)

@@ -18,7 +18,16 @@ probe) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
 Unions go through one private helper, :func:`_extend`, which adds terms
 to an expression and checks them only against the terms they can equal,
 which the caller names: :func:`set_union` names the whole first operand,
-arc insertion only the terms that hold the arc's source.
+arc insertion the smaller of its two endpoint selections.
+
+Fragments are cut by two private kernels, :func:`_heads` and
+:func:`_tails`, in one pass over terms that the caller guarantees all
+hold the cut symbol; they check nothing.  :func:`ht` and :func:`tt` call
+them for a one-symbol pattern once they have checked that every term
+holds it.  Arc insertion calls them on its ``pt`` selections of the
+arc's endpoints, and omission on its joined terms, which hold the
+omitted pair.  Every fragment holds the cut symbol, so none is empty and
+the kernels deduplicate into :func:`_trusted`.
 
 The mutation operators call no :func:`set_difference`.  Omission splits
 an expression once into the terms that hold a symbol and the others
@@ -244,22 +253,49 @@ def _cut_points(terms: Sequence[Term], pattern: Term, counters: "OpCounters | No
                 *, last: bool) -> list[int]:
     """Index of the first (or last) occurrence of ``pattern`` in each term;
     every term must contain it."""
-    p0 = pattern[0]
-    if len(pattern) == 1 and all(map(contains, terms, repeat(p0))):
-        if last:
-            ks = [len(t) - 1 - t[::-1].index(p0) for t in terms]
-        else:
-            ks = list(map(tuple.index, terms, repeat(p0)))
-        if counters is not None:
-            # a last occurrence is scanned to the end, a first one up to itself
-            counters.symbol_comparisons += sum(map(len, terms)) if last else sum(ks) + len(ks)
-        return ks
     ks = _find(terms, pattern, counters, last=last)
     if None in ks:
         # name the canonically first term without the pattern
         term = min((t for t, k in zip(terms, ks) if k is None), key=term_key)
         raise ValueError(f"term {''.join(term)!r} does not contain the pattern")
     return ks
+
+
+def _heads(terms: Sequence[Term], sym: str, counters: "OpCounters | None") -> SopfRe:
+    """``ht`` of ``terms`` for ``(sym,)``, without its check: the caller
+    guarantees that every term holds ``sym``.
+
+    One pass cuts each term just after its first ``sym``.  Counted as
+    :func:`ht`: the scan up to that ``sym``, then a copy and a probe of
+    each head, all before deduplication.
+    """
+    heads = [t[:t.index(sym) + 1] for t in terms]
+    if counters is not None:
+        # the scan for the first sym is as long as the head it ends
+        counters.symbol_comparisons += sum(map(len, heads))
+    _count_copies(counters, len(heads))
+    _count_probes(counters, heads)
+    # every head holds sym, so none is empty
+    return _trusted(tuple(dict.fromkeys(heads)))
+
+
+def _tails(terms: Sequence[Term], sym: str, counters: "OpCounters | None") -> SopfRe:
+    """``tt`` of ``terms`` for ``(sym,)``, without its check: the caller
+    guarantees that every term holds ``sym``.
+
+    One pass cuts each term at its last ``sym``: ``~j`` is that position
+    counted from the end, ``j`` being its index in the reversed term.
+    Counted as :func:`tt`: a scan of each whole term, then a copy and a
+    probe of each tail, all before deduplication.
+    """
+    tails = [t[~t[::-1].index(sym):] for t in terms]
+    if counters is not None:
+        # a last occurrence is scanned to the end of its term
+        counters.symbol_comparisons += sum(map(len, terms))
+    _count_copies(counters, len(tails))
+    _count_probes(counters, tails)
+    # every tail holds sym, so none is empty
+    return _trusted(tuple(dict.fromkeys(tails)))
 
 
 def _select(r: SopfRe, held: tuple[Term, ...], pattern: Term,
@@ -329,8 +365,11 @@ def ht(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     """Prefixes of the terms of ``p``, each cut just after the first occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
     pat = check_pattern(pattern)
-    ends = _cut_points(p._terms, pat, counters, last=False)
-    heads = [t[:k + len(pat)] for t, k in zip(p._terms, ends)]
+    terms = p._terms
+    if len(pat) == 1 and all(map(contains, terms, repeat(pat[0]))):
+        return _heads(terms, pat[0], counters)
+    ends = _cut_points(terms, pat, counters, last=False)
+    heads = [t[:k + len(pat)] for t, k in zip(terms, ends)]
     _count_copies(counters, len(heads))
     _count_probes(counters, heads)
     return SopfRe(tuple(heads))
@@ -340,8 +379,11 @@ def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     """Suffixes of the terms of ``p``, each starting at the last occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
     pat = check_pattern(pattern)
-    starts = _cut_points(p._terms, pat, counters, last=True)
-    tails = [t[k:] for t, k in zip(p._terms, starts)]
+    terms = p._terms
+    if len(pat) == 1 and all(map(contains, terms, repeat(pat[0]))):
+        return _tails(terms, pat[0], counters)
+    starts = _cut_points(terms, pat, counters, last=True)
+    tails = [t[k:] for t, k in zip(terms, starts)]
     _count_copies(counters, len(tails))
     _count_probes(counters, tails)
     return SopfRe(tuple(tails))

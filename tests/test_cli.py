@@ -53,6 +53,20 @@ def test_convert_missing_file(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("convert", "BAD"),
+    ("mutate", "BAD", "--script", "(ab)o_a"),
+    ("mutate", "GOOD", "--script-file", "BAD"),
+])
+def test_non_utf8_input_files_are_input_errors(capsys, graph_file, tmp_path, argv):
+    bad = tmp_path / "bad.dg"
+    bad.write_bytes(b"arc a b\narc \xff c\n")
+    files = {"BAD": bad, "GOOD": graph_file}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
 def test_convert_machine_form_is_dotted(capsys, tmp_path):
     path = tmp_path / "two.dg"
     path.write_text("arc a b\n")

@@ -11,6 +11,8 @@ from dagmut.metrics import OpCounters
 from dagmut.sopf import (
     _extend,
     _find,
+    _heads,
+    _tails,
     add_term,
     ht,
     pt,
@@ -383,6 +385,15 @@ def test_ht_tt_match_the_scan(r, s):
     p = pt(r, s)
     same_run(ht, lambda *a: ref_cut(*a, last=False), p, s)
     same_run(tt, lambda *a: ref_cut(*a, last=True), p, s)
+    # the unchecked cut kernels, on the selection of a one-symbol pattern
+    held = pt(r, s[:1])
+    for kernel, last in ((_heads, False), (_tails, True)):
+        def cut(p, sym, counters):
+            return kernel(p._terms, sym, counters)
+        same_run(cut, lambda p, sym, c: ref_cut(p, (sym,), c, last=last), held, s[0])
+        uncounted = cut(held, s[0], None)
+        assert uncounted == ref_cut(held, s[:1], OpCounters(), last=last)
+        assert len(set(uncounted._terms)) == len(uncounted._terms)
 
 
 @given(scan_exprs, scan_exprs)
