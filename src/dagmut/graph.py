@@ -5,22 +5,25 @@ from a start-flagged node to a finish-flagged node.  Flags default to the
 degree rule (no ingoing arcs = start, no outgoing arcs = finish) and are
 sticky: mutation history only ever adds flags, never clears them.
 
-Cost model: a :class:`Dg` indexes its arcs by endpoint once, when it is
-built, so ``successors``/``predecessors``/degree queries cost O(deg),
-:func:`path_exists` O(reachable) and :func:`validate_acyclic` (a Kahn pass
-over a heap) O(V log V + E).  The Kahn pass and the path walk of
-:func:`enumerate_paths` read the index and the flag sets directly, with no
-method call or list copy per node; the walk costs one step per trie node
-of its words plus one length sort.  :func:`apply_dg_op` derives the child graph
-from its parent and rebuilds only the index entries the operator touches
-(O(touched) Python work; the frozensets and the index dicts are still
-copied, at C speed).
+Cost model: a :class:`Dg` indexes its arcs by endpoint, so
+``successors``/``predecessors``/degree queries cost O(deg) and
+:func:`path_exists` O(reachable).  The successor index is built with the
+graph; the predecessor index is built from it on its first read.  The
+constructor and ``mutate.model_from_graph`` read it; a convert (parse,
+check, enumerate) never does.  :func:`validate_acyclic` is one Kahn pass
+over a plain list, in-degrees counted from the successor index: O(V + E).
+It and the path walk of :func:`enumerate_paths` read the index and the
+flag sets directly, with no method call or list copy per node; the walk
+costs one step per trie node of its words plus one length sort.
+:func:`apply_dg_op` derives the child graph from its parent and rebuilds
+only the index entries the operator touches (O(touched) Python work; the
+frozensets and the index dicts are still copied, at C speed).
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from functools import cached_property
 
 from .errors import CycleError, InsertionCycleError, OperationError, ParseError
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit
@@ -31,25 +34,31 @@ Arc = tuple[str, str]
 Adjacency = dict[str, tuple[str, ...]]
 
 
-def _index(arcs) -> tuple[Adjacency, Adjacency]:
-    """The successor and the predecessor :data:`Adjacency` of ``arcs``.
+def _freeze(lists: defaultdict[str, list[str]]) -> Adjacency:
+    """``lists`` with each neighbour list sorted into a tuple; equal tuples
+    are stored once (in a tree, every child of a node has the same
+    one-element predecessor tuple)."""
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for neighbours in lists.values():
+        neighbours.sort()
+    return {v: shared.setdefault(t, t) for v, t in zip(lists, map(tuple, lists.values()))}
 
-    Equal neighbour tuples are stored once (in a tree, every child of a
-    node has the same one-element predecessor tuple).
-    """
+
+def _successor_index(arcs) -> Adjacency:
+    """The successor :data:`Adjacency` of ``arcs``."""
     succ: defaultdict[str, list[str]] = defaultdict(list)
-    pred: defaultdict[str, list[str]] = defaultdict(list)
     for src, dst in arcs:
         succ[src].append(dst)
-        pred[dst].append(src)
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    return _freeze(succ)
 
-    def freeze(lists) -> Adjacency:
-        for neighbours in lists.values():
-            neighbours.sort()
-        return {v: shared.setdefault(t, t) for v, t in zip(lists, map(tuple, lists.values()))}
 
-    return freeze(succ), freeze(pred)
+def _predecessor_index(succ: Adjacency) -> Adjacency:
+    """The predecessor :data:`Adjacency` of the arcs that ``succ`` indexes."""
+    pred: defaultdict[str, list[str]] = defaultdict(list)
+    for src, targets in succ.items():
+        for dst in targets:
+            pred[dst].append(src)
+    return _freeze(pred)
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,8 @@ class Dg:
     enforced at construction; acyclicity is not, see :func:`validate_acyclic`.
     The successor and predecessor index is built here too; it is derived
     from ``arcs`` and takes no part in equality, hashing or ``repr``.
+    Graphs assembled without the constructor (:func:`parse_graph`) build
+    the predecessor half on its first read.
     """
 
     nodes: frozenset[str] = frozenset()
@@ -67,7 +78,6 @@ class Dg:
     starts: frozenset[str] = frozenset()
     finishes: frozenset[str] = frozenset()
     _succ: Adjacency = field(init=False, repr=False, compare=False)
-    _pred: Adjacency = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
@@ -84,9 +94,12 @@ class Dg:
         for flagged in (self.starts, self.finishes):
             if not flagged <= self.nodes:
                 raise ValueError("flag on an undeclared node")
-        succ, pred = _index(self.arcs)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
+        object.__setattr__(self, "_succ", _successor_index(self.arcs))
+        self._pred  # built now, so graphs made in code carry both halves
+
+    @cached_property
+    def _pred(self) -> Adjacency:
+        return _predecessor_index(self._succ)
 
     def successors(self, v: str) -> list[str]:
         return list(self._succ.get(v, ()))
@@ -104,7 +117,8 @@ class Dg:
 def _derive(g: Dg, **changes) -> Dg:
     """A :class:`Dg` with ``g``'s fields and index, ``changes`` replacing
     some of them.  Nothing is checked: the caller validates what it adds,
-    and the rest was validated when ``g`` was built."""
+    and the rest was validated when ``g`` was built.  A caller that changes
+    ``_succ`` of a ``g`` whose ``_pred`` is built passes ``_pred`` too."""
     child = object.__new__(Dg)
     vars(child).update(vars(g), **changes)
     return child
@@ -119,13 +133,6 @@ def _patched(index: Adjacency, v: str, neighbours) -> Adjacency:
     else:
         del out[v]
     return out
-
-
-def default_flags(nodes: frozenset[str], arcs: frozenset[Arc]) -> tuple[frozenset[str], frozenset[str]]:
-    """Degree-rule designation: in-degree 0 = start, out-degree 0 = finish."""
-    with_in = {dst for _, dst in arcs}
-    with_out = {src for src, _ in arcs}
-    return frozenset(nodes - with_in), frozenset(nodes - with_out)
 
 
 # --------------------------------------------------------------------------
@@ -182,21 +189,25 @@ def parse_graph(text: str) -> Dg:
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=lineno)
 
-    succ, pred = _index(arcs)
-    nodes.update(succ.keys(), pred.keys())
+    succ = _successor_index(arcs)
+    with_pred = set().union(*succ.values())
+    nodes.update(succ, with_pred)
     for lineno, sym in (*start_lines, *finish_lines):
         if sym not in nodes:
             raise ParseError(f"flag references unknown node {sym!r}", line=lineno)
 
-    # the degree rule, read off the index: a node without predecessors is
-    # a start, one without successors a finish
+    # the degree rule, read off the successor index: a node no successor
+    # tuple holds is a start, one without successors a finish
     nodes = frozenset(nodes)
-    starts = frozenset(s for _, s in start_lines) if start_lines else nodes.difference(pred)
+    starts = frozenset(s for _, s in start_lines) if start_lines else nodes.difference(with_pred)
     finishes = frozenset(s for _, s in finish_lines) if finish_lines else nodes.difference(succ)
     # every check of the Dg constructor has been made above, with a line
-    # number, so the graph is assembled without repeating them
-    return _derive(Dg(), nodes=nodes, arcs=frozenset(arcs), starts=starts, finishes=finishes,
-                   _succ=succ, _pred=pred)
+    # number, so the graph is assembled without repeating them; its
+    # predecessor index is built on first read, and convert never reads it
+    g = object.__new__(Dg)
+    vars(g).update(nodes=nodes, arcs=frozenset(arcs), starts=starts, finishes=finishes,
+                   _succ=succ)
+    return g
 
 
 def render_graph(g: Dg) -> str:
@@ -217,33 +228,25 @@ def render_graph(g: Dg) -> str:
 # --------------------------------------------------------------------------
 # structure queries
 
-def topological_order(g: Dg) -> list[str]:
-    """Kahn's topological order, smallest ready node first.
-
-    On a cyclic graph the order stops short: it omits every node on or
-    behind a cycle.
-    """
+def validate_acyclic(g: Dg) -> tuple[str, ...] | None:
+    """``None`` when a topological order exists, else one witness cycle
+    as a node sequence whose first and last entries coincide."""
     succ = g._succ
-    indeg = {v: len(preds) for v, preds in g._pred.items()}
-    ready = sorted(g.nodes - indeg.keys())  # a sorted list is a heap
-    order: list[str] = []
-    while ready:
-        v = heappop(ready)
-        order.append(v)
+    indeg: dict[str, int] = {}
+    for targets in succ.values():
+        for w in targets:
+            indeg[w] = indeg.get(w, 0) + 1
+    # one Kahn pass; the loop also visits the nodes appended while it runs
+    ready = [v for v in g.nodes if v not in indeg]
+    for v in ready:
         for w in succ.get(v, ()):
             left = indeg[w] - 1
             indeg[w] = left
             if not left:
-                heappush(ready, w)
-    return order
-
-
-def validate_acyclic(g: Dg) -> tuple[str, ...] | None:
-    """``None`` when a topological order exists, else one witness cycle
-    as a node sequence whose first and last entries coincide."""
-    remaining = g.nodes.difference(topological_order(g))
-    if not remaining:
+                ready.append(w)
+    if len(ready) == len(g.nodes):
         return None
+    remaining = g.nodes.difference(ready)
     # every remaining node keeps a predecessor among the remaining ones;
     # walk predecessors until a node repeats, then unroll the loop forward
     chain = [min(remaining)]

@@ -146,7 +146,11 @@ class MutationLog:
 def model_from_graph(g: Dg) -> ModelState:
     """Build the synchronized state of an acyclic graph; its expression is
     the full start-to-finish path enumeration."""
-    return _state(g, enumerate_paths(g))
+    state = _state(g, enumerate_paths(g))
+    # operators patch the predecessor index; built here, it is built once
+    # per model and shared by every state derived from this one
+    g._pred
+    return state
 
 
 def _entry(op: MutationOp, before: SopfRe, after: SopfRe, kept: int, **extra) -> LogEntry:

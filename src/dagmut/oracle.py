@@ -3,24 +3,23 @@
 The reference works on plain lists of words with linear scans only; it
 deliberately shares no term-set machinery with the efficient
 implementation so the two can disagree when one is wrong.
+
+The generators keep their own graph helpers: the degree-rule flags of
+:func:`random_model` and the heap-ordered :func:`topological_order`, whose
+smallest-ready-node-first order fixes the scripts :func:`random_script`
+draws.  Each script step finds its insertable arcs from one row of
+reachability bits per node, built in one backward pass over that order:
+O(V + E) big-int ORs, then one bit test per node pair.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .errors import ModelError, OperationError
-from .graph import (
-    Dg,
-    apply_dg_op,
-    default_flags,
-    parse_graph,
-    path_exists,
-    render_graph,
-    topological_order,
-    validate_acyclic,
-)
+from .graph import Arc, Dg, apply_dg_op, parse_graph, render_graph, validate_acyclic
 from .mutate import ModelState, apply_op, model_from_graph
 from .ops import (
     ArcInsert,
@@ -235,6 +234,13 @@ class GenConfig:
             raise ValueError("script_length must be nonnegative")
 
 
+def default_flags(nodes: frozenset[str], arcs: frozenset[Arc]) -> tuple[frozenset[str], frozenset[str]]:
+    """Degree-rule designation: in-degree 0 = start, out-degree 0 = finish."""
+    with_in = {dst for _, dst in arcs}
+    with_out = {src for src, _ in arcs}
+    return frozenset(nodes - with_in), frozenset(nodes - with_out)
+
+
 def random_model(cfg: GenConfig) -> Dg:
     """A random acyclic graph with degree-rule flags.  Arcs are sampled
     only forward along a random node permutation, so acyclicity holds by
@@ -252,9 +258,51 @@ def random_model(cfg: GenConfig) -> Dg:
     return Dg(nodes, frozenset(arcs), starts, finishes)
 
 
+def topological_order(g: Dg) -> list[str]:
+    """Kahn's topological order, smallest ready node first, so that
+    :func:`random_script` splits the same order on every run.
+
+    On a cyclic graph the order stops short: it omits every node on or
+    behind a cycle.
+    """
+    succ = g._succ
+    indeg = {v: len(preds) for v, preds in g._pred.items()}
+    ready = sorted(g.nodes - indeg.keys())  # a sorted list is a heap
+    order: list[str] = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for w in succ.get(v, ()):
+            left = indeg[w] - 1
+            indeg[w] = left
+            if not left:
+                heappush(ready, w)
+    return order
+
+
+def _reach_rows(g: Dg, order: Sequence[str], nodes: Sequence[str]) -> dict[str, int]:
+    """For each node ``v`` of the acyclic ``g``, the set of nodes a path
+    (length >= 0) from ``v`` reaches, as an int whose bit ``k`` stands for
+    ``nodes[k]``.  ``order`` is a topological order of ``g``; the rows are
+    built in one pass over it backwards, each the OR of its successors'."""
+    bit = {v: 1 << k for k, v in enumerate(nodes)}
+    succ = g._succ
+    rows: dict[str, int] = {}
+    for v in reversed(order):
+        row = bit[v]
+        for w in succ.get(v, ()):
+            row |= rows[w]
+        rows[v] = row
+    return rows
+
+
 def random_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
     """A script of ``cfg.script_length`` operators, each valid at its
-    application point against a simulated copy of ``g``."""
+    application point against a simulated copy of ``g``.
+
+    Each step builds :func:`_reach_rows` once and tests each of the V^2
+    candidate arcs with one bit.
+    """
     rng = random.Random(cfg.seed ^ 0x5EED)
     cur = g
     fresh = [c for c in _NAMES if c not in g.nodes]
@@ -263,9 +311,12 @@ def random_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
         kinds = ["node_insert"] if fresh else []
         nodes = sorted(cur.nodes)
         arcs = sorted(cur.arcs)
-        insertable = [(u, v) for u in nodes for v in nodes
-                      if u != v and (u, v) not in cur.arcs
-                      and not path_exists(cur, v, u)]
+        order = topological_order(cur)
+        rows = _reach_rows(cur, order, nodes)
+        # u -> v closes a cycle iff v reaches u; v reaches itself, so the
+        # test also rules out self-loops
+        insertable = [(u, v) for k, u in enumerate(nodes) for v in nodes
+                      if not rows[v] >> k & 1 and (u, v) not in cur.arcs]
         if insertable:
             kinds.append("arc_insert")
         if arcs:
@@ -283,7 +334,6 @@ def random_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
             name = fresh.pop(0)
             # split a topological order: ingoing from the left part,
             # outgoing into the right part, so no cycle can close
-            order = topological_order(cur)
             pivot = rng.randint(0, len(order))
             ingoing = sorted(rng.sample(order[:pivot], min(pivot, rng.randint(0, 2))))
             right = order[pivot:]

@@ -45,6 +45,15 @@ def sopf(*words: str) -> SopfRe:
     return SopfRe(tuple(tuple(w) for w in words))
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` for the test by a wrapper that appends the
+    arguments of each call to the returned list."""
+    calls: list = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def spell(re: SopfRe) -> set[str]:
     """Compact spellings of all terms, as a set."""
     return {"".join(term) for term in re}

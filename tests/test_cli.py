@@ -2,12 +2,12 @@
 import pytest
 
 import dagmut.sopf
-from dagmut import BOUND_EXPONENTS, cli
+from dagmut import BOUND_EXPONENTS, cli, graph
 from dagmut.cli import main
 from dagmut.metrics import MAX_TREND_SIZE
 from dagmut.oracle import MAX_GEN_NODES
 
-from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS
+from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, count_calls
 
 
 @pytest.fixture
@@ -30,6 +30,16 @@ def test_convert_sample(capsys, graph_file):
     code, out, err = run(capsys, "convert", graph_file)
     assert code == 0
     assert set(out.strip().split(" + ")) == set(SAMPLE_TERMS)
+
+
+def test_convert_builds_no_predecessor_index(capsys, monkeypatch, graph_file, tmp_path):
+    calls = count_calls(monkeypatch, graph, "_predecessor_index")
+    chain = tmp_path / "chain.dg"
+    chain.write_text("".join(f"arc n{k} n{k + 1}\n" for k in range(50)) + "node z\n")
+    for path in (graph_file, chain):
+        code, out, _ = run(capsys, "convert", path, "--format", "machine")
+        assert code == 0 and out
+    assert calls == []
 
 
 def test_convert_single_node(capsys, tmp_path):

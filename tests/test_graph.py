@@ -19,8 +19,7 @@ from dagmut import (
     render_graph,
     validate_acyclic,
 )
-from dagmut.graph import default_flags, topological_order
-from dagmut.oracle import naive_enumerate
+from dagmut.oracle import default_flags, naive_enumerate, topological_order
 from dagmut.sopf import term_key
 
 from support import SAMPLE_TERMS, scripted_models, spell
@@ -131,6 +130,13 @@ def test_layout_does_not_change_the_parsed_graph():
     assert parse_graph("start a\narc a b") == parse_graph("arc a b\nstart a")
 
 
+def test_parsed_graph_builds_its_predecessor_index_on_first_read(sample_graph):
+    for g in (sample_graph, parse_graph("arc b a\narc c a\nnode d\narc a e\nstart b")):
+        assert "_pred" not in vars(g)
+        assert_index_matches_arcs(g)
+        assert "_pred" in vars(g)
+
+
 def test_parse_keeps_one_string_per_name():
     g = parse_graph("node n1\narc n1 n2\narc n2 n3\narc n1 n3\nstart n1")
     names = {id(v) for v in g.nodes}
@@ -190,6 +196,36 @@ def test_topological_order_pops_the_smallest_ready_node(sample_graph):
     for g in (sample_graph, cyclic, Dg(), parse_graph("arc b a\narc c a\nnode d")):
         assert topological_order(g) == _sort_based_kahn(g)
     assert topological_order(cyclic) == ["a", "d", "e"]
+
+
+@st.composite
+def digraphs(draw):
+    """A graph on up to six nodes with any arcs but self-loops, so cyclic
+    ones are drawn too."""
+    names = "abcdef"[:draw(st.integers(0, 6))]
+    pairs = [(u, v) for u in names for v in names if u != v]
+    arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Dg(set(names), arcs)
+
+
+@settings(max_examples=150)
+@given(digraphs())
+def test_validate_acyclic_agrees_with_the_oracle_order(g):
+    witness = validate_acyclic(g)
+    assert (witness is None) == (len(topological_order(g)) == len(g.nodes))
+    if witness is not None:
+        assert witness[0] == witness[-1]
+        assert all((u, v) in g.arcs for u, v in zip(witness, witness[1:]))
+
+
+@settings(max_examples=100)
+@given(digraphs())
+def test_parse_graph_flags_by_the_degree_rule(g):
+    text = "".join(line + "\n" for line in render_graph(g).splitlines()
+                   if not line.startswith(("start", "finish")))
+    parsed = parse_graph(text)
+    assert (parsed.starts, parsed.finishes) == default_flags(g.nodes, g.arcs)
+    assert parsed == Dg(g.nodes, g.arcs, *default_flags(g.nodes, g.arcs))
 
 
 def test_longer_cycle_witness_is_closed():

@@ -36,9 +36,10 @@ from dagmut import (
     random_script,
     ref_apply,
 )
+from dagmut import graph
 from dagmut.sopf import add_term, remove_term, term_key
 
-from support import MUTATED_TERMS, scripted_models, spell, sopf
+from support import MUTATED_TERMS, count_calls, scripted_models, spell, sopf
 
 
 # --------------------------------------------------------------------------
@@ -117,6 +118,19 @@ def test_notation_round_trip(ops):
 
 def test_model_from_graph(sample_state):
     assert len(sample_state.re) == 9
+
+
+def test_operators_after_model_from_graph_build_no_predecessor_index(monkeypatch, sample_graph):
+    calls = count_calls(monkeypatch, graph, "_predecessor_index")
+    state = model_from_graph(sample_graph)
+    assert len(calls) == 1
+    # a node insertion first: it derives the state that every later step
+    # derives from, so an index built there would be built per run
+    script = parse_script("(v,{(v,q),(a,v)})i_n (cd)o_a (df)i_a (n)o_n (v)o_n (w,{(w,b)})i_n")
+    state, _ = apply_script(state, script)
+    assert len(calls) == 1
+    assert all(state.dg.predecessors(v) == sorted(u for u, w in state.dg.arcs if w == v)
+               for v in state.dg.nodes)
 
 
 def test_model_single_node():

@@ -1,27 +1,40 @@
 """The naive reference, random generators and the differential harness."""
+import random
+
 import pytest
+from hypothesis import given, settings
 
 from dagmut import (
     ArcInsert,
     ArcOmit,
+    Dg,
     GenConfig,
     NaiveLang,
     NodeInsert,
     NodeOmit,
+    MutationOp,
     OperationError,
     SopfRe,
+    apply_dg_op,
     equivalent,
     model_from_graph,
     parse_graph,
+    path_exists,
     random_model,
     random_script,
     ref_apply,
     run_differential,
     validate_acyclic,
 )
-from dagmut.oracle import cross_check_initial, naive_enumerate
+from dagmut.oracle import (
+    _NAMES,
+    _reach_rows,
+    cross_check_initial,
+    naive_enumerate,
+    topological_order,
+)
 
-from support import sopf
+from support import scripted_models, sopf
 
 
 def words(*ws: str) -> NaiveLang:
@@ -141,6 +154,70 @@ def test_random_script_is_deterministic_and_applicable():
         assert s1 == s2
         assert len(s1) == 5
         apply_script(model_from_graph(g), s1)   # must not raise
+
+
+@settings(max_examples=80, deadline=None)
+@given(scripted_models())
+def test_reach_rows_match_path_exists(model):
+    g, script = model
+    for op in script:
+        g = apply_dg_op(g, op)
+    nodes = sorted(g.nodes)
+    rows = _reach_rows(g, topological_order(g), nodes)
+    assert rows.keys() == g.nodes
+    for v in nodes:
+        assert [bool(rows[v] >> k & 1) for k in range(len(nodes))] == \
+            [path_exists(g, v, u) for u in nodes]
+        assert rows[v] >> len(nodes) == 0
+
+
+def _path_search_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
+    """``random_script`` as it was defined with one ``path_exists`` search
+    per candidate arc; the scripts of the bit-row version must not differ."""
+    rng = random.Random(cfg.seed ^ 0x5EED)
+    cur = g
+    fresh = [c for c in _NAMES if c not in g.nodes]
+    ops: list[MutationOp] = []
+    for _ in range(cfg.script_length):
+        kinds = ["node_insert"] if fresh else []
+        nodes = sorted(cur.nodes)
+        arcs = sorted(cur.arcs)
+        insertable = [(u, v) for u in nodes for v in nodes
+                      if u != v and (u, v) not in cur.arcs
+                      and not path_exists(cur, v, u)]
+        if insertable:
+            kinds.append("arc_insert")
+        if arcs:
+            kinds.append("arc_omit")
+        if nodes:
+            kinds.append("node_omit")
+        kind = rng.choice(sorted(kinds))
+        if kind == "arc_insert":
+            op: MutationOp = ArcInsert(*rng.choice(insertable))
+        elif kind == "arc_omit":
+            op = ArcOmit(*rng.choice(arcs))
+        elif kind == "node_omit":
+            op = NodeOmit(rng.choice(nodes))
+        else:
+            name = fresh.pop(0)
+            order = topological_order(cur)
+            pivot = rng.randint(0, len(order))
+            ingoing = sorted(rng.sample(order[:pivot], min(pivot, rng.randint(0, 2))))
+            right = order[pivot:]
+            outgoing = sorted(rng.sample(right, min(len(right), rng.randint(0, 2))))
+            op = NodeInsert(name, tuple(outgoing), tuple(ingoing))
+        cur = apply_dg_op(cur, op)
+        ops.append(op)
+    return tuple(ops)
+
+
+def test_random_script_keeps_the_path_search_scripts():
+    rng = random.Random(2009)
+    for seed in range(3000):
+        cfg = GenConfig(node_count=rng.randint(0, 12), arc_density=rng.uniform(0.0, 1.0),
+                        seed=seed, script_length=rng.randint(0, 8))
+        g = random_model(cfg)
+        assert random_script(cfg, g) == _path_search_script(cfg, g), cfg
 
 
 def test_gen_config_bounds():
