@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ModelError
-from .graph import enumerate_paths, parse_graph, render_graph
+from .graph import parse_graph, render_graph, render_paths
 from .metrics import BOUND_EXPONENTS, MAX_TREND_SIZE, trend
 from .mutate import model_from_graph, apply_script
 from .ops import parse_script
@@ -31,9 +31,8 @@ def _read(path: Path) -> str:
 
 
 def _run_convert(args) -> int:
-    # enumerate_paths (and model_from_graph below) reject cyclic graphs
-    re = enumerate_paths(parse_graph(_read(args.graph)))
-    print(print_sopf(re, dotted=args.format == "machine"))
+    # render_paths (and model_from_graph below) reject cyclic graphs
+    print(render_paths(parse_graph(_read(args.graph)), dotted=args.format == "machine"))
     return 0
 
 

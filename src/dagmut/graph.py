@@ -10,11 +10,17 @@ Cost model: a :class:`Dg` indexes its arcs by endpoint, so
 :func:`path_exists` O(reachable).  The successor index is built with the
 graph; the predecessor index is built from it on its first read.  The
 constructor and ``mutate.model_from_graph`` read it; a convert (parse,
-check, enumerate) never does.  :func:`validate_acyclic` is one Kahn pass
+check, walk) never does.  :func:`validate_acyclic` is one Kahn pass
 over a plain list, in-degrees counted from the successor index: O(V + E).
-It and the path walk of :func:`enumerate_paths` read the index and the
-flag sets directly, with no method call or list copy per node; the walk
-costs one step per trie node of its words plus one length sort.
+It and the path walk read the index and the flag sets directly, with no
+method call or list copy per node; the walk costs one step per trie node
+of its words plus one length sort.  :func:`enumerate_paths` spells each
+path in the codes of :mod:`dagmut.sopf`: a graph whose nodes are each one
+ASCII character, its own code, by extending the string of the trail
+above (such a graph has at most 128 nodes, so the strings stay short),
+any other graph by labelling each node with its code and joining a word
+once it is finished.  :func:`render_paths` runs the same walk on the node
+names, so ``dagmut convert`` prints without coding or decoding a term.
 :func:`apply_dg_op` derives the child graph from its parent and rebuilds
 only the index entries the operator touches (O(touched) Python work; the
 frozensets and the index dicts are still copied, at C speed).
@@ -24,10 +30,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Mapping
 
 from .errors import CycleError, InsertionCycleError, OperationError, ParseError
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit
-from .sopf import SopfRe, _trusted, validate_symbol
+from .sopf import EMPTY_TOKEN, _OWN_CODES, SopfRe, _codes, _trusted, validate_symbol
 
 Arc = tuple[str, str]
 #: node -> its sorted neighbours on one side; nodes without any are absent
@@ -281,31 +288,38 @@ def path_exists(g: Dg, src: str, dst: str) -> bool:
     return False
 
 
-def enumerate_paths(g: Dg) -> SopfRe:
-    """All start-to-finish node sequences of an acyclic graph, as terms.
-
-    A path may run through further flagged nodes; every flagged prefix
-    endpoint yields its own term.  Raises :class:`CycleError` on cyclic
-    input, since the term count would be unbounded.
-    """
+def _acyclic(g: Dg) -> None:
+    """Raise :class:`CycleError` on a cyclic graph, whose paths are
+    unbounded."""
     witness = validate_acyclic(g)
     if witness is not None:
         raise CycleError(witness)
+
+
+def _walk(g: Dg, label: Mapping[str, str] | None = None) -> list[tuple[str, ...]]:
+    """The start-to-finish paths of an acyclic graph, each as the labels of
+    its nodes (their names if ``label`` is ``None``), in canonical order of
+    their node names: shortest first, then lexicographic.
+
+    A path may run through further flagged nodes; every flagged prefix
+    endpoint yields its own word.
+    """
+    _acyclic(g)
     succ, finishes = g._succ, g.finishes
     words: list[tuple[str, ...]] = []
     # depth-first with an explicit stack, so long chains cannot exhaust the
     # interpreter's recursion limit: pending[0] walks the start nodes and
-    # pending[k + 1] the successors of trail[k]; a node without successors
-    # is finished inside the loop over its siblings
+    # pending[k + 1] the successors of the node labelled trail[k]; a node
+    # without successors is finished inside the loop over its siblings
     trail: list[str] = []
     pending = [iter(sorted(g.starts))]
     while pending:
         for v in pending[-1]:
             if v in finishes:
-                words.append((*trail, v))
+                words.append((*trail, v if label is None else label[v]))
             below = succ.get(v)
             if below:
-                trail.append(v)
+                trail.append(v if label is None else label[v])
                 pending.append(iter(below))
                 break
         else:
@@ -315,7 +329,67 @@ def enumerate_paths(g: Dg) -> SopfRe:
     # sorted neighbours in preorder, so they come out lexicographic, and a
     # stable sort by length makes that canonical order
     words.sort(key=len)
+    return words
+
+
+def _spelled_walk(g: Dg) -> list[str]:
+    """:func:`_walk` of a graph whose every node is one ASCII character,
+    each word spelled as one string: the node names are their own codes.
+
+    Each trail is spelled as its parent trail's spelling plus one
+    character, which costs one short concatenation per trail instead of a
+    tuple and a join per word.  Such a graph has at most 128 nodes, so the
+    spellings held on the stack stay short; a deep graph of longer names
+    goes through :func:`_walk`, which builds a word only once it is
+    finished.
+    """
+    _acyclic(g)
+    succ, finishes = g._succ, g.finishes
+    words: list[str] = []
+    spelled = [""]
+    pending = [iter(sorted(g.starts))]
+    while pending:
+        above = spelled[-1]
+        for v in pending[-1]:
+            word = above + v
+            if v in finishes:
+                words.append(word)
+            below = succ.get(v)
+            if below:
+                spelled.append(word)
+                pending.append(iter(below))
+                break
+        else:
+            pending.pop()
+            spelled.pop()
+    words.sort(key=len)
+    return words
+
+
+def enumerate_paths(g: Dg) -> SopfRe:
+    """All start-to-finish node sequences of an acyclic graph, as terms.
+
+    A path may run through further flagged nodes; every flagged prefix
+    endpoint yields its own term.  Raises :class:`CycleError` on cyclic
+    input, since the term count would be unbounded.
+    """
+    if g.nodes <= _OWN_CODES:
+        words = _spelled_walk(g)
+    else:
+        words = list(map("".join, _walk(g, _codes(g.nodes))))
     return _trusted(tuple(words), canonical=True)
+
+
+def render_paths(g: Dg, *, dotted: bool = False) -> str:
+    """``print_sopf(enumerate_paths(g), dotted=dotted)``, spelled by the
+    walk from the node names: no term is coded or decoded."""
+    words = _walk(g)
+    if not words:
+        return EMPTY_TOKEN
+    if not dotted and max(map(len, g.nodes)) > 1:
+        # dotted only if a node of some path has a longer name
+        dotted = max(map(len, set().union(*words))) > 1
+    return " + ".join(map(".".join if dotted else "".join, words))
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,9 @@ adjacently and, when that removal exhausts all terms containing the source
 operators are composites of arc operators around adding/removing the bare
 one-symbol term.
 
+The operators work on the code strings of :mod:`dagmut.sopf`: a symbol
+search is one ``in``, and the omitted pair one two-code-point ``in``.
+
 Omission works on the terms that hold its arc.  It splits the expression
 once into ``held``, the terms holding one endpoint (the source for
 :func:`arc_omit`, the node for :func:`node_omit`), and ``rest``, the
@@ -55,20 +58,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import contains, is_not, not_
+from operator import contains, not_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InsertionCycleError, OperationError, ScriptError
 from .graph import Dg, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
+    Code,
     SopfRe,
-    Term,
+    _code,
     _count_copies,
     _count_probes,
     _count_select,
     _extend,
-    _find,
     _heads,
     _remove_at,
     _select,
@@ -161,14 +164,8 @@ def _entry(op: MutationOp, before: SopfRe, after: SopfRe, kept: int, **extra) ->
 
 def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:
     """True if some term places ``earlier`` strictly before ``later``."""
-    for term in r._terms:
-        try:
-            k = term.index(earlier)
-        except ValueError:
-            continue
-        if later in term[k + 1:]:
-            return True
-    return False
+    first, then = _code(earlier), _code(later)
+    return any(t.find(then, t.index(first) + 1) >= 0 for t in r._terms if first in t)
 
 
 def arc_insert(st: ModelState, src: str, dst: str,
@@ -177,18 +174,18 @@ def arc_insert(st: ModelState, src: str, dst: str,
     return _arc_insert(st, src, dst, counters)
 
 
-def _holding(r: SopfRe, sym: str, held: tuple[Term, ...] | None,
-             counters: "OpCounters | None") -> tuple[Term, ...]:
+def _holding(r: SopfRe, sym: str, held: tuple[Code, ...] | None,
+             counters: "OpCounters | None") -> tuple[Code, ...]:
     """The terms of ``pt(r, (sym,))``, from the caller's selection ``held``
     if given: the terms of ``r`` that hold ``sym``, in ``r``'s order."""
     if held is None:
         return pt(r, (sym,), counters)._terms
-    return _select(r, held, (sym,), counters)._terms
+    return _select(r, held, _code(sym), counters)._terms
 
 
 def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None",
-                held_src: tuple[Term, ...] | None = None,
-                held_dst: tuple[Term, ...] | None = None) -> tuple[ModelState, LogEntry]:
+                held_src: tuple[Code, ...] | None = None,
+                held_dst: tuple[Code, ...] | None = None) -> tuple[ModelState, LogEntry]:
     """:func:`arc_insert`, given the terms holding ``src`` or ``dst`` if
     the caller has them.  The new terms go after those of ``st.re``."""
     op = ArcInsert(src, dst)
@@ -202,8 +199,8 @@ def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None
         raise InsertionCycleError(f"{exc} (path not witnessed by any product term)") from None
     containing_src = _holding(st.re, src, held_src, counters)
     containing_dst = _holding(st.re, dst, held_dst, counters)
-    heads = _heads(containing_src, src, counters)
-    tails = _tails(containing_dst, dst, counters)
+    heads = _heads(containing_src, _code(src), counters)
+    tails = _tails(containing_dst, _code(dst), counters)
     products = set_concat(heads, tails, counters)
     # every product holds both endpoints, so a term equal to one is in
     # both selections: the smaller one is all the union need check
@@ -217,40 +214,39 @@ def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
     dg = apply_dg_op(st.dg, ArcOmit(src, dst))
-    held, rest, entry = _omit(*_split(st.re._terms, src), src, dst, src, counters)
+    held, rest, entry = _omit(*_split(st.re._terms, _code(src)), src, dst, src, counters)
     return _state(dg, _trusted(rest + held)), entry
 
 
-def _omit(held: tuple[Term, ...], rest: tuple[Term, ...], src: str, dst: str, sym: str,
-          counters: "OpCounters | None") -> tuple[tuple[Term, ...], tuple[Term, ...], LogEntry]:
+def _omit(held: tuple[Code, ...], rest: tuple[Code, ...], src: str, dst: str, sym: str,
+          counters: "OpCounters | None") -> tuple[tuple[Code, ...], tuple[Code, ...], LogEntry]:
     """Omit arc ``src -> dst`` from the expression ``rest + held`` on the
     term side alone, where ``held`` are its terms that hold ``sym`` (``src``
     or ``dst``) and ``rest`` the others.
 
     Returns the new ``held`` and ``rest`` and the step's log entry: the
     kept terms of ``held`` followed by the fragments that hold ``sym``, and
-    ``rest`` followed by the other fragments.  Only ``held`` is searched;
-    ``rest`` is read only to learn whether a term holds the other endpoint,
-    and only up to the first that does.  The counts are those of the
-    composition over the whole expression: :func:`pt` for each endpoint
-    and for the pair, :func:`set_difference` of the joined terms, and the
-    union of the kept terms with the fragments.
+    ``rest`` followed by the other fragments.  Only ``held`` is searched,
+    for the pair as one two-code-point string; ``rest`` is read only to
+    learn whether a term holds the other endpoint, and only up to the first
+    that does.  The counts are those of the composition over the whole
+    expression: :func:`pt` for each endpoint and for the pair,
+    :func:`set_difference` of the joined terms, and the union of the kept
+    terms with the fragments.
     """
-    other = dst if sym == src else src
-    # the terms holding the pair are among those holding both endpoints
-    has_other = list(map(contains, held, repeat(other)))
-    both = tuple(compress(held, has_other))
-    found = list(map(is_not, _find(both, (src, dst), counters), repeat(None)))
-    joined = tuple(compress(both, found))
-    kept = tuple(compress(held, map(not_, has_other))) + tuple(compress(both, map(not_, found)))
+    s, d = _code(src), _code(dst)
+    own, other = (s, d) if sym == src else (d, s)
+    found = list(map(contains, held, repeat(s + d)))
+    joined = tuple(compress(held, found))
+    kept = tuple(compress(held, map(not_, found)))
     # an endpoint is exhausted once every term holding it is joined; then
     # its selection is ``joined`` itself
-    sym_out = not kept
-    other_out = (len(joined) == len(both)
+    own_out = not kept
+    other_out = (not any(map(contains, kept, repeat(other)))
                  and not any(map(contains, rest, repeat(other))))
-    src_out, dst_out = (sym_out, other_out) if sym == src else (other_out, sym_out)
-    heads = _heads(joined, src, counters) if src_out else SopfRe()
-    tails = _tails(joined, dst, counters) if dst_out else SopfRe()
+    src_out, dst_out = (own_out, other_out) if sym == src else (other_out, own_out)
+    heads = _heads(joined, s, counters) if src_out else SopfRe()
+    tails = _tails(joined, d, counters) if dst_out else SopfRe()
     # heads hold src and come back only once every term holding src is
     # dropped, and tails likewise hold dst, so no fragment equals a kept
     # term; a head ends at the first src and a tail starts at the last dst,
@@ -260,9 +256,9 @@ def _omit(held: tuple[Term, ...], rest: tuple[Term, ...], src: str, dst: str, sy
         terms = rest + held
         held_other = tuple(compress(terms, map(contains, terms, repeat(other))))
         held_src, held_dst = (held, held_other) if sym == src else (held_other, held)
-        _count_select(terms, held_src, (src,), len(held_src), counters)
-        _count_select(terms, held_dst, (dst,), len(held_dst), counters)
-        _count_select(terms, held_src, (src, dst), len(joined), counters)
+        _count_select(terms, held_src, s, len(held_src), counters)
+        _count_select(terms, held_dst, d, len(held_dst), counters)
+        _count_select(terms, held_src, s + d, len(joined), counters)
         # an exhausted endpoint's selection is checked equal to the joined
         # terms by a walk over them
         counters.symbol_comparisons += (src_out + dst_out) * sum(map(len, joined))
@@ -272,7 +268,7 @@ def _omit(held: tuple[Term, ...], rest: tuple[Term, ...], src: str, dst: str, sy
         _count_probes(counters, terms)
         _count_probes(counters, fragments)
         _count_copies(counters, 2 * (len(terms) - len(joined)) + len(fragments))
-    holds = list(map(contains, fragments, repeat(sym)))
+    holds = list(map(contains, fragments, repeat(own)))
     entry = LogEntry(ArcOmit(src, dst), terms_added=len(fragments), terms_removed=len(joined),
                      added_bound=len(heads) + len(tails), removed_expected=len(joined))
     return (kept + tuple(compress(fragments, holds)),
@@ -291,7 +287,7 @@ def node_insert(st: ModelState, node: str,
     # every symbol of st.re is a node, so no term equals the bare term of
     # the new node: it is appended unprobed, counted as add_term's probe
     # and copy
-    bare = (node,)
+    bare = _code(node)
     _count_probes(counters, (bare,))
     _count_copies(counters, 1)
     work = _state(dg, _trusted(st.re._terms + (bare,)))
@@ -320,7 +316,8 @@ def node_omit(st: ModelState, node: str,
     op = NodeOmit(node)
     # an unknown node raises here, before any term is read
     dg = apply_dg_op(st.dg, op)
-    held, rest = _split(st.re._terms, node)
+    bare = _code(node)
+    held, rest = _split(st.re._terms, bare)
     # the arc steps drop only terms holding the node, and none is left at
     # the end (checked below), so exactly the others are kept
     kept = len(rest)
@@ -332,9 +329,9 @@ def node_omit(st: ModelState, node: str,
         held, rest, step = _omit(held, rest, y, node, node, counters)
         sub.append(step)
     # remove_term's probe for the bare term
-    _count_probes(counters, ((node,),))
+    _count_probes(counters, (bare,))
     # only a term that is not a path of the graph can still hold the node
-    if len(held) > ((node,) in held):
+    if len(held) > (bare in held):
         raise ValueError(f"expression mentions undeclared nodes: {[node]}")
     final_re = _trusted(rest)
     return _state(dg, final_re), _entry(op, st.re, final_re, kept, sub=tuple(sub))

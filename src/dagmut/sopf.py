@@ -1,6 +1,6 @@
 """Sum-of-products term algebra for star-free regular expressions.
 
-A product term is a nonempty tuple of symbols.  A :class:`SopfRe` is a
+A product term is a nonempty sequence of symbols.  A :class:`SopfRe` is a
 duplicate-free set of product terms; equality is set equality, which is
 language equality.  Canonical order (shortest first, then lexicographic by
 symbol sequence) is computed at most once, on the first read of
@@ -8,6 +8,19 @@ symbol sequence) is computed at most once, on the first read of
 operations work on the terms in the order they were built and never sort.
 :func:`dagmut.graph.enumerate_paths` builds its result already in
 canonical order, so a converted graph is never sorted.
+
+Terms are stored as strings with one code point per symbol.  A
+process-wide, append-only alphabet gives each symbol its code the first
+time any operation sees it: an ASCII one-character symbol is its own code
+point, every other symbol gets the next free one from U+0100 upwards
+(surrogates skipped).  So a symbol search is ``str.__contains__``, a cut
+is ``str.index`` or ``str.rindex``, and a two-symbol pattern is a
+two-code-point substring; all of them are exact whether or not a term
+repeats a symbol.  The public API takes and returns tuples of symbol
+names: :class:`SopfRe`'s constructor, :attr:`~SopfRe.terms`, iteration,
+``in``, :meth:`~SopfRe.symbols`, pickling and the text form.  Canonical
+order is that of the names, not of the codes; the two agree when every
+symbol is ASCII, and only then is a term sorted as its string.
 
 The public constructor drops repeated terms, which hashes every term it is
 given.  Results that are duplicate-free by construction skip that step
@@ -44,24 +57,28 @@ the pattern's first symbol at every position up to its match (to the end
 of the term for a last occurrence or a miss), and its second symbol after
 every hit of the first.  A set probe compares every symbol of the probed
 term.  Every term written into a result is one copy.  The operations do
-not run that scan: their per-term work runs in C builtins
-(``tuple.index``, ``dict.fromkeys``, set filtering) and the counts are
-computed in closed form, so counted and uncounted runs take the same path
-and the totals equal those of the per-position scan.
+not run that scan: their per-term work runs in C string and set builtins
+(``in``, ``str.index``, ``str.rindex``, ``dict.fromkeys``) and the counts
+are computed in closed form, only when counters are given, so they equal
+those of the per-position scan.
 """
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from itertools import compress, filterfalse, repeat
-from operator import contains, eq, is_not, itemgetter, not_
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from operator import contains, not_
+from threading import Lock
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import ModelError, ParseError
 
 if TYPE_CHECKING:
     from .metrics import OpCounters
 
+#: A term as the public API spells it: a tuple of symbol names.
 Term = tuple[str, ...]
+#: A term as it is stored: one code point per symbol.
+Code = str
 
 #: Characters that may never appear inside a symbol id, on top of whitespace.
 RESERVED_CHARS = frozenset("(){},+.#")
@@ -88,10 +105,85 @@ def term_key(term: Term) -> tuple[int, Term]:
     return (len(term), term)
 
 
-def _canonical_order(terms: tuple[Term, ...]) -> tuple[Term, ...]:
+# --------------------------------------------------------------------------
+# the alphabet
+
+#: the symbols that are their own code points: every ASCII character
+_OWN_CODES = frozenset(map(chr, range(128)))
+#: symbol -> code point
+_CODES: dict[str, str] = dict(zip(_OWN_CODES, _OWN_CODES))
+#: code point -> symbol, the inverse of ``_CODES``
+_NAMES: dict[str, str] = dict(_CODES)
+#: the code point the next new symbol gets
+_next_code = 0x100
+_SURROGATES = range(0xD800, 0xE000)
+#: held while a symbol is handed its code, so that two threads meeting a
+#: new symbol at once give it one code
+_REGISTERING = Lock()
+
+
+def _code(sym: str) -> Code:
+    """The code point of ``sym``, handing out the next free one to a
+    symbol not seen before."""
+    global _next_code
+    code = _CODES.get(sym)
+    if code is None:
+        with _REGISTERING:
+            code = _CODES.get(sym)
+            if code is None:
+                n = _next_code
+                if n in _SURROGATES:
+                    n = _SURROGATES.stop
+                if n > 0x10FFFF:
+                    raise ModelError(f"alphabet full: no code point left for symbol {sym!r}")
+                # decodable before any reader can find it
+                code = chr(n)
+                _NAMES[code] = sym
+                _CODES[sym] = code
+                _next_code = n + 1
+    return code
+
+
+def _codes(symbols: Iterable[str]) -> Mapping[str, Code]:
+    """The symbol -> code map of the alphabet, once each of ``symbols``
+    has a code."""
+    for sym in filterfalse(_CODES.__contains__, symbols):
+        _code(sym)
+    return _CODES
+
+
+def _encode(term: Sequence[str]) -> Code:
+    """The code string of a term given as a sequence of symbols."""
+    if not isinstance(term, (tuple, list, str)):
+        term = tuple(term)
+    try:
+        code = "".join(term)
+    except TypeError:  # a symbol that is not a string
+        code = ""
+    # every symbol one ASCII character: each is its own code
+    if code.isascii() and len(code) == len(term):
+        return code
+    return "".join(map(_code, term))
+
+
+def _decode(code: Code) -> Term:
+    """The symbols of a code string."""
+    return tuple(code) if code.isascii() else tuple(map(_NAMES.__getitem__, code))
+
+
+def _decode_all(codes: tuple[Code, ...]) -> tuple[Term, ...]:
+    """The symbols of each code string, in order."""
+    # every code ASCII: each character is its own symbol
+    return tuple(map(tuple if all(map(str.isascii, codes)) else _decode, codes))
+
+
+def _canonical_order(terms: tuple[Code, ...]) -> tuple[Code, ...]:
     # a lexicographic sort, then a stable sort by length: the order of
-    # term_key without a Python-level key call per term
-    return tuple(sorted(sorted(terms), key=len))
+    # term_key without a Python-level key call per term, when every code
+    # is its symbol
+    if all(map(str.isascii, terms)):
+        return tuple(sorted(sorted(terms), key=len))
+    return tuple(sorted(sorted(terms, key=_decode), key=len))
 
 
 class SopfRe:
@@ -102,26 +194,30 @@ class SopfRe:
     and stores the sorted tuple in place of the unsorted one, unless they
     were built in that order (:func:`dagmut.graph.enumerate_paths`).
     ``==`` and ``hash`` are those of the term set, so they never sort.
-    Code in this package that needs no order reads ``_terms``, which holds
-    the terms in whichever of the two orders they are in.
+    Code in this package that needs no order reads ``_terms``, the code
+    strings in whichever of the two orders they are in.
     """
 
     __slots__ = ("_terms", "_canonical")
 
     def __init__(self, terms: Iterable[Sequence[str]] = ()):
-        unique = dict.fromkeys(map(tuple, terms))
-        if () in unique:
+        unique = dict.fromkeys(map(_encode, terms))
+        if "" in unique:
             raise ValueError("product terms must be nonempty")
         object.__setattr__(self, "_terms", tuple(unique))
         object.__setattr__(self, "_canonical", len(unique) < 2)
 
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        """The terms in canonical order: shortest first, then lexicographic."""
+    def _sorted(self) -> tuple[Code, ...]:
+        """``_terms`` in canonical order, sorted on the first call."""
         if not self._canonical:
             object.__setattr__(self, "_terms", _canonical_order(self._terms))
             object.__setattr__(self, "_canonical", True)
         return self._terms
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms in canonical order: shortest first, then lexicographic."""
+        return _decode_all(self._sorted())
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -130,8 +226,9 @@ class SopfRe:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # pickle and copy through the constructor; the fields are read-only
-        return SopfRe, (self._terms,)
+        # pickle and copy through the constructor, by symbol names: another
+        # process gives the symbols other codes
+        return SopfRe, (_decode_all(self._terms),)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SopfRe):
@@ -153,18 +250,19 @@ class SopfRe:
         return len(self._terms)
 
     def __contains__(self, term) -> bool:
-        return tuple(term) in self._terms
+        return _encode(term) in self._terms
 
     def symbols(self) -> frozenset[str]:
-        return frozenset().union(*self._terms)
+        return frozenset(map(_NAMES.__getitem__, set("".join(self._terms))))
 
 
-def _trusted(terms: tuple[Term, ...], *, canonical: bool = False) -> SopfRe:
+def _trusted(terms: tuple[Code, ...], *, canonical: bool = False) -> SopfRe:
     """A :class:`SopfRe` over ``terms`` without the constructor's checks.
 
-    The caller guarantees a tuple of distinct nonempty tuples: a filter of
-    one expression's terms, or terms it built distinct.  ``canonical``
-    says that they are already in canonical order, so no read sorts them.
+    The caller guarantees a tuple of distinct nonempty code strings: a
+    filter of one expression's terms, or terms it built distinct.
+    ``canonical`` says that they are already in canonical order, so no
+    read sorts them.
     """
     r = object.__new__(SopfRe)
     object.__setattr__(r, "_terms", terms)
@@ -175,7 +273,7 @@ def _trusted(terms: tuple[Term, ...], *, canonical: bool = False) -> SopfRe:
 # --------------------------------------------------------------------------
 # counter plumbing
 
-def _count_probes(counters: "OpCounters | None", terms: Sequence[Term]) -> None:
+def _count_probes(counters: "OpCounters | None", terms: Sequence[Code]) -> None:
     # a set membership probe hashes/compares the whole term
     if counters is not None:
         counters.set_lookups += len(terms)
@@ -198,72 +296,47 @@ def check_pattern(pattern: Sequence[str]) -> Term:
     return pat
 
 
-def _find(terms: Sequence[Term], pattern: Term, counters: "OpCounters | None",
+def _find(terms: Sequence[Code], pattern: Code, counters: "OpCounters | None",
           *, last: bool = False) -> list[int | None]:
     """Index of the first (or last) occurrence of ``pattern`` in each term,
-    ``None`` where it is missing.
+    ``None`` where it is missing; one ``str.find`` (``str.rfind``) each.
 
-    Only the occurrences of ``pattern[0]`` are visited (``tuple.index``).
-    A search for the first occurrence stops there when it matches; the
-    occurrences are counted only when it misses, and looped over only when
-    the symbol repeats.  The comparison count is the scan model's, in
-    closed form.
+    With counters, the scan model's comparisons in closed form: a search
+    for the first occurrence that matches stops there, having checked the
+    second symbol after every occurrence of the first up to it; any other
+    search reads every start position and checks the second symbol after
+    each occurrence of the first where a match may start.
     """
-    p0 = pattern[0]
-    p1 = pattern[-1]
-    w = len(pattern) - 1            # 1 if a second symbol is checked
-    ks: list[int | None] = []
-    cost = 0
-    for t in terms:
-        n = len(t)
-        k = -1
-        seen = 0                    # occurrences of p0 visited so far
-        if not last:
-            try:
-                k = t.index(p0)
-                seen = 1
-            except ValueError:      # no p0: only on ht's and tt's error path
-                pass
-            else:
-                if not w or (k + 1 < n and t[k + 1] == p1):
-                    ks.append(k)
-                    cost += k + 1 + w
-                    continue
-        hits = t.count(p0) - (w and t[-1] == p0)    # where a match may start
-        found = None
-        while seen < hits:
-            seen += 1
-            k = t.index(p0, k + 1)
-            if not w or t[k + 1] == p1:
-                found = k
-                if not last:
-                    break
-        ks.append(found)
-        if found is None or last:
-            # every start position, and the second symbol after each hit
-            cost += n - w + w * hits
-        else:
-            cost += found + 1 + w * seen
+    search = str.rfind if last else str.find
+    ks = [None if k < 0 else k for k in map(search, terms, repeat(pattern))]
     if counters is not None:
+        p0 = pattern[0]
+        w = len(pattern) - 1            # 1 if a second symbol is checked
+        cost = 0
+        for t, k in zip(terms, ks):
+            if k is None or last:
+                cost += len(t) - w + w * (t.count(p0) - (w and t[-1] == p0))
+            else:
+                cost += k + 1 + w * t.count(p0, 0, k + 1)
         counters.symbol_comparisons += cost
     return ks
 
 
-def _cut_points(terms: Sequence[Term], pattern: Term, counters: "OpCounters | None",
+def _cut_points(terms: Sequence[Code], pattern: Code, counters: "OpCounters | None",
                 *, last: bool) -> list[int]:
     """Index of the first (or last) occurrence of ``pattern`` in each term;
     every term must contain it."""
     ks = _find(terms, pattern, counters, last=last)
     if None in ks:
         # name the canonically first term without the pattern
-        term = min((t for t, k in zip(terms, ks) if k is None), key=term_key)
+        term = min((_decode(t) for t, k in zip(terms, ks) if k is None), key=term_key)
         raise ValueError(f"term {''.join(term)!r} does not contain the pattern")
     return ks
 
 
-def _heads(terms: Sequence[Term], sym: str, counters: "OpCounters | None") -> SopfRe:
-    """``ht`` of ``terms`` for ``(sym,)``, without its check: the caller
-    guarantees that every term holds ``sym``.
+def _heads(terms: Sequence[Code], sym: Code, counters: "OpCounters | None") -> SopfRe:
+    """``ht`` of ``terms`` for the symbol coded ``sym``, without its check:
+    the caller guarantees that every term holds it.
 
     One pass cuts each term just after its first ``sym``.  Counted as
     :func:`ht`: the scan up to that ``sym``, then a copy and a probe of
@@ -279,16 +352,15 @@ def _heads(terms: Sequence[Term], sym: str, counters: "OpCounters | None") -> So
     return _trusted(tuple(dict.fromkeys(heads)))
 
 
-def _tails(terms: Sequence[Term], sym: str, counters: "OpCounters | None") -> SopfRe:
-    """``tt`` of ``terms`` for ``(sym,)``, without its check: the caller
-    guarantees that every term holds ``sym``.
+def _tails(terms: Sequence[Code], sym: Code, counters: "OpCounters | None") -> SopfRe:
+    """``tt`` of ``terms`` for the symbol coded ``sym``, without its check:
+    the caller guarantees that every term holds it.
 
-    One pass cuts each term at its last ``sym``: ``~j`` is that position
-    counted from the end, ``j`` being its index in the reversed term.
-    Counted as :func:`tt`: a scan of each whole term, then a copy and a
-    probe of each tail, all before deduplication.
+    One pass cuts each term at its last ``sym``.  Counted as :func:`tt`:
+    a scan of each whole term, then a copy and a probe of each tail, all
+    before deduplication.
     """
-    tails = [t[~t[::-1].index(sym):] for t in terms]
+    tails = [t[t.rindex(sym):] for t in terms]
     if counters is not None:
         # a last occurrence is scanned to the end of its term
         counters.symbol_comparisons += sum(map(len, terms))
@@ -298,63 +370,51 @@ def _tails(terms: Sequence[Term], sym: str, counters: "OpCounters | None") -> So
     return _trusted(tuple(dict.fromkeys(tails)))
 
 
-def _select(r: SopfRe, held: tuple[Term, ...], pattern: Term,
+def _select(r: SopfRe, held: tuple[Code, ...], pattern: Code,
             counters: "OpCounters | None") -> SopfRe:
     """``pt(r, pattern)``, given ``held``: the terms of ``r`` that hold
     ``pattern[0]``, in ``r``'s order.  Counted as :func:`pt`'s scan of all
-    of ``r``.
-
-    A pair is searched for only in the terms that also hold its second
-    symbol; the others are counted as scanned to their end.
-    """
+    of ``r``."""
     if len(pattern) == 1:
         picked = held
     else:
-        both = tuple(compress(held, map(contains, held, repeat(pattern[1]))))
-        picked = tuple(compress(both, map(is_not, _find(both, pattern, counters),
-                                          repeat(None))))
+        picked = tuple(compress(held, map(contains, held, repeat(pattern))))
     if counters is not None:
         _count_select(r._terms, held, pattern, len(picked), counters)
     return _trusted(picked)
 
 
-def _count_select(terms: Sequence[Term], held: Sequence[Term], pattern: Term,
+def _count_select(terms: Sequence[Code], held: Sequence[Code], pattern: Code,
                   picked: int, counters: "OpCounters") -> None:
     """Count :func:`pt`'s scan of ``terms`` for ``pattern``, given ``held``,
-    the terms that hold ``pattern[0]``, and the number of matches: all of
-    it but the pair search in the terms that hold both symbols, which
-    :func:`_find` counts."""
+    the terms that hold ``pattern[0]``, and the number of matches."""
     # every position of a skipped term is scanned; a single symbol is
-    # found at its first occurrence
+    # found at its first occurrence, a pair searched for as _find counts
     skipped = len(terms) - len(held)
     counters.symbol_comparisons += (sum(map(len, terms)) - sum(map(len, held))
                                     - (len(pattern) - 1) * skipped)
     if len(pattern) == 1:
-        counters.symbol_comparisons += (sum(map(tuple.index, held, repeat(pattern[0])))
-                                        + len(held))
+        counters.symbol_comparisons += sum(map(str.index, held, repeat(pattern))) + len(held)
     else:
-        # a term without the second symbol is a miss: every start
-        # position, and the second symbol after each hit of the first
-        # (_find's count)
-        p0, p1 = pattern
-        rest = tuple(compress(held, map(not_, map(contains, held, repeat(p1)))))
-        counters.symbol_comparisons += (
-            sum(map(len, rest)) - len(rest)
-            + sum(map(tuple.count, rest, repeat(p0)))
-            - sum(map(eq, map(itemgetter(-1), rest), repeat(p0))))
+        _find(held, pattern, counters)
     counters.term_copies += picked
 
 
-def _split(terms: tuple[Term, ...], sym: str) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+def _split(terms: tuple[Code, ...], sym: Code) -> tuple[tuple[Code, ...], tuple[Code, ...]]:
     """The terms that hold ``sym`` and the others, each in ``terms``' order:
     :func:`pt`'s one-symbol selection and its complement, from one scan."""
     holds = list(map(contains, terms, repeat(sym)))
     return tuple(compress(terms, holds)), tuple(compress(terms, map(not_, holds)))
 
 
+def _pattern(pattern: Sequence[str]) -> Code:
+    """The code string of a checked search pattern."""
+    return "".join(map(_code, check_pattern(pattern)))
+
+
 def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Terms of ``r`` containing ``pattern`` as a contiguous symbol run."""
-    pat = check_pattern(pattern)
+    pat = _pattern(pattern)
     terms = r._terms
     # a term without the first symbol cannot match; only the others are searched
     held = tuple(compress(terms, map(contains, terms, repeat(pat[0]))))
@@ -364,29 +424,29 @@ def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
 def ht(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Prefixes of the terms of ``p``, each cut just after the first occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
-    pat = check_pattern(pattern)
+    pat = _pattern(pattern)
     terms = p._terms
-    if len(pat) == 1 and all(map(contains, terms, repeat(pat[0]))):
-        return _heads(terms, pat[0], counters)
+    if len(pat) == 1 and all(map(contains, terms, repeat(pat))):
+        return _heads(terms, pat, counters)
     ends = _cut_points(terms, pat, counters, last=False)
     heads = [t[:k + len(pat)] for t, k in zip(terms, ends)]
     _count_copies(counters, len(heads))
     _count_probes(counters, heads)
-    return SopfRe(tuple(heads))
+    return _trusted(tuple(dict.fromkeys(heads)))
 
 
 def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Suffixes of the terms of ``p``, each starting at the last occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
-    pat = check_pattern(pattern)
+    pat = _pattern(pattern)
     terms = p._terms
-    if len(pat) == 1 and all(map(contains, terms, repeat(pat[0]))):
-        return _tails(terms, pat[0], counters)
+    if len(pat) == 1 and all(map(contains, terms, repeat(pat))):
+        return _tails(terms, pat, counters)
     starts = _cut_points(terms, pat, counters, last=True)
     tails = [t[k:] for t, k in zip(terms, starts)]
     _count_copies(counters, len(tails))
     _count_probes(counters, tails)
-    return SopfRe(tuple(tails))
+    return _trusted(tuple(dict.fromkeys(tails)))
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +456,7 @@ def set_union(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> Sop
     return _extend(a, b, a._terms, counters)
 
 
-def _extend(r: SopfRe, extra: SopfRe, candidates: Sequence[Term],
+def _extend(r: SopfRe, extra: SopfRe, candidates: Sequence[Code],
             counters: "OpCounters | None" = None) -> SopfRe:
     """The union of ``r`` and ``extra``, hashing only ``extra`` and
     ``candidates``: ``r``'s terms, then those of ``extra`` not among them.
@@ -429,11 +489,12 @@ def set_concat(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> So
     joined = [x + y for x in a._terms for y in b._terms]
     _count_copies(counters, len(joined))
     _count_probes(counters, joined)
-    return SopfRe(tuple(joined))
+    # both factors are nonempty, so no product is
+    return _trusted(tuple(dict.fromkeys(joined)))
 
 
 def add_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
-    t = tuple(term)
+    t = _encode(term)
     if not t:
         raise ValueError("product terms must be nonempty")
     _count_probes(counters, (t,))
@@ -444,7 +505,7 @@ def add_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = Non
 
 
 def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
-    t = tuple(term)
+    t = _encode(term)
     _count_probes(counters, (t,))
     if t not in r._terms:
         return r
@@ -483,23 +544,36 @@ def parse_sopf(text: str, *, dotted: bool | None = None) -> SopfRe:
         return SopfRe()
     if dotted is None:
         dotted = "." in stripped
+    # token -> code: each distinct token is validated once per call
+    seen: dict[str, Code] = {}
+
+    def code(token: str) -> Code:
+        c = seen.get(token)
+        if c is None:
+            try:
+                validate_symbol(token)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+            c = seen[token] = _code(token)
+        return c
+
     terms = []
     for chunk in stripped.split("+"):
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty product term")
-        parts = chunk.split(".") if dotted else list(chunk)
-        try:
-            terms.append(tuple(validate_symbol(p) for p in parts))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    return SopfRe(tuple(terms))
+        terms.append("".join(map(code, chunk.split(".") if dotted else chunk)))
+    # every term holds at least one validated, nonempty symbol
+    return _trusted(tuple(dict.fromkeys(terms)))
 
 
 def print_sopf(r: SopfRe, *, dotted: bool = False) -> str:
     """Render in canonical order; the empty expression prints as ``EMPTY``."""
-    if not r.terms:
+    terms = r._sorted()
+    if not terms:
         return EMPTY_TOKEN
+    if all(map(str.isascii, terms)):
+        # every symbol is one character, its own code
+        return " + ".join(map(".".join, terms) if dotted else terms)
     use_dots = dotted or max(map(len, r.symbols())) > 1
-    sep = "." if use_dots else ""
-    return " + ".join(map(sep.join, r.terms))
+    return " + ".join(map(("." if use_dots else "").join, map(_decode, terms)))

@@ -2,8 +2,9 @@
 and random models with scripts."""
 from hypothesis import strategies as st
 
-from dagmut import GenConfig, SopfRe, random_model, random_script
+from dagmut import Dg, GenConfig, SopfRe, apply_dg_op, random_model, random_script
 from dagmut.oracle import MAX_GEN_NODES
+from dagmut.sopf import _decode
 
 # Seventeen nodes a..q, twenty arcs, one start (a) and one finish (q).
 SAMPLE_ARCS = [
@@ -54,6 +55,12 @@ def count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def built(re: SopfRe) -> list[tuple[str, ...]]:
+    """The terms of ``re`` as symbol tuples, in the order they are stored
+    (construction order until the first sorted read)."""
+    return list(map(_decode, re._terms))
+
+
 def spell(re: SopfRe) -> set[str]:
     """Compact spellings of all terms, as a set."""
     return {"".join(term) for term in re}
@@ -68,3 +75,24 @@ def scripted_models(draw):
                     script_length=draw(st.integers(0, 8)))
     g = random_model(cfg)
     return g, random_script(cfg, g)
+
+
+@st.composite
+def flagged_models(draw):
+    """A scripted model after its script, so operators have left sticky
+    flags on inner nodes, renamed to multi-character names, with more
+    start and finish flags on top."""
+    g, script = draw(scripted_models())
+    for op in script:
+        g = apply_dg_op(g, op)
+    nodes = sorted(g.nodes)
+    # names over a small alphabet share prefixes ("a" < "a1" < "ab"), so
+    # the order of name sequences differs from that of their spellings
+    names = draw(st.lists(st.text("ab1", min_size=1, max_size=3),
+                          min_size=len(nodes), max_size=len(nodes), unique=True))
+    rename = dict(zip(nodes, names))
+    extra = st.sets(st.sampled_from(nodes)) if nodes else st.just(set())
+    starts = g.starts | draw(extra)
+    finishes = g.finishes | draw(extra)
+    return Dg({rename[v] for v in g.nodes}, {(rename[a], rename[b]) for a, b in g.arcs},
+              {rename[v] for v in starts}, {rename[v] for v in finishes})

@@ -1,13 +1,18 @@
 """Command-line behavior: output, formats, exit codes."""
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
 
 import dagmut.sopf
-from dagmut import BOUND_EXPONENTS, cli, graph
+from dagmut import BOUND_EXPONENTS, cli, enumerate_paths, graph, parse_graph, print_sopf
 from dagmut.cli import main
+from dagmut.graph import render_graph
 from dagmut.metrics import MAX_TREND_SIZE
 from dagmut.oracle import MAX_GEN_NODES
 
-from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, count_calls
+from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, count_calls, flagged_models
 
 
 @pytest.fixture
@@ -117,6 +122,59 @@ def test_convert_never_sorts(capsys, graph_file, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "convert", multi, "--format", "machine")
     assert code == 0 and out == "n1.n2 + n1.n10.x + n1.n2.x\n"
     assert calls == []
+
+
+def convert_output(path, fmt: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["convert", str(path), "--format", fmt]) == 0
+    return out.getvalue()
+
+
+def assert_convert_prints_its_expression(path):
+    g = parse_graph(path.read_text())
+    for fmt in ("pretty", "machine"):
+        expected = print_sopf(enumerate_paths(g), dotted=fmt == "machine")
+        assert convert_output(path, fmt) == expected + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(flagged_models())
+def test_convert_prints_the_expression_of_its_graph(tmp_path_factory, g):
+    # convert spells the paths from the node names as it walks them; the
+    # expression side codes them and prints them back by name
+    path = tmp_path_factory.mktemp("convert") / "model.dg"
+    path.write_text(render_graph(g))
+    assert_convert_prints_its_expression(path)
+
+
+@pytest.mark.parametrize("text, pretty", [
+    ("arc a b\narc b long\nnode xy\nstart a\nfinish b\n", "ab"),
+    ("arc a b\nstart b\nfinish a\n", "EMPTY"),
+    ("".join(f"arc n{k} n{k + 1}\n" for k in range(19_999)),
+     ".".join(f"n{k}" for k in range(20_000))),
+], ids=["multichar_nodes_on_no_path", "empty_language", "chain_of_20000"])
+def test_convert_prints_the_expression_of_named_graphs(tmp_path, text, pretty):
+    path = tmp_path / "model.dg"
+    path.write_text(text)
+    assert_convert_prints_its_expression(path)
+    assert convert_output(path, "pretty") == pretty + "\n"
+
+
+def test_alphabet_full_is_an_input_error(capsys, monkeypatch, tmp_path):
+    # a fresh alphabet with no code point left: convert spells names and
+    # needs none, mutate codes the expression's symbols
+    ascii_codes = {chr(c): chr(c) for c in range(128)}
+    monkeypatch.setattr(dagmut.sopf, "_CODES", dict(ascii_codes))
+    monkeypatch.setattr(dagmut.sopf, "_NAMES", dict(ascii_codes))
+    monkeypatch.setattr(dagmut.sopf, "_next_code", 0x110000)
+    path = tmp_path / "model.dg"
+    path.write_text("arc a long_name\n")
+    code, out, _ = run(capsys, "convert", path)
+    assert (code, out) == (0, "a.long_name\n")
+    code, out, err = run(capsys, "mutate", path, "--script", "(a,long_name)o_a")
+    assert (code, out) == (1, "")
+    assert err == "error: alphabet full: no code point left for symbol 'long_name'\n"
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +311,59 @@ def test_bench_machine_records(capsys):
     assert len(lines) == 4
     assert all("size=" in l and "cost=" in l and "verdict=pass" in l
                for l in lines)
+
+
+# The whole machine report at the default sizes.  Each cost is a sum of
+# OpCounters fields, so a change that moves what an operation counts moves
+# a line here and must say why.
+PINNED_BENCH = """\
+op=set_union size=8 cost=112 exponent=1.000 verdict=pass
+op=set_union size=16 cost=224 exponent=1.000 verdict=pass
+op=set_union size=32 cost=448 exponent=1.000 verdict=pass
+op=set_union size=64 cost=896 exponent=1.000 verdict=pass
+op=set_difference size=8 cost=104 exponent=1.000 verdict=pass
+op=set_difference size=16 cost=208 exponent=1.000 verdict=pass
+op=set_difference size=32 cost=416 exponent=1.000 verdict=pass
+op=set_difference size=64 cost=832 exponent=1.000 verdict=pass
+op=set_concat size=8 cost=832 exponent=2.000 verdict=pass
+op=set_concat size=16 cost=3328 exponent=2.000 verdict=pass
+op=set_concat size=32 cost=13312 exponent=2.000 verdict=pass
+op=set_concat size=64 cost=53248 exponent=2.000 verdict=pass
+op=pt size=8 cost=43 exponent=0.941 verdict=pass
+op=pt size=16 cost=75 exponent=0.941 verdict=pass
+op=pt size=32 cost=153 exponent=0.941 verdict=pass
+op=pt size=64 cost=298 exponent=0.941 verdict=pass
+op=ht size=8 cost=60 exponent=0.975 verdict=pass
+op=ht size=16 cost=136 exponent=0.975 verdict=pass
+op=ht size=32 cost=238 exponent=0.975 verdict=pass
+op=ht size=64 cost=474 exponent=0.975 verdict=pass
+op=tt size=8 cost=80 exponent=1.014 verdict=pass
+op=tt size=16 cost=160 exponent=1.014 verdict=pass
+op=tt size=32 cost=333 exponent=1.014 verdict=pass
+op=tt size=64 cost=653 exponent=1.014 verdict=pass
+op=arc_insert size=8 cost=150 exponent=0.983 verdict=pass
+op=arc_insert size=16 cost=294 exponent=0.983 verdict=pass
+op=arc_insert size=32 cost=582 exponent=0.983 verdict=pass
+op=arc_insert size=64 cost=1158 exponent=0.983 verdict=pass
+op=arc_omit size=8 cost=150 exponent=0.960 verdict=pass
+op=arc_omit size=16 cost=286 exponent=0.960 verdict=pass
+op=arc_omit size=32 cost=558 exponent=0.960 verdict=pass
+op=arc_omit size=64 cost=1102 exponent=0.960 verdict=pass
+op=node_insert size=8 cost=275 exponent=0.916 verdict=pass
+op=node_insert size=16 cost=499 exponent=0.916 verdict=pass
+op=node_insert size=32 cost=947 exponent=0.916 verdict=pass
+op=node_insert size=64 cost=1843 exponent=0.916 verdict=pass
+op=node_omit size=8 cost=285 exponent=0.968 verdict=pass
+op=node_omit size=16 cost=549 exponent=0.968 verdict=pass
+op=node_omit size=32 cost=1077 exponent=0.968 verdict=pass
+op=node_omit size=64 cost=2133 exponent=0.968 verdict=pass
+"""
+
+
+def test_bench_machine_report_is_pinned(capsys):
+    code, out, err = run(capsys, "bench", "--format", "machine", "--sizes", "8,16,32,64")
+    assert (code, err) == (0, "")
+    assert out == PINNED_BENCH
 
 
 def test_bench_reports_every_bounded_kind(capsys):

@@ -22,7 +22,7 @@ from dagmut import (
 from dagmut.oracle import default_flags, naive_enumerate, topological_order
 from dagmut.sopf import term_key
 
-from support import SAMPLE_TERMS, scripted_models, spell
+from support import SAMPLE_TERMS, built, flagged_models, scripted_models, spell
 
 
 # --------------------------------------------------------------------------
@@ -418,32 +418,12 @@ def test_derived_graphs_keep_their_index_exact(model):
         assert topological_order(g) == _sort_based_kahn(g)
 
 
-@st.composite
-def flagged_models(draw):
-    """A scripted model after its script, so operators have left sticky
-    flags on inner nodes, renamed to multi-character names, with more
-    start and finish flags on top."""
-    g, script = draw(scripted_models())
-    for op in script:
-        g = apply_dg_op(g, op)
-    nodes = sorted(g.nodes)
-    # names over a small alphabet share prefixes ("a" < "a1" < "ab"), so
-    # the order of name sequences differs from that of their spellings
-    names = draw(st.lists(st.text("ab1", min_size=1, max_size=3),
-                          min_size=len(nodes), max_size=len(nodes), unique=True))
-    rename = dict(zip(nodes, names))
-    extra = st.sets(st.sampled_from(nodes)) if nodes else st.just(set())
-    starts = g.starts | draw(extra)
-    finishes = g.finishes | draw(extra)
-    return Dg({rename[v] for v in g.nodes}, {(rename[a], rename[b]) for a, b in g.arcs},
-              {rename[v] for v in starts}, {rename[v] for v in finishes})
-
-
 @settings(max_examples=150, deadline=None)
 @given(flagged_models())
 def test_enumerated_terms_come_out_in_canonical_order(g):
     re = enumerate_paths(g)
     assert re._canonical
-    assert re._terms == tuple(sorted(re._terms, key=term_key))
+    terms = built(re)
+    assert terms == sorted(terms, key=term_key)
     naive = naive_enumerate(g)
-    assert len(re._terms) == len(naive) and set(re._terms) == set(naive)
+    assert len(terms) == len(naive) and set(terms) == set(naive)

@@ -37,9 +37,10 @@ from dagmut import (
     ref_apply,
 )
 from dagmut import graph
-from dagmut.sopf import add_term, remove_term, term_key
+from dagmut import sopf as sopf_module
+from dagmut.sopf import _trusted, add_term, remove_term, term_key
 
-from support import MUTATED_TERMS, count_calls, scripted_models, spell, sopf
+from support import MUTATED_TERMS, built, count_calls, scripted_models, spell, sopf
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +256,7 @@ def rebuilt(re: SopfRe) -> SopfRe:
     """``re`` through the public constructor, after checking that its terms
     are already distinct."""
     assert len(set(re._terms)) == len(re._terms)
-    return SopfRe(re._terms)
+    return SopfRe(built(re))
 
 
 @pytest.mark.parametrize("terms", [
@@ -303,7 +304,7 @@ def test_arc_omit_finds_the_last_holder_of_its_target():
     # "cb" is the one term holding b that is not joined; it holds no a and
     # sits last, behind a term that holds neither endpoint
     st_ = ModelState(parse_graph("arc a b\narc c b\nnode d"), sopf("ab", "d", "cb"))
-    expected = ref_apply(NaiveLang(list(st_.re._terms)), ArcOmit("a", "b"), st_.dg)
+    expected = ref_apply(NaiveLang(built(st_.re)), ArcOmit("a", "b"), st_.dg)
     out, entry = arc_omit(st_, "a", "b")
     assert out.re == rebuilt(out.re) == sopf("a", "d", "cb")
     assert equivalent(out.re, expected)
@@ -320,7 +321,7 @@ def hand_built_states(draw):
     if g.nodes:
         terms = draw(st.lists(st.lists(st.sampled_from(sorted(g.nodes)), min_size=1,
                                        max_size=5).map(tuple), max_size=6))
-    re = SopfRe(model_from_graph(g).re._terms + tuple(terms))
+    re = SopfRe(built(model_from_graph(g).re) + terms)
     return ModelState(g, re), script
 
 
@@ -329,7 +330,7 @@ def hand_built_states(draw):
 def test_operator_results_are_distinct_and_match_the_reference(model):
     state, script = model
     for op in script:
-        expected = ref_apply(NaiveLang(list(state.re._terms)), op, state.dg)
+        expected = ref_apply(NaiveLang(built(state.re)), op, state.dg)
         try:
             state, _ = apply_op(state, op)
         except ValueError:
@@ -419,7 +420,7 @@ def test_node_omit_sees_a_fragment_left_by_an_earlier_step():
     # only other term holding b, so omitting v -> b brings no tail "b" back
     state = model_from_graph(parse_graph("arc v a\narc v b\narc a b"))
     assert state.re == sopf("vab", "vb")
-    expected = ref_apply(NaiveLang(list(state.re._terms)), NodeOmit("v"), state.dg)
+    expected = ref_apply(NaiveLang(built(state.re)), NodeOmit("v"), state.dg)
     out, entry = node_omit(state, "v")
     assert [step.notation for step in entry.sub] == ["(va)o_a", "(vb)o_a"]
     assert [step.terms_added for step in entry.sub] == [1, 1]
@@ -594,6 +595,32 @@ def test_node_operators_select_their_node_once(monkeypatch, sample_state):
     assert len(entry.sub) == 4
     assert ("v",) not in scans
     assert sorted(set(scans)) == [("a",), ("c",), ("h",), ("i",)]
+
+
+def test_uncounted_operators_run_no_pair_loop_and_reverse_no_term(monkeypatch, sample_state):
+    # terms are code-point strings: a pair is one substring search and a
+    # last occurrence one rindex, so only counting runs _find's loop
+    finds = count_calls(monkeypatch, sopf_module, "_find")
+    steps = []
+
+    class SpiedTerm(str):
+        """A term that records the step of every slice taken of it."""
+
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                steps.append(key.step)
+            return str.__getitem__(self, key)
+
+    spied = ModelState(sample_state.dg, _trusted(tuple(map(SpiedTerm, sample_state.re._terms))))
+    ops = [ArcInsert("b", "e"), ArcOmit("c", "d"), ArcOmit("h", "j"),
+           NodeInsert("v", ("h",), ("a", "c")), NodeOmit("h"), NodeOmit("g")]
+    for op in ops:
+        apply_op(spied, op)
+    assert finds == []
+    assert steps and all(step is None for step in steps)
+    for op in ops:
+        apply_op(spied, op, OpCounters())
+    assert finds
 
 
 def test_node_omit_unknown(sample_state):

@@ -1,14 +1,22 @@
 """Term algebra: selectors, set operations and the textual form."""
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dagmut import ParseError, SopfRe, parse_sopf, print_sopf
+import dagmut
+from dagmut import ModelError, ParseError, SopfRe, parse_sopf, print_sopf
+from dagmut import sopf as sopf_module
 from dagmut.metrics import OpCounters
 from dagmut.sopf import (
+    _code,
+    _encode,
     _extend,
     _find,
     _heads,
@@ -25,7 +33,7 @@ from dagmut.sopf import (
     validate_symbol,
 )
 
-from support import sopf, spell
+from support import built, count_calls, sopf, spell
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +204,30 @@ def test_parse_errors():
     for bad in ["", "a +", "+ a", "a ++ b", "a.b + c(", "a. b"]:
         with pytest.raises(ParseError):
             parse_sopf(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("   ", "empty expression text"),
+    ("a ++ b", "empty product term"),
+    ("a.b + c(", "symbol 'c(' contains reserved character '('"),
+    ("a. b", "symbol ' b' contains reserved character ' '"),
+    ("a.EMPTY", "'EMPTY' is reserved for the empty expression"),
+    ("ab + c{", "symbol '{' contains reserved character '{'"),
+    ("a..b", "symbol must be a nonempty string"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_sopf(text)
+    assert str(err.value) == message
+
+
+def test_parse_validates_each_distinct_token_once(monkeypatch):
+    calls = count_calls(monkeypatch, sopf_module, "validate_symbol")
+    assert parse_sopf("ab + ba + abc + cab") == sopf("ab", "ba", "abc", "cab")
+    assert sorted(sym for sym, in calls) == ["a", "b", "c"]
+    calls.clear()
+    assert parse_sopf("n1.n2 + n2.n1 + n1") == SopfRe([("n1", "n2"), ("n2", "n1"), ("n1",)])
+    assert sorted(sym for sym, in calls) == ["n1", "n2"]
 
 
 def test_dot_free_multicharacter_token_reads_as_compact():
@@ -371,7 +403,9 @@ scan_patterns = st.lists(scan_symbols, min_size=1, max_size=2).map(tuple)
 @given(st.lists(scan_terms, max_size=6), scan_patterns, st.booleans())
 def test_find_matches_the_scan(terms, s, last):
     got, want = OpCounters(), OpCounters()
-    assert _find(terms, s, got, last=last) == [ref_find(t, s, want, last=last) for t in terms]
+    codes = list(map(_encode, terms))
+    assert (_find(codes, _encode(s), got, last=last)
+            == [ref_find(t, s, want, last=last) for t in terms])
     assert got == want
 
 
@@ -389,7 +423,7 @@ def test_ht_tt_match_the_scan(r, s):
     held = pt(r, s[:1])
     for kernel, last in ((_heads, False), (_tails, True)):
         def cut(p, sym, counters):
-            return kernel(p._terms, sym, counters)
+            return kernel(p._terms, _code(sym), counters)
         same_run(cut, lambda p, sym, c: ref_cut(p, (sym,), c, last=last), held, s[0])
         uncounted = cut(held, s[0], None)
         assert uncounted == ref_cut(held, s[:1], OpCounters(), last=last)
@@ -406,8 +440,8 @@ def test_union_and_difference_match_the_scan(a, b):
 @given(scan_exprs, scan_exprs, st.randoms(use_true_random=False))
 def test_extend_matches_the_union(a, b, rnd):
     # the candidates hold every term of a that b holds, plus some others
-    shared = [t for t in a._terms if t in b]
-    others = [t for t in a._terms if t not in b]
+    shared = [t for t in a._terms if t in b._terms]
+    others = [t for t in a._terms if t not in b._terms]
     candidates = shared + rnd.sample(others, rnd.randint(0, len(others)))
     same_run(lambda x, y, c: _extend(x, y, candidates, c), ref_union, a, b)
     merged = _extend(a, b, candidates)
@@ -418,8 +452,8 @@ def test_find_first_and_last_with_repeated_symbols():
     term = ("a", "b", "a", "b", "a")
     for s, first, final in [(("a",), 0, 4), (("a", "b"), 0, 2), (("b", "a"), 1, 3),
                             (("a", "a"), None, None)]:
-        assert _find([term], s, None) == [first]
-        assert _find([term], s, None, last=True) == [final]
+        assert _find([_encode(term)], _encode(s), None) == [first]
+        assert _find([_encode(term)], _encode(s), None, last=True) == [final]
 
 
 @given(st.lists(scan_terms, max_size=12), st.randoms(use_true_random=False))
@@ -445,8 +479,101 @@ def test_kernel_results_do_not_depend_on_term_order(xs, ys, s, rnd):
              (add_term(a1, ("c",)), add_term(a2, ("c",))),
              (remove_term(a1, ("a",)), remove_term(a2, ("a",)))]
     for x, y in pairs:
-        built = x._terms  # construction order, until the first read of terms
-        assert len(set(built)) == len(built)
+        order = built(x)  # construction order, until the first read of terms
+        assert len(set(order)) == len(order)
         assert hash(x) == hash(y) and x == y
         assert repr(x) == repr(y)
-        assert x.terms == y.terms == tuple(sorted(built, key=term_key))
+        assert x.terms == y.terms == tuple(sorted(order, key=term_key))
+
+
+# --------------------------------------------------------------------------
+# the alphabet
+#
+# Terms are stored as code-point strings.  Each example below starts from a
+# fresh alphabet and registers its names in a drawn order, so a non-ASCII
+# name may be handed the code point that is itself a name ("Ā" is U+0100,
+# the first code handed out).
+
+MIXED_NAMES = ["a", "b", "c", "n1", "xy", "Ā", "é"]
+mixed_symbols = st.sampled_from(MIXED_NAMES)
+mixed_terms = st.lists(mixed_symbols, min_size=1, max_size=6).map(tuple)
+mixed_term_lists = st.lists(mixed_terms, max_size=8)
+mixed_patterns = st.lists(mixed_symbols, min_size=1, max_size=2).map(tuple)
+
+
+def fresh_alphabet(mp, order):
+    """Give ``mp`` a fresh alphabet holding only ASCII, then register
+    ``order`` in turn."""
+    ascii_codes = {chr(c): chr(c) for c in range(128)}
+    mp.setattr(sopf_module, "_CODES", dict(ascii_codes))
+    mp.setattr(sopf_module, "_NAMES", dict(ascii_codes))
+    mp.setattr(sopf_module, "_next_code", 0x100)
+    sopf_module._codes(order)
+
+
+def ref_concat(a, b, counters):
+    products = []
+    for x in a:
+        for y in b:
+            counters.term_copies += 1
+            ref_probe(counters, x + y)
+            products.append(x + y)
+    return SopfRe(products)
+
+
+@given(st.permutations(MIXED_NAMES), mixed_term_lists, mixed_term_lists, mixed_patterns,
+       mixed_terms)
+def test_mixed_alphabet_operations_match_the_tuple_loops(order, xs, ys, s, t):
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_alphabet(mp, order)
+        a, b = SopfRe(xs), SopfRe(ys)
+        same_run(pt, ref_pt, a, s)
+        p = pt(a, s)
+        same_run(ht, lambda *args: ref_cut(*args, last=False), p, s)
+        same_run(tt, lambda *args: ref_cut(*args, last=True), p, s)
+        same_run(set_union, ref_union, a, b)
+        same_run(set_difference, ref_difference, a, b)
+        same_run(set_concat, ref_concat, a, b)
+        assert add_term(a, t) == SopfRe([*xs, t])
+        assert remove_term(a, t) == SopfRe([x for x in xs if x != t])
+        # the public view is in symbol names, in their canonical order
+        assert a.terms == tuple(sorted(set(xs), key=term_key))
+        assert list(a) == list(a.terms)
+        assert a.symbols() == {sym for x in xs for sym in x}
+        assert all(x in a for x in xs) and (t in a) == (t in xs)
+        assert pickle.loads(pickle.dumps(a)) == copy.copy(a) == a
+        if xs:
+            assert parse_sopf(print_sopf(a, dotted=True), dotted=True) == a
+        if all(len(sym) == 1 for x in xs for sym in x):
+            assert parse_sopf(print_sopf(a)) == a
+
+
+def test_pickles_by_name_across_interpreters():
+    terms = [("n1", "Ā"), ("é", "a", "xy"), ("b",)]
+    dump = ("import pickle, sys; from dagmut import SopfRe; "
+            f"sys.stdout.buffer.write(pickle.dumps(SopfRe({terms!r})))")
+    # the loading interpreter hands out its codes in another order first
+    load = ("import pickle, sys; from dagmut import SopfRe; from dagmut.sopf import _codes; "
+            "_codes(['zz', 'xy', 'é', 'q9', 'Ā', 'n1']); "
+            "r = pickle.loads(sys.stdin.buffer.read()); "
+            f"assert r == SopfRe({terms!r}) and r.terms == SopfRe({terms!r}).terms; "
+            "print(r.terms)")
+    env = {**os.environ, "PYTHONPATH": str(Path(dagmut.__file__).parents[1])}
+    data = subprocess.run([sys.executable, "-c", dump], env=env, capture_output=True,
+                          timeout=60, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", load], env=env, input=data,
+                         capture_output=True, timeout=60, check=True)
+    assert out.stdout.decode().strip() == repr(SopfRe(terms).terms)
+    assert pickle.loads(data) == SopfRe(terms)
+
+
+def test_alphabet_skips_surrogates_and_refuses_past_the_last_code(monkeypatch):
+    fresh_alphabet(monkeypatch, [])
+    monkeypatch.setattr(sopf_module, "_next_code", 0xD800)
+    assert SopfRe([("surrogate_probe",)])._terms == ("\ue000",)
+    monkeypatch.setattr(sopf_module, "_next_code", 0x10FFFF)
+    assert add_term(SopfRe(), ("last_code_probe",))._terms == ("\U0010ffff",)
+    with pytest.raises(ModelError, match="alphabet full: no code point left for symbol 'full_probe'"):
+        SopfRe([("a", "full_probe")])
+    # a name that already has a code still works
+    assert SopfRe([("last_code_probe", "a")]).terms == (("last_code_probe", "a"),)
