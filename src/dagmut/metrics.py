@@ -1,11 +1,11 @@
 """Primitive-operation counting and empirical growth-rate validation.
 
-Cost is machine-independent: symbol comparisons plus term copies, tallied
-into an explicit :class:`OpCounters` context threaded through the term-set
-operations.  :func:`trend` runs an operation over size-doubling corpora,
-fits the log-log slope and checks it against the operation's worst-case
-bound exponent (in term-set size, with term length held fixed) plus a
-fixed slack.
+Cost is machine-independent: the terms an operation searches, builds and
+hashes, tallied into an explicit :class:`OpCounters` context threaded
+through the term-set operations.  :func:`trend` runs an operation over
+size-doubling corpora, fits the log-log slope and checks it against the
+operation's worst-case bound exponent (in term-set size, with term length
+held fixed) plus a fixed slack.
 """
 from __future__ import annotations
 
@@ -17,17 +17,7 @@ from typing import Sequence
 
 from .graph import Dg
 from .mutate import ModelState, arc_insert, arc_omit, model_from_graph, node_insert, node_omit
-from .sopf import (
-    SopfRe,
-    add_term,
-    ht,
-    pt,
-    remove_term,
-    set_concat,
-    set_difference,
-    set_union,
-    tt,
-)
+from .sopf import SopfRe, ht, pt, set_concat, set_difference, set_union, tt
 
 #: Fitted exponents may exceed the bound by at most this much (small-size
 #: noise allowance; corpora are average-case while bounds are worst-case).
@@ -40,14 +30,26 @@ MAX_TREND_SIZE = 1024
 
 @dataclass
 class OpCounters:
-    """Monotone tallies of the primitive work done by term-set operations."""
+    """Monotone tallies of the primitive work done by term-set operations.
+
+    Each field counts terms, one per term a pass handles:
+
+    - ``symbol_comparisons``: terms read by a C-level search pass (``in``,
+      ``str.find``, ``str.index``, ``str.rindex``), one per term visited.
+      A pass that may stop at its first hit (``any``, a tuple ``in`` or
+      ``index``) counts every term it is given.
+    - ``term_copies``: new terms built: each fragment cut and each product
+      joined, before deduplication, and each term appended bare.
+    - ``set_lookups``: terms hashed by ``dict.fromkeys``, ``set(...)`` or a
+      set probe.
+    """
 
     symbol_comparisons: int = 0
     term_copies: int = 0
     set_lookups: int = 0
 
     def cost(self) -> int:
-        return self.symbol_comparisons + self.term_copies
+        return self.symbol_comparisons + self.term_copies + self.set_lookups
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,6 @@ _DISPATCH = {
     "set_union": lambda c, a, b: set_union(a, b, c),
     "set_difference": lambda c, a, b: set_difference(a, b, c),
     "set_concat": lambda c, a, b: set_concat(a, b, c),
-    "add_term": lambda c, r, t: add_term(r, t, c),
-    "remove_term": lambda c, r, t: remove_term(r, t, c),
     "pt": lambda c, r, s: pt(r, s, c),
     "ht": lambda c, p, s: ht(p, s, c),
     "tt": lambda c, p, s: tt(p, s, c),

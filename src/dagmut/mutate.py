@@ -22,9 +22,9 @@ once into ``held``, the terms holding one endpoint (the source for
 :func:`arc_omit`, the node for :func:`node_omit`), and ``rest``, the
 others, and does all its work on ``held``: the pair is searched for only
 there, and the selected endpoint is exhausted when every term of ``held``
-is joined.  The other endpoint is exhausted when its hits in ``held`` are
-all joined and no term of ``rest`` holds it, which a scan of ``rest``
-stops reading at the first term that does.  An exhausted endpoint's
+is joined.  The other endpoint is exhausted when no term that ``held``
+keeps and no term of ``rest`` holds it, which one scan of those terms
+learns, stopping at the first term that holds it.  An exhausted endpoint's
 selection is the joined terms themselves, so they are what the heads or
 tails are cut from.  The kept terms are ``rest`` and what ``held`` keeps,
 so no term of the expression is hashed.  Each step sends its fragments to
@@ -49,10 +49,11 @@ it is the smaller selection.  The bare term is appended without a probe:
 every symbol of a model is a node, so no term of the pre-state equals the
 bare term of a new node.
 
-Results, log entries and counts are those of the composition of the
-public arc operators around the bare term.  The counts are those of the
-full scans and set operations the operators no longer run, computed in
-closed form only when counters are given.
+Results and log entries are those of the composition of the public arc
+operators around the bare term.  Counters tally the work the operators
+do (see :class:`~dagmut.metrics.OpCounters`), which is less than that
+composition does: a split instead of three selections, no difference
+and no probe of the bare term.
 """
 from __future__ import annotations
 
@@ -68,15 +69,12 @@ from .sopf import (
     Code,
     SopfRe,
     _code,
-    _count_copies,
-    _count_probes,
-    _count_select,
     _extend,
     _heads,
     _remove_at,
-    _select,
     _split,
     _tails,
+    _tally,
     _trusted,
     pt,
     set_concat,
@@ -174,20 +172,12 @@ def arc_insert(st: ModelState, src: str, dst: str,
     return _arc_insert(st, src, dst, counters)
 
 
-def _holding(r: SopfRe, sym: str, held: tuple[Code, ...] | None,
-             counters: "OpCounters | None") -> tuple[Code, ...]:
-    """The terms of ``pt(r, (sym,))``, from the caller's selection ``held``
-    if given: the terms of ``r`` that hold ``sym``, in ``r``'s order."""
-    if held is None:
-        return pt(r, (sym,), counters)._terms
-    return _select(r, held, _code(sym), counters)._terms
-
-
 def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None",
                 held_src: tuple[Code, ...] | None = None,
                 held_dst: tuple[Code, ...] | None = None) -> tuple[ModelState, LogEntry]:
-    """:func:`arc_insert`, given the terms holding ``src`` or ``dst`` if
-    the caller has them.  The new terms go after those of ``st.re``."""
+    """:func:`arc_insert`, given ``held_src`` (``held_dst``), the terms of
+    ``st.re`` holding ``src`` (``dst``) in its order, if the caller has
+    them.  The new terms go after those of ``st.re``."""
     op = ArcInsert(src, dst)
     try:
         dg = apply_dg_op(st.dg, op)
@@ -197,14 +187,16 @@ def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None
         if _order_witnessed(st.re, dst, src):
             raise
         raise InsertionCycleError(f"{exc} (path not witnessed by any product term)") from None
-    containing_src = _holding(st.re, src, held_src, counters)
-    containing_dst = _holding(st.re, dst, held_dst, counters)
-    heads = _heads(containing_src, _code(src), counters)
-    tails = _tails(containing_dst, _code(dst), counters)
+    if held_src is None:
+        held_src = pt(st.re, (src,), counters)._terms
+    if held_dst is None:
+        held_dst = pt(st.re, (dst,), counters)._terms
+    heads = _heads(held_src, _code(src), counters)
+    tails = _tails(held_dst, _code(dst), counters)
     products = set_concat(heads, tails, counters)
     # every product holds both endpoints, so a term equal to one is in
     # both selections: the smaller one is all the union need check
-    new_re = _extend(st.re, products, min(containing_src, containing_dst, key=len), counters)
+    new_re = _extend(st.re, products, min(held_src, held_dst, key=len), counters)
     # the union keeps every term of st.re
     entry = _entry(op, st.re, new_re, len(st.re), added_bound=len(heads) * len(tails))
     return _state(dg, new_re), entry
@@ -214,6 +206,8 @@ def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
     dg = apply_dg_op(st.dg, ArcOmit(src, dst))
+    # the split searches every term once
+    _tally(counters, searched=len(st.re))
     held, rest, entry = _omit(*_split(st.re._terms, _code(src)), src, dst, src, counters)
     return _state(dg, _trusted(rest + held)), entry
 
@@ -229,10 +223,7 @@ def _omit(held: tuple[Code, ...], rest: tuple[Code, ...], src: str, dst: str, sy
     ``rest`` followed by the other fragments.  Only ``held`` is searched,
     for the pair as one two-code-point string; ``rest`` is read only to
     learn whether a term holds the other endpoint, and only up to the first
-    that does.  The counts are those of the composition over the whole
-    expression: :func:`pt` for each endpoint and for the pair,
-    :func:`set_difference` of the joined terms, and the union of the kept
-    terms with the fragments.
+    that does.
     """
     s, d = _code(src), _code(dst)
     own, other = (s, d) if sym == src else (d, s)
@@ -252,23 +243,10 @@ def _omit(held: tuple[Code, ...], rest: tuple[Code, ...], src: str, dst: str, sy
     # term; a head ends at the first src and a tail starts at the last dst,
     # so neither holds the pair src dst: no joined term comes back
     fragments = set_union(heads, tails, counters)._terms
-    if counters is not None:
-        terms = rest + held
-        held_other = tuple(compress(terms, map(contains, terms, repeat(other))))
-        held_src, held_dst = (held, held_other) if sym == src else (held_other, held)
-        _count_select(terms, held_src, s, len(held_src), counters)
-        _count_select(terms, held_dst, d, len(held_dst), counters)
-        _count_select(terms, held_src, s + d, len(joined), counters)
-        # an exhausted endpoint's selection is checked equal to the joined
-        # terms by a walk over them
-        counters.symbol_comparisons += (src_out + dst_out) * sum(map(len, joined))
-        # set_difference(R, joined) probes both and copies the kept terms;
-        # their union with the fragments probes and copies both again
-        _count_probes(counters, terms)
-        _count_probes(counters, terms)
-        _count_probes(counters, fragments)
-        _count_copies(counters, 2 * (len(terms) - len(joined)) + len(fragments))
     holds = list(map(contains, fragments, repeat(own)))
+    # the searches for the pair, for the other endpoint and for the side
+    # each fragment goes to
+    _tally(counters, searched=len(held) + len(kept) + len(rest) + len(fragments))
     entry = LogEntry(ArcOmit(src, dst), terms_added=len(fragments), terms_removed=len(joined),
                      added_bound=len(heads) + len(tails), removed_expected=len(joined))
     return (kept + tuple(compress(fragments, holds)),
@@ -285,11 +263,9 @@ def node_insert(st: ModelState, node: str,
     # the arc insertions check the neighbours
     dg = apply_dg_op(st.dg, NodeInsert(node))
     # every symbol of st.re is a node, so no term equals the bare term of
-    # the new node: it is appended unprobed, counted as add_term's probe
-    # and copy
+    # the new node: it is appended unprobed
     bare = _code(node)
-    _count_probes(counters, (bare,))
-    _count_copies(counters, 1)
+    _tally(counters, built=1)
     work = _state(dg, _trusted(st.re._terms + (bare,)))
     # no term of st.re holds the new node, and every later term does: the
     # bare term at position n, then the products of each insertion
@@ -302,7 +278,7 @@ def node_insert(st: ModelState, node: str,
         work, step = _arc_insert(work, y, node, counters, held_dst=work.re._terms[n:])
         sub.append(step)
     if sub:
-        work = _state(work.dg, _remove_at(work.re, n, counters))
+        work = _state(work.dg, _remove_at(work.re, n))
     # the insertions keep every term of st.re, and the new node's bare term
     # is not one of them
     return work, _entry(op, st.re, work.re, len(st.re), sub=tuple(sub))
@@ -317,6 +293,8 @@ def node_omit(st: ModelState, node: str,
     # an unknown node raises here, before any term is read
     dg = apply_dg_op(st.dg, op)
     bare = _code(node)
+    # the split searches every term once
+    _tally(counters, searched=len(st.re))
     held, rest = _split(st.re._terms, bare)
     # the arc steps drop only terms holding the node, and none is left at
     # the end (checked below), so exactly the others are kept
@@ -328,10 +306,8 @@ def node_omit(st: ModelState, node: str,
     for y in st.dg.predecessors(node):
         held, rest, step = _omit(held, rest, y, node, node, counters)
         sub.append(step)
-    # remove_term's probe for the bare term
-    _count_probes(counters, (bare,))
     # only a term that is not a path of the graph can still hold the node
-    if len(held) > (bare in held):
+    if held and held != (bare,):
         raise ValueError(f"expression mentions undeclared nodes: {[node]}")
     final_re = _trusted(rest)
     return _state(dg, final_re), _entry(op, st.re, final_re, kept, sub=tuple(sub))

@@ -1,6 +1,8 @@
 import pytest
 
-from dagmut import Dg, ModelState, model_from_graph, parse_graph
+from dagmut import model_from_graph, parse_graph
+from dagmut.graph import Dg
+from dagmut.mutate import ModelState
 
 from support import SAMPLE_GRAPH_TEXT
 

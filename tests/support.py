@@ -2,7 +2,9 @@
 and random models with scripts."""
 from hypothesis import strategies as st
 
-from dagmut import Dg, GenConfig, SopfRe, apply_dg_op, random_model, random_script
+from dagmut.graph import Dg, apply_dg_op
+from dagmut.oracle import GenConfig, random_model, random_script
+from dagmut.sopf import SopfRe
 from dagmut.oracle import MAX_GEN_NODES
 from dagmut.sopf import _decode
 

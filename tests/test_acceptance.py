@@ -8,21 +8,11 @@ import time
 
 import pytest
 
-from dagmut import (
-    GenConfig,
-    SLACK,
-    apply_script,
-    arc_insert,
-    arc_omit,
-    model_from_graph,
-    parse_graph,
-    parse_script,
-    path_exists,
-    random_model,
-    random_script,
-    run_differential,
-    trend,
-)
+from dagmut import apply_script, model_from_graph, parse_graph, parse_script
+from dagmut.graph import path_exists
+from dagmut.metrics import SLACK, trend
+from dagmut.mutate import arc_insert, arc_omit
+from dagmut.oracle import GenConfig, random_model, random_script, run_differential
 from dagmut.sopf import ht, pt, tt
 
 from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, spell
@@ -64,7 +54,7 @@ def test_criterion_2_selectors(sample_state):
 
 
 def test_criterion_3_mutation_script(sample_state):
-    from dagmut import NaiveLang, equivalent, ref_apply
+    from dagmut.oracle import NaiveLang, equivalent, ref_apply
 
     script = parse_script("(cd)o_a (df)i_a (n)o_n")
     final, _ = apply_script(sample_state, script)
@@ -72,7 +62,7 @@ def test_criterion_3_mutation_script(sample_state):
     # independent reference chain over plain word lists
     lang = NaiveLang([tuple(t) for t in SAMPLE_TERMS])
     dg = sample_state.dg
-    from dagmut import apply_dg_op
+    from dagmut.graph import apply_dg_op
     for op in script:
         lang = ref_apply(lang, op, dg)
         dg = apply_dg_op(dg, op)

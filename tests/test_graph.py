@@ -7,14 +7,16 @@ from dagmut import (
     ArcInsert,
     ArcOmit,
     CycleError,
-    Dg,
     NodeInsert,
     NodeOmit,
     OperationError,
     ParseError,
+    parse_graph,
+)
+from dagmut.graph import (
+    Dg,
     apply_dg_op,
     enumerate_paths,
-    parse_graph,
     path_exists,
     render_graph,
     validate_acyclic,

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dagmut import (
-    SLACK,
-    OpCounters,
-    SopfRe,
-    measure,
-    model_from_graph,
-    parse_graph,
-    parse_sopf,
-    trend,
-)
+from dagmut import model_from_graph, parse_graph
+from dagmut.metrics import _DISPATCH, BOUND_EXPONENTS, SLACK, OpCounters, measure, trend
+from dagmut.sopf import SopfRe, parse_sopf
 from dagmut.sopf import set_concat, set_union
 
 from support import SAMPLE_GRAPH_TEXT, sopf
@@ -24,10 +17,11 @@ from support import SAMPLE_GRAPH_TEXT, sopf
 def test_union_baseline_fixture():
     result, counters = measure("set_union", parse_sopf("a"), parse_sopf("b"))
     assert result == sopf("a", "b")
-    assert counters.symbol_comparisons >= 1
-    # frozen regression values for this exact input
+    # frozen regression values for this exact input: a union hashes both
+    # terms, and searches and builds none
     assert (counters.symbol_comparisons, counters.term_copies,
-            counters.set_lookups) == (2, 2, 2)
+            counters.set_lookups) == (0, 0, 2)
+    assert counters.cost() == 2
 
 
 def test_concat_annihilator_does_no_work():
@@ -41,14 +35,21 @@ def test_arc_omit_fixture():
     state = model_from_graph(parse_graph(SAMPLE_GRAPH_TEXT))
     result, counters = measure("arc_omit", state, "c", "d")
     assert len(result.re) == 6
-    # frozen regression values for this exact input
+    # frozen regression values for this exact input: the split reads all
+    # 9 terms, the pair search the 6 holding c, the search for d the other
+    # 6; neither endpoint is exhausted, so nothing is cut or hashed
     assert (counters.symbol_comparisons, counters.term_copies,
-            counters.set_lookups) == (368, 27, 18)
+            counters.set_lookups) == (21, 0, 0)
 
 
 def test_measure_unknown_kind():
-    with pytest.raises(ValueError, match="unknown operation kind"):
-        measure("sort", SopfRe())
+    for kind in ("sort", "add_term"):
+        with pytest.raises(ValueError, match="unknown operation kind"):
+            measure(kind, SopfRe())
+
+
+def test_measure_and_trend_know_the_same_kinds():
+    assert set(_DISPATCH) == set(BOUND_EXPONENTS)
 
 
 def test_counters_never_decrease_across_calls():
@@ -80,7 +81,7 @@ def test_counted_runs_match_uncounted_runs(a, b):
 
 
 def test_counted_mutation_matches_uncounted(sample_state):
-    from dagmut import arc_omit
+    from dagmut.mutate import arc_omit
     counters = OpCounters()
     counted, _ = arc_omit(sample_state, "c", "d", counters)
     plain, _ = arc_omit(sample_state, "c", "d")

@@ -7,25 +7,24 @@ from hypothesis import given, settings
 from dagmut import (
     ArcInsert,
     ArcOmit,
-    Dg,
-    GenConfig,
-    NaiveLang,
     NodeInsert,
     NodeOmit,
     MutationOp,
     OperationError,
-    SopfRe,
-    apply_dg_op,
-    equivalent,
     model_from_graph,
     parse_graph,
-    path_exists,
+)
+from dagmut.graph import Dg, apply_dg_op, path_exists, validate_acyclic
+from dagmut.oracle import (
+    GenConfig,
+    NaiveLang,
+    equivalent,
     random_model,
     random_script,
     ref_apply,
     run_differential,
-    validate_acyclic,
 )
+from dagmut.sopf import SopfRe
 from dagmut.oracle import (
     _NAMES,
     _reach_rows,

@@ -11,18 +11,20 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dagmut
-from dagmut import ModelError, ParseError, SopfRe, parse_sopf, print_sopf
+from dagmut import ModelError, ParseError, print_sopf
 from dagmut import sopf as sopf_module
 from dagmut.metrics import OpCounters
 from dagmut.sopf import (
+    SopfRe,
     _code,
+    _cut_points,
     _encode,
     _extend,
-    _find,
     _heads,
     _tails,
     add_term,
     ht,
+    parse_sopf,
     pt,
     remove_term,
     set_concat,
@@ -137,6 +139,9 @@ def test_ht_rejects_terms_missing_the_pattern():
         ht(sopf("abc", "xyz", "qz"), ("a",))
     with pytest.raises(ValueError, match="term 'qz' does not"):
         tt(sopf("abc", "xyz", "qz"), ("a",))
+    # spelled as print_sopf spells it: dotted once a name is longer than one
+    with pytest.raises(ValueError, match=r"term 'n1\.n12' does not"):
+        ht(SopfRe([("n1", "n12"), ("a", "b")]), ("a", "b"))
 
 
 # --------------------------------------------------------------------------
@@ -310,39 +315,31 @@ def test_reversal_swaps_head_and_tail_selectors(term, s):
 
 
 # --------------------------------------------------------------------------
-# kernels against the per-position scan
+# kernels against per-position references
 #
-# The reference below is the scan model itself: one comparison per position
-# visited, one per second-symbol check, one lookup and one comparison per
-# symbol for each set probe, one copy per term written.  The kernels must
-# return the same results and the same counts.
+# The references below find a pattern by comparing it at every position of
+# a term, and count by the definitions of OpCounters: one search per term a
+# kernel searches, one copy per term it cuts or joins, one lookup per term
+# it hashes.  The kernels must return the same results and the same counts.
 
-def ref_find(term, pattern, counters, *, last=False):
+def ref_find(term, pattern, *, last=False):
     found = None
     for k in range(len(term) - len(pattern) + 1):
-        counters.symbol_comparisons += 1
         if term[k] != pattern[0]:
             continue
-        if len(pattern) == 2:
-            counters.symbol_comparisons += 1
-            if term[k + 1] != pattern[1]:
-                continue
+        if len(pattern) == 2 and term[k + 1] != pattern[1]:
+            continue
         if not last:
             return k
         found = k
     return found
 
 
-def ref_probe(counters, term):
-    counters.set_lookups += 1
-    counters.symbol_comparisons += len(term)
-
-
 def ref_pt(r, pattern, counters):
     picked = []
     for term in r:
-        if ref_find(term, pattern, counters) is not None:
-            counters.term_copies += 1
+        counters.symbol_comparisons += 1
+        if ref_find(term, pattern) is not None:
             picked.append(term)
     return SopfRe(tuple(picked))
 
@@ -350,11 +347,12 @@ def ref_pt(r, pattern, counters):
 def ref_cut(p, pattern, counters, *, last):
     seen, cuts = set(), []
     for term in p:
-        k = ref_find(term, pattern, counters, last=last)
+        counters.symbol_comparisons += 1
+        k = ref_find(term, pattern, last=last)
         assert k is not None
         cut = term[k:] if last else term[:k + len(pattern)]
         counters.term_copies += 1
-        ref_probe(counters, cut)
+        counters.set_lookups += 1
         if cut not in seen:
             seen.add(cut)
             cuts.append(cut)
@@ -362,12 +360,12 @@ def ref_cut(p, pattern, counters, *, last):
 
 
 def ref_union(a, b, counters):
+    # every term of both operands is hashed, unless one of them is empty
     seen, merged = set(), []
     for term in (*a, *b):
-        ref_probe(counters, term)
+        counters.set_lookups += bool(a and b)
         if term not in seen:
             seen.add(term)
-            counters.term_copies += 1
             merged.append(term)
     return SopfRe(tuple(merged))
 
@@ -375,13 +373,12 @@ def ref_union(a, b, counters):
 def ref_difference(r, c, counters):
     drop = set()
     for term in c:
-        ref_probe(counters, term)
+        counters.set_lookups += 1
         drop.add(term)
     kept = []
     for term in r:
-        ref_probe(counters, term)
+        counters.set_lookups += 1
         if term not in drop:
-            counters.term_copies += 1
             kept.append(term)
     return SopfRe(tuple(kept))
 
@@ -402,11 +399,12 @@ scan_patterns = st.lists(scan_symbols, min_size=1, max_size=2).map(tuple)
 
 @given(st.lists(scan_terms, max_size=6), scan_patterns, st.booleans())
 def test_find_matches_the_scan(terms, s, last):
-    got, want = OpCounters(), OpCounters()
-    codes = list(map(_encode, terms))
-    assert (_find(codes, _encode(s), got, last=last)
-            == [ref_find(t, s, want, last=last) for t in terms])
-    assert got == want
+    held = [t for t in terms if ref_find(t, s) is not None]
+    assert (_cut_points(list(map(_encode, held)), _encode(s), last=last)
+            == [ref_find(t, s, last=last) for t in held])
+    if len(held) < len(terms):
+        with pytest.raises(ValueError, match="does not contain the pattern"):
+            _cut_points(list(map(_encode, terms)), _encode(s), last=last)
 
 
 @given(scan_exprs, scan_patterns)
@@ -443,17 +441,22 @@ def test_extend_matches_the_union(a, b, rnd):
     shared = [t for t in a._terms if t in b._terms]
     others = [t for t in a._terms if t not in b._terms]
     candidates = shared + rnd.sample(others, rnd.randint(0, len(others)))
-    same_run(lambda x, y, c: _extend(x, y, candidates, c), ref_union, a, b)
-    merged = _extend(a, b, candidates)
+    counters = OpCounters()
+    merged = _extend(a, b, candidates, counters)
+    assert merged == ref_union(a, b, OpCounters())
     assert len(set(merged._terms)) == len(merged._terms)
+    # the union hashes the candidates and the new terms
+    assert counters == OpCounters(set_lookups=(len(candidates) + len(b)) * bool(candidates and b))
 
 
 def test_find_first_and_last_with_repeated_symbols():
-    term = ("a", "b", "a", "b", "a")
-    for s, first, final in [(("a",), 0, 4), (("a", "b"), 0, 2), (("b", "a"), 1, 3),
-                            (("a", "a"), None, None)]:
-        assert _find([_encode(term)], _encode(s), None) == [first]
-        assert _find([_encode(term)], _encode(s), None, last=True) == [final]
+    term = [_encode(("a", "b", "a", "b", "a"))]
+    for s, first, final in [(("a",), 0, 4), (("a", "b"), 0, 2), (("b", "a"), 1, 3)]:
+        assert _cut_points(term, _encode(s), last=False) == [first]
+        assert _cut_points(term, _encode(s), last=True) == [final]
+    for last in (False, True):
+        with pytest.raises(ValueError, match="term 'ababa' does not"):
+            _cut_points(term, _encode(("a", "a")), last=last)
 
 
 @given(st.lists(scan_terms, max_size=12), st.randoms(use_true_random=False))
@@ -516,7 +519,7 @@ def ref_concat(a, b, counters):
     for x in a:
         for y in b:
             counters.term_copies += 1
-            ref_probe(counters, x + y)
+            counters.set_lookups += 1
             products.append(x + y)
     return SopfRe(products)
 
@@ -550,10 +553,10 @@ def test_mixed_alphabet_operations_match_the_tuple_loops(order, xs, ys, s, t):
 
 def test_pickles_by_name_across_interpreters():
     terms = [("n1", "Ā"), ("é", "a", "xy"), ("b",)]
-    dump = ("import pickle, sys; from dagmut import SopfRe; "
+    dump = ("import pickle, sys; from dagmut.sopf import SopfRe; "
             f"sys.stdout.buffer.write(pickle.dumps(SopfRe({terms!r})))")
     # the loading interpreter hands out its codes in another order first
-    load = ("import pickle, sys; from dagmut import SopfRe; from dagmut.sopf import _codes; "
+    load = ("import pickle, sys; from dagmut.sopf import SopfRe, _codes; "
             "_codes(['zz', 'xy', 'é', 'q9', 'Ā', 'n1']); "
             "r = pickle.loads(sys.stdin.buffer.read()); "
             f"assert r == SopfRe({terms!r}) and r.terms == SopfRe({terms!r}).terms; "
@@ -565,6 +568,21 @@ def test_pickles_by_name_across_interpreters():
                          capture_output=True, timeout=60, check=True)
     assert out.stdout.decode().strip() == repr(SopfRe(terms).terms)
     assert pickle.loads(data) == SopfRe(terms)
+
+
+def test_queries_do_not_grow_the_alphabet():
+    r = SopfRe([("n1", "n12"), ("a", "b")])
+    size = len(sopf_module._CODES)
+    assert ("zz1",) not in r
+    assert pt(r, ("zz2",)) == pt(r, ("a", "zz2")) == SopfRe()
+    assert remove_term(r, ("zz3",)) is r
+    assert ht(SopfRe(), ("zz4",)) == tt(SopfRe(), ("zz4",)) == SopfRe()
+    with pytest.raises(ValueError, match="does not contain the pattern"):
+        tt(r, ("zz5",))
+    assert len(sopf_module._CODES) == size
+    # a term adds its names
+    add_term(r, ("zz6",))
+    assert len(sopf_module._CODES) == size + 1
 
 
 def test_alphabet_skips_surrogates_and_refuses_past_the_last_code(monkeypatch):
