@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ModelError
 from .graph import parse_graph, render_graph, render_paths
-from .metrics import BOUND_EXPONENTS, MAX_TREND_SIZE, trend
+from .metrics import BOUND_EXPONENTS, MAX_TREND_SIZE, SLACK, trend
 from .mutate import model_from_graph, apply_script
 from .ops import parse_script
 from .oracle import MAX_GEN_NODES, run_differential
@@ -98,7 +98,7 @@ def _run_bench(args) -> int:
         else:
             points = " ".join(f"{size}:{cost}" for size, cost in report.series)
             print(f"{report.op_kind}: exponent {report.fitted_exponent:.2f} "
-                  f"(bound {report.bound_exponent:.1f}+0.3) {report.verdict}  [{points}]")
+                  f"(bound {report.bound_exponent:.1f}+{SLACK}) {report.verdict}  [{points}]")
     return 0 if all(r.passed for r in reports) else 2
 
 

@@ -116,18 +116,20 @@ def measure(kind: str, *inputs):
 # corpora
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+#: length of the random terms of the term-set operations' corpora
+_TERM_LEN = 6
 
 
-def _random_re(rng: random.Random, count: int, length: int,
+def _random_re(rng: random.Random, count: int,
                plant: str | None = None, every: int = 1) -> SopfRe:
-    """``count`` distinct random terms of the given length; ``plant`` puts
-    a marker symbol into every ``every``-th term."""
+    """``count`` distinct random terms of length ``_TERM_LEN``; ``plant``
+    puts a marker symbol into every ``every``-th term."""
     terms: set[tuple[str, ...]] = set()
     k = 0
     while len(terms) < count:
-        term = tuple(rng.choice(_ALPHABET) for _ in range(length))
+        term = tuple(rng.choice(_ALPHABET) for _ in range(_TERM_LEN))
         if plant is not None and k % every == 0:
-            pos = rng.randrange(length)
+            pos = rng.randrange(_TERM_LEN)
             term = term[:pos] + (plant,) + term[pos + 1:]
         k += 1
         terms.add(term)
@@ -144,16 +146,14 @@ def _layered_state(width: int) -> ModelState:
     return model_from_graph(Dg(nodes, arcs, frozenset([entry]), frozenset([exit_])))
 
 
-def trend_inputs(kind: str, size: int, rng: random.Random, term_len: int):
+def trend_inputs(kind: str, size: int, rng: random.Random):
     """Inputs for one series point of :func:`trend`."""
-    if kind in ("set_union", "set_difference"):
-        return (_random_re(rng, size, term_len), _random_re(rng, size, term_len))
-    if kind == "set_concat":
-        return (_random_re(rng, size, term_len), _random_re(rng, size, term_len))
+    if kind in ("set_union", "set_difference", "set_concat"):
+        return (_random_re(rng, size), _random_re(rng, size))
     if kind == "pt":
-        return (_random_re(rng, size, term_len, plant="q", every=2), ("q",))
+        return (_random_re(rng, size, plant="q", every=2), ("q",))
     if kind in ("ht", "tt"):
-        return (_random_re(rng, size, term_len, plant="q"), ("q",))
+        return (_random_re(rng, size, plant="q"), ("q",))
     if kind == "arc_insert":
         return (_layered_state(size), "in0", "out0")
     if kind == "arc_omit":
@@ -178,8 +178,7 @@ def fit_exponent(series: Sequence[tuple[int, int]]) -> float:
     return slope
 
 
-def trend(kind: str, sizes: Sequence[int], *, bound_exponent: float | None = None,
-          seed: int = 0, term_len: int = 6) -> TrendReport:
+def trend(kind: str, sizes: Sequence[int], *, seed: int = 0) -> TrendReport:
     """Measure ``kind`` over corpora of the given term-set sizes and fit
     the log-log growth exponent by least squares."""
     sizes = [int(s) for s in sizes]
@@ -188,21 +187,16 @@ def trend(kind: str, sizes: Sequence[int], *, bound_exponent: float | None = Non
     for size in sizes:
         if not 2 <= size <= MAX_TREND_SIZE:
             raise ValueError(f"series sizes must be in 2..{MAX_TREND_SIZE}, got {size}")
-    if bound_exponent is None:
-        if kind not in BOUND_EXPONENTS:
-            raise ValueError(f"no bound exponent known for {kind!r}")
-        bound_exponent = BOUND_EXPONENTS[kind]
+    if kind not in BOUND_EXPONENTS:
+        raise ValueError(f"no bound exponent known for {kind!r}")
+    bound_exponent = BOUND_EXPONENTS[kind]
     series = []
     for index, size in enumerate(sizes):
         rng = random.Random(seed * 7919 + index * 104729 + size)
-        inputs = trend_inputs(kind, size, rng, term_len)
-        _, counters = measure(kind, *inputs)
-        cost = counters.cost()
-        if cost <= 0:
-            raise ValueError(f"degenerate series: zero cost at size {size}")
-        series.append((size, cost))
+        _, counters = measure(kind, *trend_inputs(kind, size, rng))
+        series.append((size, counters.cost()))
     slope = fit_exponent(series)
     return TrendReport(op_kind=kind, series=tuple(series),
                        fitted_exponent=slope,
-                       bound_exponent=float(bound_exponent),
+                       bound_exponent=bound_exponent,
                        passed=slope <= bound_exponent + SLACK)

@@ -35,8 +35,9 @@ counts.  An omission result is ``rest + held``: an order other than its
 input's, which only printing reads, and printing sorts.
 
 Arc insertion cuts its fragments from its two selections, the terms
-holding the source and those holding the target, without re-checking
-them (``sopf._heads``/``sopf._tails``).  Every product holds both
+holding the source and those holding the target, with the cut kernels
+that :func:`~dagmut.sopf.ht` and :func:`~dagmut.sopf.tt` run
+(``sopf._heads``/``sopf._tails``).  Every product holds both
 endpoints, so a term equal to a product is in both selections, and the
 union checks the products only against the smaller one.
 
@@ -60,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import contains, not_
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InsertionCycleError, OperationError, ScriptError
 from .graph import Dg, apply_dg_op, enumerate_paths
@@ -131,17 +132,6 @@ class LogEntry:
     @property
     def notation(self) -> str:
         return format_op(self.op)
-
-
-@dataclass(frozen=True)
-class MutationLog:
-    applied: tuple[LogEntry, ...] = ()
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        return iter(self.applied)
-
-    def __len__(self) -> int:
-        return len(self.applied)
 
 
 def model_from_graph(g: Dg) -> ModelState:
@@ -328,8 +318,9 @@ def apply_op(st: ModelState, op: MutationOp,
 
 
 def apply_script(st: ModelState, ops: Iterable[MutationOp],
-                 counters: "OpCounters | None" = None) -> tuple[ModelState, MutationLog]:
-    """Apply operators left to right.  The first failure aborts with a
+                 counters: "OpCounters | None" = None) -> tuple[ModelState, tuple[LogEntry, ...]]:
+    """Apply operators left to right and return the final state with one
+    log entry per operator.  The first failure aborts with a
     :class:`ScriptError` naming the 1-based operator index; no partial
     state is returned."""
     entries: list[LogEntry] = []
@@ -340,5 +331,5 @@ def apply_script(st: ModelState, ops: Iterable[MutationOp],
         except (OperationError, ValueError) as exc:
             raise ScriptError(index, format_op(op), exc) from exc
         entries.append(entry)
-    return state, MutationLog(tuple(entries))
+    return state, tuple(entries)
 

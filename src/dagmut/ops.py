@@ -104,31 +104,24 @@ def _split_top(text: str) -> list[str]:
     return parts
 
 
-def _symbol(token: str, context: str) -> str:
-    try:
-        return validate_symbol(token.strip())
-    except ValueError as exc:
-        raise ParseError(f"{context}: {exc}") from exc
-
-
 def _arc_args(inner: str, notation: str) -> tuple[str, str]:
     inner = inner.strip()
     if "," in inner:
         parts = _split_top(inner)
         if len(parts) != 2:
             raise ParseError(f"{notation}: expected exactly two node ids")
-        return _symbol(parts[0], notation), _symbol(parts[1], notation)
+        return parts[0].strip(), parts[1].strip()
     if len(inner) != 2:
         raise ParseError(
             f"{notation}: compact form needs exactly two single-character ids")
-    return _symbol(inner[0], notation), _symbol(inner[1], notation)
+    return inner[0], inner[1]
 
 
 def _node_insert_args(inner: str, notation: str) -> NodeInsert:
     parts = _split_top(inner)
     if len(parts) != 2:
         raise ParseError(f"{notation}: node insertion needs '<id>,{{...}}'")
-    name = _symbol(parts[0], notation)
+    name = parts[0].strip()
     body = parts[1].strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ParseError(f"{notation}: expected a brace-enclosed arc list")
@@ -143,9 +136,7 @@ def _node_insert_args(inner: str, notation: str) -> NodeInsert:
             ends = _split_top(chunk[1:-1])
             if len(ends) != 2:
                 raise ParseError(f"{notation}: arc pair needs two node ids")
-            a, b = (_symbol(e, notation) for e in ends)
-            if a == name and b == name:
-                raise ParseError(f"{notation}: arc pair may not loop on the new node")
+            a, b = (e.strip() for e in ends)
             if a == name:
                 outgoing.append(b)
             elif b == name:
@@ -153,10 +144,7 @@ def _node_insert_args(inner: str, notation: str) -> NodeInsert:
             else:
                 raise ParseError(
                     f"{notation}: arc pair ({a},{b}) does not involve the new node")
-    try:
-        return NodeInsert(name, tuple(outgoing), tuple(ingoing))
-    except ValueError as exc:
-        raise ParseError(f"{notation}: {exc}") from exc
+    return NodeInsert(name, tuple(outgoing), tuple(ingoing))
 
 
 def parse_script(text: str) -> tuple[MutationOp, ...]:
@@ -193,13 +181,16 @@ def parse_script(text: str) -> tuple[MutationOp, ...]:
         pos += 3
         if pos < n and not text[pos].isspace() and text[pos] != "(":
             raise ParseError(f"unexpected text after {notation!r}")
-        if mnemonic in _ARC_MNEMONICS:
-            src, dst = _arc_args(inner, notation)
-            ops.append(_ARC_MNEMONICS[mnemonic](src, dst))
-        elif mnemonic == "o_n":
-            if "," in inner:
-                raise ParseError(f"{notation}: node omission takes a single id")
-            ops.append(NodeOmit(_symbol(inner, notation)))
-        else:
-            ops.append(_node_insert_args(inner, notation))
+        # each constructor checks its node ids
+        try:
+            if mnemonic in _ARC_MNEMONICS:
+                ops.append(_ARC_MNEMONICS[mnemonic](*_arc_args(inner, notation)))
+            elif mnemonic == "o_n":
+                if "," in inner:
+                    raise ParseError(f"{notation}: node omission takes a single id")
+                ops.append(NodeOmit(inner.strip()))
+            else:
+                ops.append(_node_insert_args(inner, notation))
+        except ValueError as exc:
+            raise ParseError(f"{notation}: {exc}") from exc
     return tuple(ops)

@@ -10,6 +10,12 @@ smallest-ready-node-first order fixes the scripts :func:`random_script`
 draws.  Each script step finds its insertable arcs from one row of
 reachability bits per node, built in one backward pass over that order:
 O(V + E) big-int ORs, then one bit test per node pair.
+
+:func:`run_differential` converts each trial's graph once, with
+:func:`~dagmut.mutate.model_from_graph`, and checks that expression
+against :func:`naive_enumerate` before the first step.  Every step then
+goes through :func:`~dagmut.mutate.apply_op` and :func:`ref_apply` side
+by side and is checked for equivalence, term counts and invariants.
 """
 from __future__ import annotations
 
@@ -188,26 +194,6 @@ def naive_enumerate(g: Dg) -> list[Word]:
     return words
 
 
-@dataclass(frozen=True)
-class CrossCheck:
-    ok: bool
-    expected: tuple[Word, ...]
-    actual: tuple[Word, ...]
-    missing: tuple[Word, ...]
-    extra: tuple[Word, ...]
-
-
-def cross_check_initial(g: Dg) -> CrossCheck:
-    """Compare the model's path enumeration against the naive walk."""
-    expected = naive_enumerate(g)
-    actual = model_from_graph(g).re.terms
-    missing = tuple(sorted(set(expected) - set(actual)))
-    extra = tuple(sorted(set(actual) - set(expected)))
-    return CrossCheck(ok=not missing and not extra,
-                      expected=tuple(sorted(set(expected))),
-                      actual=actual, missing=missing, extra=extra)
-
-
 # --------------------------------------------------------------------------
 # randomized generation
 
@@ -378,19 +364,13 @@ def _count_violations(entries) -> list[str]:
     while stack:
         e = stack.pop()
         stack.extend(e.sub)
-        if isinstance(e.op, ArcInsert):
-            if e.terms_removed:
-                problems.append(f"{e.notation}: insertion removed terms")
-            if e.added_bound is not None and e.terms_added > e.added_bound:
-                problems.append(
-                    f"{e.notation}: added {e.terms_added} > bound {e.added_bound}")
-        elif isinstance(e.op, ArcOmit):
-            if e.removed_expected is not None and e.terms_removed != e.removed_expected:
-                problems.append(
-                    f"{e.notation}: removed {e.terms_removed} != {e.removed_expected}")
-            if e.added_bound is not None and e.terms_added > e.added_bound:
-                problems.append(
-                    f"{e.notation}: added {e.terms_added} > bound {e.added_bound}")
+        if isinstance(e.op, ArcInsert) and e.terms_removed:
+            problems.append(f"{e.notation}: insertion removed terms")
+        if (isinstance(e.op, ArcOmit) and e.removed_expected is not None
+                and e.terms_removed != e.removed_expected):
+            problems.append(f"{e.notation}: removed {e.terms_removed} != {e.removed_expected}")
+        if e.added_bound is not None and e.terms_added > e.added_bound:
+            problems.append(f"{e.notation}: added {e.terms_added} > bound {e.added_bound}")
     return problems
 
 
@@ -412,14 +392,14 @@ def _invariant_violations(st: ModelState) -> list[str]:
 
 
 def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
-                     max_script: int = 6, *, check_counts: bool = True,
-                     check_invariants: bool = True,
+                     max_script: int = 6, *,
                      corrupt: Callable[[int, int, SopfRe], SopfRe] | None = None,
                      ) -> VerifyReport:
     """Seeded random models and scripts, applied through the efficient
     implementation and the naive reference side by side; every step must
-    agree.  ``corrupt`` is a test-only hook that perturbs the
-    implementation's expression before comparison."""
+    agree, keep its term counts and keep the model's invariants.
+    ``corrupt`` is a test-only hook that perturbs the implementation's
+    expression before comparison."""
     failures: list[TrialFailure] = []
     steps = 0
     for trial in range(trials):
@@ -436,15 +416,13 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
         def fail(step: int, kind: str, detail: str) -> None:
             failures.append(TrialFailure(trial, seed, script_text, step, kind, detail))
 
-        check = cross_check_initial(g)
-        if not check.ok:
+        state = model_from_graph(g)
+        lang = NaiveLang(naive_enumerate(g))
+        if not equivalent(state.re, lang):
             fail(0, "equivalence", "initial enumeration mismatch")
             continue
-        state = ModelState(g, SopfRe(check.actual))
-        lang = NaiveLang(list(check.expected))
-        if check_invariants and parse_script(script_text) != script:
+        if parse_script(script_text) != script:
             fail(0, "invariant", "script notation round-trip diverged")
-        broken = False
         for step, op in enumerate(script, 1):
             companion = state.dg
             try:
@@ -452,7 +430,6 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
                 lang = ref_apply(lang, op, companion)
             except ModelError as exc:
                 fail(step, "error", str(exc))
-                broken = True
                 break
             steps += 1
             shown = state.re
@@ -462,14 +439,9 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
                 fail(step, "equivalence",
                      f"implementation {print_sopf(shown)} vs reference "
                      f"{print_sopf(SopfRe(tuple(lang.words)))}")
-                broken = True
                 break
-            if check_counts:
-                for problem in _count_violations([entry]):
-                    fail(step, "counts", problem)
-            if check_invariants:
-                for problem in _invariant_violations(state):
-                    fail(step, "invariant", problem)
-        if broken:
-            continue
+            for problem in _count_violations([entry]):
+                fail(step, "counts", problem)
+            for problem in _invariant_violations(state):
+                fail(step, "invariant", problem)
     return VerifyReport(trials=trials, steps_checked=steps, failures=tuple(failures))

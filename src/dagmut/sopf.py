@@ -12,13 +12,16 @@ canonical order, so a converted graph is never sorted.
 Terms are stored as strings with one code point per symbol.  A
 process-wide, append-only alphabet gives each symbol its code the first
 time a term is built from it or an operator names it: an ASCII
-one-character symbol is its own code point, every other symbol gets the
-next free one from U+0100 upwards (surrogates skipped).  So a symbol
-search is ``str.__contains__``, a cut is ``str.index`` or ``str.rindex``,
-and a two-symbol pattern is a two-code-point substring; all of them are
-exact whether or not a term repeats a symbol.  The public API takes and returns tuples of symbol
-names: :class:`SopfRe`'s constructor, :attr:`~SopfRe.terms`, iteration,
-``in``, :meth:`~SopfRe.symbols`, pickling and the text form.  Canonical
+character that is a legal symbol is its own code point, every other
+symbol gets the next free one from U+0100 upwards (surrogates skipped).
+Only legal symbols get a code: a term with an illegal one is refused
+before any of its symbols is registered.  So a symbol search is
+``str.__contains__``, a cut is ``str.index`` or ``str.rindex``, and a
+two-symbol pattern is a two-code-point substring; all of them are exact
+whether or not a term repeats a symbol.  The public API takes and
+returns tuples of symbol names: :class:`SopfRe`'s constructor,
+:attr:`~SopfRe.terms`, iteration, ``in``, :meth:`~SopfRe.symbols`,
+pickling and the text form.  Canonical
 order is that of the names, not of the codes; the two agree when every
 symbol is ASCII, and only then is a term sorted as its string.
 
@@ -33,14 +36,14 @@ to an expression and checks them only against the terms they can equal,
 which the caller names: :func:`set_union` names the whole first operand,
 arc insertion the smaller of its two endpoint selections.
 
-Fragments are cut by two private kernels, :func:`_heads` and
-:func:`_tails`, in one pass over terms that the caller guarantees all
-hold the cut symbol; they check nothing.  Arc insertion calls them on its
+Fragments are cut by one private kernel per side, :func:`_heads` and
+:func:`_tails`: one pass cuts each term with one ``str.index``
+(``str.rindex``) of the cut pattern.  Arc insertion calls them on its
 ``pt`` selections of the arc's endpoints, and omission on its joined
-terms, which hold the omitted pair.  :func:`ht` and :func:`tt` find
-their cut points with one ``str.find`` (``str.rfind``) per term and
-check that none is missing.  Every fragment holds the cut pattern, so
-none is empty and the fragments are deduplicated into :func:`_trusted`.
+terms, which hold the omitted pair; :func:`ht` and :func:`tt` call them
+on any terms, and turn the ``ValueError`` of a term without the pattern
+into one that names it.  Every fragment holds the cut pattern, so none
+is empty and the fragments are deduplicated into :func:`_trusted`.
 
 The mutation operators call no :func:`set_difference`.  Omission splits
 an expression once into the terms that hold a symbol and the others
@@ -106,8 +109,10 @@ def term_key(term: Term) -> tuple[int, Term]:
 # --------------------------------------------------------------------------
 # the alphabet
 
-#: the symbols that are their own code points: every ASCII character
-_OWN_CODES = frozenset(map(chr, range(128)))
+#: the symbols that are their own code points: every ASCII character that
+#: is a legal symbol
+_OWN_CODES = frozenset(ch for ch in map(chr, range(128))
+                       if not (ch.isspace() or ch in RESERVED_CHARS))
 #: symbol -> code point
 _CODES: dict[str, str] = dict(zip(_OWN_CODES, _OWN_CODES))
 #: code point -> symbol, the inverse of ``_CODES``
@@ -154,16 +159,20 @@ def _codes(symbols: Iterable[str]) -> Mapping[str, Code]:
 
 
 def _encode(term: Sequence[str]) -> Code:
-    """The code string of a term given as a sequence of symbols."""
+    """The code string of a term given as a sequence of symbols.  Raises
+    ``ValueError``, giving no symbol a code, if a symbol is not legal."""
     if not isinstance(term, (tuple, list, str)):
         term = tuple(term)
     try:
         code = "".join(term)
     except TypeError:  # a symbol that is not a string
         code = ""
-    # every symbol one ASCII character: each is its own code
-    if code.isascii() and len(code) == len(term):
+    # every symbol one legal ASCII character: each is its own code
+    if len(code) == len(term) and code.isascii() and _OWN_CODES.issuperset(code):
         return code
+    # every symbol with a code is legal
+    for sym in filterfalse(_CODES.__contains__, term):
+        validate_symbol(sym)
     return "".join(map(_code, term))
 
 
@@ -293,27 +302,6 @@ def _tally(counters: "OpCounters | None", searched: int = 0, built: int = 0,
 # --------------------------------------------------------------------------
 # selectors
 
-def check_pattern(pattern: Sequence[str]) -> Term:
-    """Coerce and validate a search pattern of one or two symbols."""
-    pat = tuple(pattern)
-    if not 1 <= len(pat) <= 2:
-        raise ValueError("patterns are limited to one or two symbols")
-    return pat
-
-
-def _cut_points(terms: Sequence[Code], pattern: Code, *, last: bool) -> list[int]:
-    """Index of the first (or last) occurrence of ``pattern`` in each term,
-    one ``str.find`` (``str.rfind``) each; every term must contain it."""
-    ks = list(map(str.rfind if last else str.find, terms, repeat(pattern)))
-    if -1 in ks:
-        # name the canonically first term without the pattern, spelled as
-        # print_sopf spells it
-        missing = _trusted(tuple(t for t, k in zip(terms, ks) if k < 0))
-        term = print_sopf(_trusted(missing._sorted()[:1]))
-        raise ValueError(f"term {term!r} does not contain the pattern")
-    return ks
-
-
 def _fragments(cuts: list[Code], counters: "OpCounters | None") -> SopfRe:
     """The distinct ``cuts``, each cut from one term by one search."""
     _tally(counters, searched=len(cuts), built=len(cuts), hashed=len(cuts))
@@ -321,18 +309,19 @@ def _fragments(cuts: list[Code], counters: "OpCounters | None") -> SopfRe:
     return _trusted(tuple(dict.fromkeys(cuts)))
 
 
-def _heads(terms: Sequence[Code], sym: Code, counters: "OpCounters | None") -> SopfRe:
-    """``ht`` of ``terms`` for the symbol coded ``sym``, without its check:
-    the caller guarantees that every term holds it.  One pass cuts each
-    term just after its first ``sym``."""
-    return _fragments([t[:t.index(sym) + 1] for t in terms], counters)
+def _heads(terms: Sequence[Code], pat: Code, counters: "OpCounters | None") -> SopfRe:
+    """``ht`` of ``terms`` for the pattern coded ``pat``: one pass cuts
+    each term just after its first ``pat``.  A term without it raises the
+    ``ValueError`` of ``str.index``."""
+    n = len(pat)
+    return _fragments([t[:t.index(pat) + n] for t in terms], counters)
 
 
-def _tails(terms: Sequence[Code], sym: Code, counters: "OpCounters | None") -> SopfRe:
-    """``tt`` of ``terms`` for the symbol coded ``sym``, without its check:
-    the caller guarantees that every term holds it.  One pass cuts each
-    term at its last ``sym``."""
-    return _fragments([t[t.rindex(sym):] for t in terms], counters)
+def _tails(terms: Sequence[Code], pat: Code, counters: "OpCounters | None") -> SopfRe:
+    """``tt`` of ``terms`` for the pattern coded ``pat``: one pass cuts
+    each term at its last ``pat``.  A term without it raises the
+    ``ValueError`` of ``str.rindex``."""
+    return _fragments([t[t.rindex(pat):] for t in terms], counters)
 
 
 def _split(terms: tuple[Code, ...], sym: Code) -> tuple[tuple[Code, ...], tuple[Code, ...]]:
@@ -343,8 +332,11 @@ def _split(terms: tuple[Code, ...], sym: Code) -> tuple[tuple[Code, ...], tuple[
 
 
 def _pattern(pattern: Sequence[str]) -> Code:
-    """The code string of a checked search pattern."""
-    return _lookup(check_pattern(pattern))
+    """The code string of a search pattern of one or two symbols."""
+    pat = tuple(pattern)
+    if not 1 <= len(pat) <= 2:
+        raise ValueError("patterns are limited to one or two symbols")
+    return _lookup(pat)
 
 
 def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
@@ -355,21 +347,29 @@ def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     return _trusted(tuple(compress(terms, map(contains, terms, repeat(pat)))))
 
 
+def _cut(kernel, p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None") -> SopfRe:
+    """``kernel`` (:func:`_heads` or :func:`_tails`) over the terms of
+    ``p``; a term without the pattern is named in the error, the
+    canonically first one, spelled as :func:`print_sopf` spells it."""
+    pat = _pattern(pattern)
+    try:
+        return kernel(p._terms, pat, counters)
+    except ValueError:
+        missing = _trusted(tuple(t for t in p._terms if pat not in t))
+        term = print_sopf(_trusted(missing._sorted()[:1]))
+        raise ValueError(f"term {term!r} does not contain the pattern") from None
+
+
 def ht(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Prefixes of the terms of ``p``, each cut just after the first occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
-    pat = _pattern(pattern)
-    terms = p._terms
-    ends = _cut_points(terms, pat, last=False)
-    return _fragments([t[:k + len(pat)] for t, k in zip(terms, ends)], counters)
+    return _cut(_heads, p, pattern, counters)
 
 
 def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Suffixes of the terms of ``p``, each starting at the last occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
-    terms = p._terms
-    starts = _cut_points(terms, _pattern(pattern), last=True)
-    return _fragments([t[k:] for t, k in zip(terms, starts)], counters)
+    return _cut(_tails, p, pattern, counters)
 
 
 # --------------------------------------------------------------------------

@@ -33,8 +33,7 @@ def sample_state():
 @pytest.fixture(scope="module")
 def differential():
     started = time.monotonic()
-    rep = run_differential(trials=200, base_seed=0, max_nodes=10, max_script=6,
-                           check_counts=True, check_invariants=True)
+    rep = run_differential(trials=200, base_seed=0, max_nodes=10, max_script=6)
     return rep, time.monotonic() - started
 
 

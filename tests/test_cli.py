@@ -280,6 +280,12 @@ def test_verify_machine_output_is_deterministic(capsys):
     assert "verdict=pass" in out1
 
 
+def test_verify_machine_output_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--trials", "300", "--seed", "0",
+                         "--max-nodes", "12", "--format", "machine")
+    assert (code, out, err) == (0, "trials=300 ok=300 steps=974 verdict=pass\n", "")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--max-nodes", MAX_GEN_NODES + 1),
      f"--max-nodes must be in 0..{MAX_GEN_NODES}, got {MAX_GEN_NODES + 1}"),

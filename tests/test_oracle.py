@@ -14,6 +14,7 @@ from dagmut import (
     model_from_graph,
     parse_graph,
 )
+from dagmut import oracle as oracle_module
 from dagmut.graph import Dg, apply_dg_op, path_exists, validate_acyclic
 from dagmut.oracle import (
     GenConfig,
@@ -28,12 +29,11 @@ from dagmut.sopf import SopfRe
 from dagmut.oracle import (
     _NAMES,
     _reach_rows,
-    cross_check_initial,
     naive_enumerate,
     topological_order,
 )
 
-from support import scripted_models, sopf
+from support import count_calls, scripted_models, sopf
 
 
 def words(*ws: str) -> NaiveLang:
@@ -90,24 +90,24 @@ def test_equivalent_is_order_insensitive():
 # initial cross-check
 
 def test_cross_check_sample_model(sample_graph):
-    check = cross_check_initial(sample_graph)
-    assert check.ok
-    assert len(check.expected) == 9
+    expected = naive_enumerate(sample_graph)
+    assert equivalent(model_from_graph(sample_graph).re, NaiveLang(expected))
+    assert len(expected) == 9
 
 
 def test_cross_check_random_models():
     for seed in range(30):
         g = random_model(GenConfig(node_count=seed % 10, arc_density=0.6, seed=seed))
-        assert cross_check_initial(g).ok
+        assert equivalent(model_from_graph(g).re, NaiveLang(naive_enumerate(g)))
 
 
 def test_cross_check_with_stranded_node():
     # explicit flags leave c unreachable; both enumerations agree it
     # appears in no word
     g = parse_graph("arc a b\nnode c\nstart a\nfinish b")
-    check = cross_check_initial(g)
-    assert check.ok
-    assert all("c" not in word for word in check.actual)
+    actual = model_from_graph(g).re
+    assert equivalent(actual, NaiveLang(naive_enumerate(g)))
+    assert all("c" not in word for word in actual.terms)
 
 
 def test_naive_enumeration_matches_sample(sample_graph):
@@ -118,9 +118,9 @@ def test_cross_check_long_chain():
     # deeper than the interpreter's default recursion limit
     names = [f"n{k}" for k in range(1500)]
     g = parse_graph("".join(f"arc {u} {v}\n" for u, v in zip(names, names[1:])))
-    check = cross_check_initial(g)
-    assert check.ok
-    assert check.expected == (tuple(names),)
+    expected = naive_enumerate(g)
+    assert equivalent(model_from_graph(g).re, NaiveLang(expected))
+    assert expected == [tuple(names)]
 
 
 # --------------------------------------------------------------------------
@@ -236,6 +236,16 @@ def test_small_differential_run_passes():
     assert report.ok
     assert report.passed_trials() == 40
     assert report.steps_checked > 0
+
+
+def test_timing_probes_see_every_conversion_and_step(monkeypatch):
+    # the verify benchmark times convert_s and op_ms by patching these names
+    converted = count_calls(monkeypatch, oracle_module, "model_from_graph")
+    applied = count_calls(monkeypatch, oracle_module, "apply_op")
+    report = run_differential(trials=40, base_seed=123, max_nodes=8, max_script=5)
+    assert report.ok
+    assert len(converted) == 40
+    assert len(applied) == report.steps_checked > 0
 
 
 def test_injected_fault_is_detected_and_located():

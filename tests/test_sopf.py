@@ -17,8 +17,6 @@ from dagmut.metrics import OpCounters
 from dagmut.sopf import (
     SopfRe,
     _code,
-    _cut_points,
-    _encode,
     _extend,
     _heads,
     _tails,
@@ -400,11 +398,13 @@ scan_patterns = st.lists(scan_symbols, min_size=1, max_size=2).map(tuple)
 @given(st.lists(scan_terms, max_size=6), scan_patterns, st.booleans())
 def test_find_matches_the_scan(terms, s, last):
     held = [t for t in terms if ref_find(t, s) is not None]
-    assert (_cut_points(list(map(_encode, held)), _encode(s), last=last)
-            == [ref_find(t, s, last=last) for t in held])
+    cut = tt if last else ht
+    want = [t[ref_find(t, s, last=True):] if last else t[:ref_find(t, s) + len(s)]
+            for t in held]
+    assert built(cut(SopfRe(held), s)) == list(dict.fromkeys(want))
     if len(held) < len(terms):
         with pytest.raises(ValueError, match="does not contain the pattern"):
-            _cut_points(list(map(_encode, terms)), _encode(s), last=last)
+            cut(SopfRe(terms), s)
 
 
 @given(scan_exprs, scan_patterns)
@@ -450,13 +450,13 @@ def test_extend_matches_the_union(a, b, rnd):
 
 
 def test_find_first_and_last_with_repeated_symbols():
-    term = [_encode(("a", "b", "a", "b", "a"))]
+    term = sopf("ababa")
     for s, first, final in [(("a",), 0, 4), (("a", "b"), 0, 2), (("b", "a"), 1, 3)]:
-        assert _cut_points(term, _encode(s), last=False) == [first]
-        assert _cut_points(term, _encode(s), last=True) == [final]
-    for last in (False, True):
+        assert ht(term, s).terms == (tuple("ababa")[:first + len(s)],)
+        assert tt(term, s).terms == (tuple("ababa")[final:],)
+    for cut in (ht, tt):
         with pytest.raises(ValueError, match="term 'ababa' does not"):
-            _cut_points(term, _encode(("a", "a")), last=last)
+            cut(term, ("a", "a"))
 
 
 @given(st.lists(scan_terms, max_size=12), st.randoms(use_true_random=False))
@@ -583,6 +583,16 @@ def test_queries_do_not_grow_the_alphabet():
     # a term adds its names
     add_term(r, ("zz6",))
     assert len(sopf_module._CODES) == size + 1
+
+
+@pytest.mark.parametrize("term", [("EMPTY",), ("+",), (" ",), ("x+y",), (5, "a")])
+def test_terms_with_illegal_symbols_are_refused_unregistered(term):
+    size = len(sopf_module._CODES)
+    with pytest.raises(ValueError):
+        SopfRe([term])
+    with pytest.raises(ValueError):
+        add_term(SopfRe(), term)
+    assert len(sopf_module._CODES) == size
 
 
 def test_alphabet_skips_surrogates_and_refuses_past_the_last_code(monkeypatch):
