@@ -10,26 +10,35 @@ Cost model: a :class:`Dg` indexes its arcs by endpoint, so
 :func:`path_exists` O(reachable).  The successor index is built with the
 graph; the predecessor index is built from it on its first read.  The
 constructor and ``mutate.model_from_graph`` read it; a convert (parse,
-check, walk) never does.  :func:`validate_acyclic` is one Kahn pass
-over a plain list, in-degrees counted from the successor index: O(V + E).
-It and the path walk read the index and the flag sets directly, with no
-method call or list copy per node; the walk costs one step per trie node
-of its words plus one length sort.  :func:`enumerate_paths` spells each
-path in the codes of :mod:`dagmut.sopf`: a graph whose nodes are each one
-ASCII character, its own code, by extending the string of the trail
-above (such a graph has at most 128 nodes, so the strings stay short),
-any other graph by labelling each node with its code and joining a word
-once it is finished.  :func:`render_paths` runs the same walk on the node
-names, so ``dagmut convert`` prints without coding or decoding a term.
+walk) never does.  :func:`validate_acyclic` is one Kahn pass over a plain
+list, in-degrees counted from the successor index: O(V + E).  The path
+walk behind :func:`render_paths` and :func:`enumerate_paths` (on
+multi-character names) expands every node it reaches once: below a node
+with more than one entry (a *shared* node) it spells the words once and
+splices them in at every entry, one string concatenation per word, so a
+layered lattice costs at most one concatenation per word and layer,
+where a trie walk took one Python step per trie node.  It finds every
+cycle it reaches on its own; :func:`validate_acyclic` runs only when it
+left some node unexpanded.  It keeps the words below a shared node until
+the node's last entry has used them, and it files every word under its
+node count, which replaces the final sort.  :func:`enumerate_paths` spells
+each path in the codes of :mod:`dagmut.sopf`: a graph whose nodes are
+each one ASCII character, its own code, by a trie walk that extends the
+string of the trail above (such a graph has at most 128 nodes, so the
+strings stay short), any other graph by the shared-node walk labelled
+with the codes.  :func:`render_paths` runs the shared-node walk on the
+node names, so ``dagmut convert`` prints without coding or decoding a
+term.
 :func:`apply_dg_op` derives the child graph from its parent and rebuilds
 only the index entries the operator touches (O(touched) Python work; the
 frozensets and the index dicts are still copied, at C speed).
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Mapping
 
 from .errors import CycleError, InsertionCycleError, OperationError, ParseError
@@ -296,52 +305,141 @@ def _acyclic(g: Dg) -> None:
         raise CycleError(witness)
 
 
-def _walk(g: Dg, label: Mapping[str, str] | None = None) -> list[tuple[str, ...]]:
-    """The start-to-finish paths of an acyclic graph, each as the labels of
-    its nodes (their names if ``label`` is ``None``), in canonical order of
-    their node names: shortest first, then lexicographic.
+#: the words of a shared node while the walk is expanding it
+_OPEN: dict[int, list[str]] = {}
+
+
+def _walk(g: Dg, label: Mapping[str, str] | None = None, sep: str = "") -> list[str]:
+    """The start-to-finish paths of a graph, each spelled as the labels of
+    its nodes (their names if ``label`` is ``None``) joined by ``sep``, in
+    canonical order of their node names: fewest nodes first, then
+    lexicographic.  Raises :class:`CycleError` on a cyclic graph.
 
     A path may run through further flagged nodes; every flagged prefix
     endpoint yields its own word.
+
+    The walk expands every node it reaches once.  A node is shared if
+    more than one entry can lead to it: two or more predecessors, or a
+    start flag and a predecessor.  Only predecessors that a start can
+    reach count; they are looked for only when some node without
+    predecessors has no start flag, and a node whose other predecessors
+    are such dead ends is no shared node.  The first entry to a shared
+    node spells the words below it, starting at the node, into a table of
+    their own; that entry and every later one splice the table in, one
+    ``prefix + suffix`` string per word.  Other nodes are expanded in
+    their entry's table.  A table is dropped once the node's last entry
+    has used it.  Every cycle the walk reaches passes through a shared
+    node (the node where the walk first enters it), so entering a shared
+    node that is still being expanded is a cycle.  A cycle the walk does
+    not reach leaves nodes unexpanded, and only then does
+    :func:`validate_acyclic` run.  Either way the error carries that
+    function's witness.
     """
-    _acyclic(g)
-    succ, finishes = g._succ, g.finishes
-    words: list[tuple[str, ...]] = []
+    succ, finishes, starts = g._succ, g.finishes, g.starts
+    # entries per node that the walk can take: one per predecessor, one
+    # more for a start that has one
+    entries = Counter(chain.from_iterable(succ.values()))
+    for v in entries.keys() & starts:
+        entries[v] += 1
+    if len(g.nodes) - len(entries) > len(starts) - sum(map(entries.__contains__, starts)):
+        _uncount_unreached(g, entries)  # some node without predecessors is no start
+    # shared node -> its entries still to come
+    shared = {v: n for v, n in entries.items() if n > 1}
+    # shared node -> its table, or _OPEN while it is being expanded
+    below_shared: dict[str, dict[int, list[str]]] = {}
+    # A table maps a node count to the words of that many nodes, each in
+    # the order the walk spells them: preorder over sorted successors,
+    # which is lexicographic.  Reading the counts in order is the stable
+    # sort by node count that makes that order canonical.
+    words: dict[int, list[str]] = {}
+    expanded = 0
     # depth-first with an explicit stack, so long chains cannot exhaust the
-    # interpreter's recursion limit: pending[0] walks the start nodes and
-    # pending[k + 1] the successors of the node labelled trail[k]; a node
-    # without successors is finished inside the loop over its siblings
+    # interpreter's recursion limit.  ``trail`` holds the labels of the
+    # nodes being expanded.  A frame holds the iterator over the nodes it
+    # enters, its table, where in ``trail`` the words of that table start
+    # and, for a shared node, the node with the table and start of the
+    # entry that opened it.  A word is joined only once it is finished,
+    # so a long chain builds no long spelling per node.
     trail: list[str] = []
-    pending = [iter(sorted(g.starts))]
-    while pending:
-        for v in pending[-1]:
+    stack = [(iter(sorted(starts)), words, 0, None)]
+    while stack:
+        entering, out, base, opener = stack[-1]
+        for v in entering:
+            if v in shared:
+                known = below_shared.get(v)
+                if known is None:
+                    expanded += 1
+                    below_shared[v] = _OPEN
+                    shared[v] -= 1
+                    word = v if label is None else label[v]
+                    stack.append((iter(succ.get(v, ())), {1: [word]} if v in finishes else {},
+                                  len(trail), (v, out, base)))
+                    trail.append(word)
+                    break
+                if known is _OPEN:
+                    raise CycleError(validate_acyclic(g))
+                _splice(out, known, trail, base, sep)
+                shared[v] -= 1
+                if not shared[v]:
+                    del below_shared[v]
+                continue
+            expanded += 1
+            trail.append(v if label is None else label[v])
             if v in finishes:
-                words.append((*trail, v if label is None else label[v]))
+                out.setdefault(len(trail) - base, []).append(sep.join(trail[base:]))
             below = succ.get(v)
             if below:
-                trail.append(v if label is None else label[v])
-                pending.append(iter(below))
+                stack.append((iter(below), out, base, None))
                 break
+            trail.pop()
         else:
-            pending.pop()
+            stack.pop()
             del trail[-1:]
-    # each trail is reached once, so the words are distinct; the walk visits
-    # sorted neighbours in preorder, so they come out lexicographic, and a
-    # stable sort by length makes that canonical order
-    words.sort(key=len)
-    return words
+            if opener is not None:
+                opened, into, into_base = opener
+                if shared[opened]:
+                    below_shared[opened] = out
+                else:
+                    del below_shared[opened]
+                _splice(into, out, trail, into_base, sep)
+    if expanded < len(g.nodes):
+        _acyclic(g)
+    # each trail is reached once, so the words are distinct
+    return list(chain.from_iterable(map(words.__getitem__, sorted(words))))
+
+
+def _uncount_unreached(g: Dg, entries: Counter) -> None:
+    """Take out of the entry counts ``entries`` the arcs from nodes that
+    no start reaches: a node without predecessors and start flag, and in
+    turn each node left without entries (a start counts one for its flag,
+    so it never is)."""
+    unreached = list(g.nodes.difference(entries, g.starts))
+    for u in unreached:
+        for w in g._succ.get(u, ()):
+            entries[w] -= 1
+            if not entries[w]:
+                unreached.append(w)
+
+
+def _splice(out: dict[int, list[str]], below: dict[int, list[str]], trail: list[str],
+            base: int, sep: str) -> None:
+    """Add the words of a shared node's table ``below`` to the table
+    ``out``, each behind the spelling of ``trail[base:]``."""
+    above = trail[base:]
+    prefix = sep.join(above) + sep if above else ""
+    for count, suffixes in below.items():
+        out.setdefault(len(above) + count, []).extend(map(prefix.__add__, suffixes))
 
 
 def _spelled_walk(g: Dg) -> list[str]:
     """:func:`_walk` of a graph whose every node is one ASCII character,
     each word spelled as one string: the node names are their own codes.
 
-    Each trail is spelled as its parent trail's spelling plus one
-    character, which costs one short concatenation per trail instead of a
-    tuple and a join per word.  Such a graph has at most 128 nodes, so the
-    spellings held on the stack stay short; a deep graph of longer names
-    goes through :func:`_walk`, which builds a word only once it is
-    finished.
+    A trie walk after one Kahn pass: each trail is spelled as its parent
+    trail's spelling plus one character, one short concatenation per
+    trail.  Such a graph has at most 128 nodes, so the spellings held on
+    the stack stay short and the walk's fixed cost, which dominates on
+    graphs this small, stays low.
     """
     _acyclic(g)
     succ, finishes = g._succ, g.finishes
@@ -376,20 +474,26 @@ def enumerate_paths(g: Dg) -> SopfRe:
     if g.nodes <= _OWN_CODES:
         words = _spelled_walk(g)
     else:
-        words = list(map("".join, _walk(g, _codes(g.nodes))))
+        words = _walk(g, _codes(g.nodes))
     return _trusted(tuple(words), canonical=True)
 
 
 def render_paths(g: Dg, *, dotted: bool = False) -> str:
     """``print_sopf(enumerate_paths(g), dotted=dotted)``, spelled by the
-    walk from the node names: no term is coded or decoded."""
-    words = _walk(g)
+    walk from the node names: no term is coded or decoded.  The walk
+    spells each word dotted; the dots are dropped afterwards unless asked
+    for or some name on a path is longer than one character."""
+    words = _walk(g, sep=".")
     if not words:
         return EMPTY_TOKEN
-    if not dotted and max(map(len, g.nodes)) > 1:
-        # dotted only if a node of some path has a longer name
-        dotted = max(map(len, set().union(*words))) > 1
-    return " + ".join(map(".".join if dotted else "".join, words))
+    text = " + ".join(words)
+    # every name is one character iff each word is one character per node
+    # plus a dot between two
+    if dotted or sum(map(len, words)) > 2 * text.count(".") + len(words):
+        return text
+    compact = text.replace(".", "")
+    # a lone term spelled EMPTY would read back as the empty expression
+    return text if compact == EMPTY_TOKEN else compact
 
 
 # --------------------------------------------------------------------------

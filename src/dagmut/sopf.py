@@ -23,7 +23,9 @@ returns tuples of symbol names: :class:`SopfRe`'s constructor,
 :attr:`~SopfRe.terms`, iteration, ``in``, :meth:`~SopfRe.symbols`,
 pickling and the text form.  Canonical
 order is that of the names, not of the codes; the two agree when every
-symbol is ASCII, and only then is a term sorted as its string.
+symbol is ASCII, and only then is a term sorted as its string.  Otherwise
+the sort decodes each term once, and the first read that sorts returns
+those decoded terms.
 
 The public constructor drops repeated terms, which hashes every term it is
 given.  Results that are duplicate-free by construction skip that step
@@ -193,13 +195,20 @@ def _decode_all(codes: tuple[Code, ...]) -> tuple[Term, ...]:
     return tuple(map(tuple if all(map(str.isascii, codes)) else _decode, codes))
 
 
-def _canonical_order(terms: tuple[Code, ...]) -> tuple[Code, ...]:
-    # a lexicographic sort, then a stable sort by length: the order of
-    # term_key without a Python-level key call per term, when every code
-    # is its symbol
+def _canonical_order(terms: tuple[Code, ...]) -> tuple[tuple[Code, ...], tuple[Term, ...] | None]:
+    """``terms`` in canonical order, and their symbols in that order when
+    the sort had to decode them (``None`` if it did not)."""
     if all(map(str.isascii, terms)):
-        return tuple(sorted(sorted(terms), key=len))
-    return tuple(sorted(sorted(terms, key=_decode), key=len))
+        # a lexicographic sort, then a stable sort by length: the order of
+        # term_key without a Python-level key call per term, when every
+        # code is its symbol
+        return tuple(sorted(sorted(terms), key=len)), None
+    # each term decoded once, for the sort and for the result: positions
+    # sorted by decoded term, then stably by length
+    names = list(map(_decode, terms))
+    order = sorted(range(len(terms)), key=names.__getitem__)
+    order.sort(key=list(map(len, terms)).__getitem__)
+    return tuple(map(terms.__getitem__, order)), tuple(map(names.__getitem__, order))
 
 
 class SopfRe:
@@ -223,17 +232,26 @@ class SopfRe:
         object.__setattr__(self, "_terms", tuple(unique))
         object.__setattr__(self, "_canonical", len(unique) < 2)
 
+    def _sort(self) -> tuple[Term, ...] | None:
+        """Put ``_terms`` in canonical order if they are not; the terms'
+        symbols in that order if the sort decoded them, else ``None``."""
+        if self._canonical:
+            return None
+        terms, names = _canonical_order(self._terms)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_canonical", True)
+        return names
+
     def _sorted(self) -> tuple[Code, ...]:
         """``_terms`` in canonical order, sorted on the first call."""
-        if not self._canonical:
-            object.__setattr__(self, "_terms", _canonical_order(self._terms))
-            object.__setattr__(self, "_canonical", True)
+        self._sort()
         return self._terms
 
     @property
     def terms(self) -> tuple[Term, ...]:
         """The terms in canonical order: shortest first, then lexicographic."""
-        return _decode_all(self._sorted())
+        names = self._sort()
+        return _decode_all(self._terms) if names is None else names
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -443,7 +461,9 @@ def _remove_at(r: SopfRe, k: int) -> SopfRe:
 # the compact spelling: a dot-free multi-character token is always read as
 # single-character symbols, so an expression whose every term is one
 # multi-character symbol does not survive a text round-trip unless the
-# reader passes ``dotted=True``.
+# reader passes ``dotted=True``.  A lone term whose compact spelling is
+# ``EMPTY`` (the symbols E, M, P, T, Y) is printed dotted, since the
+# compact text would read back as the empty expression.
 
 def parse_sopf(text: str, *, dotted: bool | None = None) -> SopfRe:
     """Parse the textual sum-of-products form.
@@ -483,11 +503,15 @@ def parse_sopf(text: str, *, dotted: bool | None = None) -> SopfRe:
 
 def print_sopf(r: SopfRe, *, dotted: bool = False) -> str:
     """Render in canonical order; the empty expression prints as ``EMPTY``."""
-    terms = r._sorted()
+    names = r._sort()
+    terms = r._terms
     if not terms:
         return EMPTY_TOKEN
-    if all(map(str.isascii, terms)):
-        # every symbol is one character, its own code
-        return " + ".join(map(".".join, terms) if dotted else terms)
+    if names is None and all(map(str.isascii, terms)):
+        # every symbol is one character, its own code; a lone term spelled
+        # EMPTY is dotted, so that it does not read as the empty expression
+        if dotted or terms == (EMPTY_TOKEN,):
+            return " + ".join(map(".".join, terms))
+        return " + ".join(terms)
     use_dots = dotted or max(map(len, r.symbols())) > 1
-    return " + ".join(map(("." if use_dots else "").join, map(_decode, terms)))
+    return " + ".join(map(("." if use_dots else "").join, names or map(_decode, terms)))

@@ -89,8 +89,9 @@ def flagged_models(draw):
         g = apply_dg_op(g, op)
     nodes = sorted(g.nodes)
     # names over a small alphabet share prefixes ("a" < "a1" < "ab"), so
-    # the order of name sequences differs from that of their spellings
-    names = draw(st.lists(st.text("ab1", min_size=1, max_size=3),
+    # the order of name sequences differs from that of their spellings;
+    # "-" sorts below the "." of the dotted spelling, so "a-" < "a" . "b"
+    names = draw(st.lists(st.text("ab1-", min_size=1, max_size=3),
                           min_size=len(nodes), max_size=len(nodes), unique=True))
     rename = dict(zip(nodes, names))
     extra = st.sets(st.sampled_from(nodes)) if nodes else st.just(set())

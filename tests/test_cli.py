@@ -1,16 +1,18 @@
 """Command-line behavior: output, formats, exit codes."""
 import contextlib
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 import dagmut.sopf
-from dagmut import cli, graph, parse_graph, print_sopf
+from dagmut import CycleError, cli, graph, model_from_graph, parse_graph, print_sopf
 from dagmut.cli import main
-from dagmut.graph import enumerate_paths, render_graph
+from dagmut.graph import enumerate_paths, render_graph, render_paths, validate_acyclic
 from dagmut.metrics import BOUND_EXPONENTS, MAX_TREND_SIZE
 from dagmut.oracle import MAX_GEN_NODES
+from dagmut.sopf import term_key
 
 from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, count_calls, flagged_models
 
@@ -61,6 +63,87 @@ def test_convert_cyclic_file(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: cycle detected: a -> b -> a\n"
+
+
+# four ways for a graph to hold a cycle; the walk finds the first, third
+# and fourth itself, and leaves the second to validate_acyclic
+CYCLE_SHAPES = {
+    "reached_from_a_start": "arc s a\narc a b\narc b a\nstart s\nfinish b\n",
+    "reached_from_no_start": "arc s t\narc x y\narc y x\nstart s\nfinish t\n",
+    "start_on_the_cycle": "arc a b\narc b a\nstart a\nfinish b\n",
+    "start_with_predecessors": "arc a b\narc b c\narc c b\nstart a\nstart b\nfinish c\n",
+}
+
+
+def lengthened(text: str) -> str:
+    """``text`` with every node name followed by ``0``: model_from_graph
+    walks graphs of one-character names without the shared-node walk."""
+    return "".join(" ".join([keyword, *(v + "0" for v in names)]) + "\n"
+                   for keyword, *names in map(str.split, text.splitlines()))
+
+
+@pytest.mark.parametrize("long_names", [False, True], ids=["short_names", "long_names"])
+@pytest.mark.parametrize("text", CYCLE_SHAPES.values(), ids=CYCLE_SHAPES)
+def test_cyclic_graphs_raise_the_witness_of_validate_acyclic(capsys, tmp_path, text, long_names):
+    text = lengthened(text) if long_names else text
+    witness = validate_acyclic(parse_graph(text))
+    assert witness is not None
+    for convert in (render_paths, model_from_graph):
+        with pytest.raises(CycleError) as caught:
+            convert(parse_graph(text))
+        assert caught.value.witness == witness
+    path = tmp_path / "loop.dg"
+    path.write_text(text)
+    code, out, err = run(capsys, "convert", path)
+    assert (code, out, err) == (1, "", "error: cycle detected: " + " -> ".join(witness) + "\n")
+
+
+def test_convert_runs_the_kahn_pass_only_for_nodes_it_never_reached(monkeypatch):
+    calls = count_calls(monkeypatch, graph, "validate_acyclic")
+    reached = parse_graph(SAMPLE_GRAPH_TEXT)
+    render_paths(reached)
+    assert calls == []
+    unreached = parse_graph(SAMPLE_GRAPH_TEXT + "arc x0 a\nstart a\n")
+    assert render_paths(unreached) == render_paths(reached)
+    assert len(calls) == 1
+
+
+def test_convert_deep_chain_fed_by_dead_ends(capsys, tmp_path):
+    # each a_k has a second predecessor, the dangling d_k, which no start
+    # reaches: the walk counts one entry per a_k and walks the chain
+    # inline, so it keeps no tables of nested suffixes (about 70 MB here)
+    names = [f"a{k}" for k in range(1, 5001)]
+    text = "".join(f"arc {a} {b}\n" for a, b in zip(names, names[1:]))
+    text += "".join(f"arc d{k} {a}\n" for k, a in enumerate(names, 1))
+    text += f"start {names[0]}\nfinish {names[-1]}\n"
+    path = tmp_path / "chain.dg"
+    path.write_text(text)
+    code, out, err = run(capsys, "convert", path, "--format", "machine")
+    assert (code, out, err) == (0, ".".join(names) + "\n", "")
+    assert model_from_graph(parse_graph(text)).re.terms == (tuple(names),)
+    g = parse_graph(text)
+    tracemalloc.start()
+    try:
+        render_paths(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+def test_convert_deep_nest_of_shared_nodes(capsys, tmp_path):
+    # s feeds every a_k, so a_2 .. a_1100 are shared and the walk, entering
+    # a_1 first, opens them one inside the other, past the interpreter's
+    # recursion limit
+    names = [f"a{k}" for k in range(1, 1101)]
+    text = "".join(f"arc {a} {b}\n" for a, b in zip(names, names[1:]))
+    text += "".join(f"arc s {a}\n" for a in names)
+    path = tmp_path / "nest.dg"
+    path.write_text(text)
+    words = sorted((("s", *names[k:]) for k in range(len(names))), key=term_key)
+    code, out, err = run(capsys, "convert", path, "--format", "machine")
+    assert (code, out, err) == (0, " + ".join(map(".".join, words)) + "\n", "")
+    assert model_from_graph(parse_graph(text)).re.terms == tuple(words)
 
 
 def test_convert_missing_file(capsys, tmp_path):
@@ -153,7 +236,11 @@ def test_convert_prints_the_expression_of_its_graph(tmp_path_factory, g):
     ("arc a b\nstart b\nfinish a\n", "EMPTY"),
     ("".join(f"arc n{k} n{k + 1}\n" for k in range(19_999)),
      ".".join(f"n{k}" for k in range(20_000))),
-], ids=["multichar_nodes_on_no_path", "empty_language", "chain_of_20000"])
+    # compact, the lone term would print as the empty expression
+    ("arc E M\narc M P\narc P T\narc T Y\n", "E.M.P.T.Y"),
+    ("arc E M\narc M P\narc P T\narc T Y\nnode long\nstart E\nfinish Y\n", "E.M.P.T.Y"),
+], ids=["multichar_nodes_on_no_path", "empty_language", "chain_of_20000", "spelled_empty",
+        "spelled_empty_off_a_long_name"])
 def test_convert_prints_the_expression_of_named_graphs(tmp_path, text, pretty):
     path = tmp_path / "model.dg"
     path.write_text(text)

@@ -19,10 +19,11 @@ from dagmut.graph import (
     enumerate_paths,
     path_exists,
     render_graph,
+    render_paths,
     validate_acyclic,
 )
 from dagmut.oracle import default_flags, naive_enumerate, topological_order
-from dagmut.sopf import term_key
+from dagmut.sopf import print_sopf, term_key
 
 from support import SAMPLE_TERMS, built, flagged_models, scripted_models, spell
 
@@ -371,6 +372,30 @@ def dags(draw):
 def test_generated_graphs_are_acyclic_and_round_trip(g):
     assert validate_acyclic(g) is None
     assert parse_graph(render_graph(g)) == g
+
+
+@st.composite
+def freely_flagged_dags(draw):
+    """A graph of :func:`dags` under two-character names (so that
+    :func:`enumerate_paths` takes the shared-node walk) with freely drawn
+    flags: a node without predecessors may be no start, which leaves it
+    and the nodes only it reaches unexpanded."""
+    g = draw(dags())
+    rename = {v: v + "0" for v in g.nodes}
+    flags = st.sets(st.sampled_from(sorted(rename.values()))) if g.nodes else st.just(set())
+    return Dg(set(rename.values()), {(rename[a], rename[b]) for a, b in g.arcs},
+              draw(flags), draw(flags))
+
+
+@settings(max_examples=150, deadline=None)
+@given(freely_flagged_dags())
+def test_walk_agrees_with_the_naive_walk_under_any_flags(g):
+    re = enumerate_paths(g)
+    terms = built(re)
+    assert terms == sorted(terms, key=term_key)
+    naive = naive_enumerate(g)
+    assert len(terms) == len(naive) and set(terms) == set(naive)
+    assert render_paths(g, dotted=True) == print_sopf(re, dotted=True)
 
 
 @settings(max_examples=60)

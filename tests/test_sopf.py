@@ -185,6 +185,28 @@ def test_parse_empty_token():
     assert print_sopf(SopfRe()) == "EMPTY"
 
 
+def test_a_lone_term_spelled_empty_prints_dotted():
+    # compact, the term E.M.P.T.Y would read back as the empty expression
+    lone = SopfRe([tuple("EMPTY")])
+    assert print_sopf(lone) == print_sopf(lone, dotted=True) == "E.M.P.T.Y"
+    assert parse_sopf(print_sopf(lone)) == lone
+    beside = SopfRe([tuple("EMPTY"), ("a",)])
+    assert print_sopf(beside) == "a + EMPTY"
+    assert parse_sopf(print_sopf(beside)) == beside
+
+
+def test_first_print_decodes_each_term_once(monkeypatch):
+    decoded = count_calls(monkeypatch, sopf_module, "_decode")
+    words = [(f"n{k}", f"m{k % 7}") for k in range(50, 0, -1)] + [("z",)]
+    expected = " + ".join(".".join(w) for w in sorted(words, key=term_key))
+    for read in (print_sopf, lambda r: " + ".join(map(".".join, r.terms))):
+        r = SopfRe(words)
+        assert not r._canonical
+        del decoded[:]
+        assert read(r) == expected
+        assert len(decoded) == len(words)
+
+
 def test_parse_reorders_canonically():
     assert print_sopf(parse_sopf("b + a")) == "a + b"
 
