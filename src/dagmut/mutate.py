@@ -11,8 +11,13 @@ fragment leaving the arc's target (suffixes cut at its last occurrence) and
 adds the products.  Arc omission drops every term containing the two nodes
 adjacently and, when that removal exhausts all terms containing the source
 (target), re-adds the head (tail) fragments as terms of their own.  Node
-operators are composites of arc operators around adding/removing the bare
-one-symbol term.
+insertion adds the bare one-symbol term, then the node's arcs, and keeps
+it: flags are sticky, so the node is a start and a finish node.  Node
+omission omits the node's arcs, then the bare term.
+
+Models are *trim*: every node lies on a start-to-finish path.  Every
+operator keeps a graph trim and its expression the graph's path language,
+so :func:`model_from_graph` and :class:`ModelState` refuse any other graph.
 
 The operators work on the code strings of :mod:`dagmut.sopf`: a symbol
 search is one ``in``, and the omitted pair one two-code-point ``in``.
@@ -63,7 +68,7 @@ from itertools import compress, repeat
 from operator import contains, not_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InsertionCycleError, OperationError, ScriptError
+from .errors import ModelError, OperationError, ScriptError
 from .graph import Dg, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
@@ -72,11 +77,11 @@ from .sopf import (
     _code,
     _extend,
     _heads,
-    _remove_at,
     _split,
     _tails,
     _tally,
     _trusted,
+    print_sopf,
     pt,
     set_concat,
     set_union,
@@ -88,24 +93,34 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ModelState:
-    """A graph and its expression, transformed together and never separately."""
+    """A graph and its expression, transformed together and never separately.
+    Built by hand, its graph must be trim and its terms paths of the graph."""
 
     dg: Dg
     re: SopfRe
 
     def __post_init__(self):
-        stray = self.re.symbols() - self.dg.nodes
+        paths = enumerate_paths(self.dg)
+        _require_trim(self.dg, paths)
+        stray = set(self.re._terms).difference(paths._terms)
         if stray:
-            raise ValueError(f"expression mentions undeclared nodes: {sorted(stray)}")
+            term = print_sopf(_trusted((min(stray),)))
+            raise ModelError(f"term {term!r} is not a start-to-finish path of the graph")
+
+
+def _require_trim(g: Dg, paths: SopfRe) -> None:
+    """Raise a :class:`ModelError` naming the smallest node of ``g`` on no
+    start-to-finish path.  ``paths`` is ``enumerate_paths(g)``, and a node
+    is on a path iff a term holds it: one pass over the joined terms."""
+    if len(set("".join(paths._terms))) != len(g.nodes):
+        useless = min(g.nodes - paths.symbols())
+        raise ModelError(f"node {useless!r} lies on no start-to-finish path (model not trim)")
 
 
 def _state(dg: Dg, re: SopfRe) -> ModelState:
-    """A :class:`ModelState` built without the constructor's symbol check.
-
-    Callers pass the paths of ``dg`` or an operator result: operators add
-    no symbol that is not a node of the new graph (``apply_dg_op`` checked
-    each node it added), and node omission checks the one node it removes.
-    """
+    """A :class:`ModelState` built without the constructor's checks, from
+    the paths of a trim ``dg`` or an operator result (tests also pass terms
+    that are not paths, to reach the kernels' edge cases)."""
     st = object.__new__(ModelState)
     vars(st).update(dg=dg, re=re)
     return st
@@ -135,9 +150,12 @@ class LogEntry:
 
 
 def model_from_graph(g: Dg) -> ModelState:
-    """Build the synchronized state of an acyclic graph; its expression is
-    the full start-to-finish path enumeration."""
-    state = _state(g, enumerate_paths(g))
+    """Build the synchronized state of a trim acyclic graph; its expression
+    is the full start-to-finish path enumeration.  A graph that is not trim
+    raises a :class:`ModelError` naming its smallest useless node."""
+    paths = enumerate_paths(g)
+    _require_trim(g, paths)
+    state = _state(g, paths)
     # operators patch the predecessor index; built here, it is built once
     # per model and shared by every state derived from this one
     g._pred
@@ -148,12 +166,6 @@ def _entry(op: MutationOp, before: SopfRe, after: SopfRe, kept: int, **extra) ->
     """Net term counts, ``kept`` being the number of terms of ``before``
     still in ``after``."""
     return LogEntry(op, terms_added=len(after) - kept, terms_removed=len(before) - kept, **extra)
-
-
-def _order_witnessed(r: SopfRe, earlier: str, later: str) -> bool:
-    """True if some term places ``earlier`` strictly before ``later``."""
-    first, then = _code(earlier), _code(later)
-    return any(t.find(then, t.index(first) + 1) >= 0 for t in r._terms if first in t)
 
 
 def arc_insert(st: ModelState, src: str, dst: str,
@@ -169,14 +181,7 @@ def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None
     ``st.re`` holding ``src`` (``dst``) in its order, if the caller has
     them.  The new terms go after those of ``st.re``."""
     op = ArcInsert(src, dst)
-    try:
-        dg = apply_dg_op(st.dg, op)
-    except InsertionCycleError as exc:
-        # reachability is authoritative; note when the term set alone would
-        # not have caught the cycle
-        if _order_witnessed(st.re, dst, src):
-            raise
-        raise InsertionCycleError(f"{exc} (path not witnessed by any product term)") from None
+    dg = apply_dg_op(st.dg, op)
     if held_src is None:
         held_src = pt(st.re, (src,), counters)._terms
     if held_dst is None:
@@ -247,8 +252,8 @@ def node_insert(st: ModelState, node: str,
                 outgoing: Sequence[str] = (), ingoing: Sequence[str] = (),
                 counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert ``node`` with its arcs: the bare term first, then outgoing
-    arcs, then ingoing arcs (each a full arc insertion), then the bare term
-    is dropped again if any arc was attached."""
+    arcs, then ingoing arcs (each a full arc insertion).  The bare term
+    stays, as the node is flagged start and finish."""
     op = NodeInsert(node, tuple(outgoing), tuple(ingoing))
     # the arc insertions check the neighbours
     dg = apply_dg_op(st.dg, NodeInsert(node))
@@ -267,8 +272,6 @@ def node_insert(st: ModelState, node: str,
     for y in op.ingoing:
         work, step = _arc_insert(work, y, node, counters, held_dst=work.re._terms[n:])
         sub.append(step)
-    if sub:
-        work = _state(work.dg, _remove_at(work.re, n))
     # the insertions keep every term of st.re, and the new node's bare term
     # is not one of them
     return work, _entry(op, st.re, work.re, len(st.re), sub=tuple(sub))
@@ -286,8 +289,8 @@ def node_omit(st: ModelState, node: str,
     # the split searches every term once
     _tally(counters, searched=len(st.re))
     held, rest = _split(st.re._terms, bare)
-    # the arc steps drop only terms holding the node, and none is left at
-    # the end (checked below), so exactly the others are kept
+    # the arc steps drop only terms holding the node, and on a trim model
+    # only its bare term is left at the end, so exactly the others are kept
     kept = len(rest)
     sub: list[LogEntry] = []
     for x in st.dg.successors(node):
@@ -296,9 +299,6 @@ def node_omit(st: ModelState, node: str,
     for y in st.dg.predecessors(node):
         held, rest, step = _omit(held, rest, y, node, node, counters)
         sub.append(step)
-    # only a term that is not a path of the graph can still hold the node
-    if held and held != (bare,):
-        raise ValueError(f"expression mentions undeclared nodes: {[node]}")
     final_re = _trusted(rest)
     return _state(dg, final_re), _entry(op, st.re, final_re, kept, sub=tuple(sub))
 

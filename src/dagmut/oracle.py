@@ -25,8 +25,8 @@ from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .errors import ModelError, OperationError
-from .graph import Arc, Dg, apply_dg_op, parse_graph, render_graph, validate_acyclic
-from .mutate import ModelState, apply_op, model_from_graph
+from .graph import Arc, Dg, apply_dg_op, enumerate_paths, parse_graph, render_graph
+from .mutate import ModelState, _require_trim, apply_op, model_from_graph
 from .ops import (
     ArcInsert,
     ArcOmit,
@@ -161,8 +161,6 @@ def ref_apply(lang: NaiveLang, op: MutationOp, companion: Dg) -> NaiveLang:
             words = _ref_arc_insert(words, op.node, x, nodes, arcs)
         for y in op.ingoing:
             words = _ref_arc_insert(words, y, op.node, nodes, arcs)
-        if op.outgoing or op.ingoing:
-            words = [w for w in words if w != (op.node,)]
         return NaiveLang(words)
     if isinstance(op, NodeOmit):
         if op.node not in nodes:
@@ -375,15 +373,16 @@ def _count_violations(entries) -> list[str]:
 
 
 def _invariant_violations(st: ModelState) -> list[str]:
+    """A cycle, a graph that is not trim, an expression other than the
+    graph's path language, or a text form that does not read back."""
     problems: list[str] = []
-    witness = validate_acyclic(st.dg)
-    if witness is not None:
-        problems.append(f"cyclic graph: {' -> '.join(witness)}")
-    for term in st.re:
-        if len(set(term)) != len(term):
-            problems.append(f"repeated symbol in term {''.join(term)}")
-    if not st.re.symbols() <= st.dg.nodes:
-        problems.append("expression mentions undeclared nodes")
+    try:
+        paths = enumerate_paths(st.dg)
+        _require_trim(st.dg, paths)
+        if paths != st.re:
+            problems.append("expression differs from the graph's path language")
+    except ModelError as exc:  # a CycleError, or a graph that is not trim
+        problems.append(str(exc))
     if parse_graph(render_graph(st.dg)) != st.dg:
         problems.append("graph text round-trip diverged")
     if parse_sopf(print_sopf(st.re)) != st.re:

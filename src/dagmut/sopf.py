@@ -30,9 +30,8 @@ those decoded terms.
 The public constructor drops repeated terms, which hashes every term it is
 given.  Results that are duplicate-free by construction skip that step
 through the private :func:`_trusted`: the filters :func:`pt`,
-:func:`set_difference` and :func:`remove_term` (and :func:`_remove_at`,
-which drops a term at a known position), :func:`add_term` (after its one
-search) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
+:func:`set_difference` and :func:`remove_term`, :func:`add_term` (after
+its one search) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
 Unions go through one private helper, :func:`_extend`, which adds terms
 to an expression and checks them only against the terms they can equal,
 which the caller names: :func:`set_union` names the whole first operand,
@@ -438,17 +437,11 @@ def add_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = Non
 
 def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     _tally(counters, searched=len(r))
+    terms = r._terms
     try:
-        k = r._terms.index(_lookup(term))
+        k = terms.index(_lookup(term))
     except ValueError:
         return r
-    return _remove_at(r, k)
-
-
-def _remove_at(r: SopfRe, k: int) -> SopfRe:
-    """``remove_term(r, term)`` for a term known to sit at position ``k``
-    of ``r._terms``: no search."""
-    terms = r._terms
     return _trusted(terms[:k] + terms[k + 1:])
 
 

@@ -120,8 +120,10 @@ def test_convert_deep_chain_fed_by_dead_ends(capsys, tmp_path):
     path.write_text(text)
     code, out, err = run(capsys, "convert", path, "--format", "machine")
     assert (code, out, err) == (0, ".".join(names) + "\n", "")
-    assert model_from_graph(parse_graph(text)).re.terms == (tuple(names),)
+    # the graph is not trim, so it makes no model; naive_enumerate finds
+    # the same one word, but scans all 10^4 arcs at each of its 5000 steps
     g = parse_graph(text)
+    assert enumerate_paths(g).terms == (tuple(names),)
     tracemalloc.start()
     try:
         render_paths(g)
@@ -304,6 +306,22 @@ def test_mutate_failing_op_names_index(capsys, graph_file):
 def test_mutate_bad_script_text(capsys, graph_file):
     code, _, err = run(capsys, "mutate", graph_file, "--script", "(x)q_n")
     assert code == 1 and "mnemonic" in err
+
+
+@pytest.mark.parametrize("text, script", [
+    ("arc a b\nstart a\nfinish a\n", "(ab)o_a"),
+    ("arc a b\nnode c\nstart a\nfinish a\nfinish c\n", "(bc)i_a"),
+], ids=["omitted_arc_into_a_dead_end", "inserted_arc_out_of_a_dead_end"])
+def test_mutate_rejects_a_graph_that_is_not_trim(capsys, tmp_path, text, script):
+    # b is on no start-to-finish path, so no term holds it and the
+    # expression could not follow the operator: omitting a -> b flags b
+    # start and finish, inserting b -> c opens the path a b c
+    path = tmp_path / "dead_end.dg"
+    path.write_text(text)
+    code, out, err = run(capsys, "mutate", path, "--script", script)
+    assert (code, out) == (1, "")
+    assert err == "error: node 'b' lies on no start-to-finish path (model not trim)\n"
+    assert run(capsys, "convert", path) == (0, "a\n", "")
 
 
 def test_mutate_machine_format_round_trips(capsys, graph_file):

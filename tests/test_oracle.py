@@ -9,13 +9,14 @@ from dagmut import (
     ArcOmit,
     NodeInsert,
     NodeOmit,
+    ModelError,
     MutationOp,
     OperationError,
     model_from_graph,
     parse_graph,
 )
 from dagmut import oracle as oracle_module
-from dagmut.graph import Dg, apply_dg_op, path_exists, validate_acyclic
+from dagmut.graph import Dg, apply_dg_op, enumerate_paths, path_exists, validate_acyclic
 from dagmut.oracle import (
     GenConfig,
     NaiveLang,
@@ -26,8 +27,10 @@ from dagmut.oracle import (
     run_differential,
 )
 from dagmut.sopf import SopfRe
+from dagmut.mutate import _state
 from dagmut.oracle import (
     _NAMES,
+    _invariant_violations,
     _reach_rows,
     naive_enumerate,
     topological_order,
@@ -64,7 +67,8 @@ def test_ref_node_omit_isolated():
 def test_ref_node_insert():
     g = parse_graph("arc a b")
     out = ref_apply(words("ab"), NodeInsert("v", ("b",), ("a",)), g)
-    assert equivalent(sopf("ab", "vb", "av", "avb"), out)
+    # v keeps its start and finish flags, so its bare term stays
+    assert equivalent(sopf("ab", "v", "vb", "av", "avb"), out)
 
 
 def test_ref_mirrors_preconditions():
@@ -103,11 +107,13 @@ def test_cross_check_random_models():
 
 def test_cross_check_with_stranded_node():
     # explicit flags leave c unreachable; both enumerations agree it
-    # appears in no word
+    # appears in no word, so the graph makes no model
     g = parse_graph("arc a b\nnode c\nstart a\nfinish b")
-    actual = model_from_graph(g).re
+    actual = enumerate_paths(g)
     assert equivalent(actual, NaiveLang(naive_enumerate(g)))
     assert all("c" not in word for word in actual.terms)
+    with pytest.raises(ModelError, match="node 'c' lies on no start-to-finish path"):
+        model_from_graph(g)
 
 
 def test_naive_enumeration_matches_sample(sample_graph):
@@ -246,6 +252,21 @@ def test_timing_probes_see_every_conversion_and_step(monkeypatch):
     assert report.ok
     assert len(converted) == 40
     assert len(applied) == report.steps_checked > 0
+
+
+def test_invariant_violations_name_what_breaks_the_model():
+    g = parse_graph("arc a b\narc b c")
+    assert _invariant_violations(model_from_graph(g)) == []
+    # a repeated symbol, and a term that is no path
+    for extra in ("abcb", "ab"):
+        assert _invariant_violations(_state(g, sopf("abc", extra))) == [
+            "expression differs from the graph's path language"]
+    stranded = parse_graph("arc a b\nnode c\nstart a\nfinish b")
+    assert _invariant_violations(_state(stranded, sopf("ab"))) == [
+        "node 'c' lies on no start-to-finish path (model not trim)"]
+    cyclic = Dg({"a", "b"}, {("a", "b"), ("b", "a")}, {"a"}, {"b"})
+    assert _invariant_violations(_state(cyclic, sopf("ab"))) == [
+        "cycle detected: a -> b -> a"]
 
 
 def test_injected_fault_is_detected_and_located():
