@@ -94,7 +94,9 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class ModelState:
     """A graph and its expression, transformed together and never separately.
-    Built by hand, its graph must be trim and its terms paths of the graph."""
+    Built by hand, its graph must be trim and its terms paths of the graph;
+    they may be a subset of the paths, which
+    :func:`~dagmut.oracle._invariant_violations` reports."""
 
     dg: Dg
     re: SopfRe

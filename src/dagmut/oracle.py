@@ -1,8 +1,12 @@
 """Brute-force reference semantics and randomized differential checking.
 
-The reference works on plain lists of words with linear scans only; it
-deliberately shares no term-set machinery with the efficient
-implementation so the two can disagree when one is wrong.
+The spec of a model is that its expression is the start-to-finish path
+language of its graph.  The reference checks exactly that: it re-applies
+each operator to its own copy of the graph (:func:`_ref_edit`, plain node,
+arc and flag sets with linear scans) and enumerates that graph's paths
+naively (:func:`naive_enumerate`).  It shares no term algebra and no graph
+operator with the efficient implementation, so the two can disagree when
+one is wrong.
 
 The generators keep their own graph helpers: the degree-rule flags of
 :func:`random_model` and the heap-ordered :func:`topological_order`, whose
@@ -14,8 +18,10 @@ O(V + E) big-int ORs, then one bit test per node pair.
 :func:`run_differential` converts each trial's graph once, with
 :func:`~dagmut.mutate.model_from_graph`, and checks that expression
 against :func:`naive_enumerate` before the first step.  Every step then
-goes through :func:`~dagmut.mutate.apply_op` and :func:`ref_apply` side
-by side and is checked for equivalence, term counts and invariants.
+goes through :func:`~dagmut.mutate.apply_op` and :func:`_ref_edit` side by
+side; the two graphs must be equal, the expression must be the reference
+graph's path language, and the step must keep its term counts and the
+model's invariants.
 """
 from __future__ import annotations
 
@@ -54,141 +60,106 @@ def equivalent(a: SopfRe, b: NaiveLang) -> bool:
 
 
 # --------------------------------------------------------------------------
-# reference operator semantics
+# reference semantics: the path language of the edited graph
 
-def _reachable(arcs: Sequence[tuple[str, str]], src: str, dst: str) -> bool:
-    if src == dst:
-        return True
-    seen = {src}
-    frontier = [src]
+def _reachable(arcs: set[Arc], src: str, dst: str) -> bool:
+    """True iff a path of length >= 0 leads from ``src`` to ``dst``."""
+    seen, frontier = {src}, [src]
     while frontier:
         v = frontier.pop()
         for a, b in arcs:
-            if a == v and b == dst:
-                return True
             if a == v and b not in seen:
                 seen.add(b)
                 frontier.append(b)
-    return False
+    return dst in seen
 
 
-def _heads(words: list[Word], sym: str) -> list[Word]:
-    out: list[Word] = []
-    for w in words:
-        if sym in w:
-            cut = w[:w.index(sym) + 1]
-            if cut not in out:
-                out.append(cut)
-    return out
+def _ref_edit(g: Dg, op: MutationOp) -> Dg:
+    """``g`` after ``op``, edited on plain copies of its sets.
 
-
-def _tails(words: list[Word], sym: str) -> list[Word]:
-    out: list[Word] = []
-    for w in words:
-        if sym in w:
-            last = len(w) - 1 - tuple(reversed(w)).index(sym)
-            cut = w[last:]
-            if cut not in out:
-                out.append(cut)
-    return out
-
-
-def _ref_arc_insert(words: list[Word], src: str, dst: str,
-                    nodes: set[str], arcs: list[tuple[str, str]]) -> list[Word]:
-    if src not in nodes or dst not in nodes:
-        raise OperationError("unknown node")
-    if (src, dst) in arcs:
-        raise OperationError("arc already present")
-    if _reachable(arcs, dst, src):
-        raise OperationError("insertion would create a cycle")
-    out = list(words)
-    for h in _heads(words, src):
-        for t in _tails(words, dst):
-            joined = h + t
-            if joined not in out:
-                out.append(joined)
-    arcs.append((src, dst))
-    return out
-
-
-def _ref_arc_omit(words: list[Word], src: str, dst: str,
-                  arcs: list[tuple[str, str]]) -> list[Word]:
-    if (src, dst) not in arcs:
-        raise OperationError("arc not present")
-    with_src = [w for w in words if src in w]
-    with_dst = [w for w in words if dst in w]
-    adjacent = [w for w in words
-                if any(w[k] == src and w[k + 1] == dst for k in range(len(w) - 1))]
-    fresh: list[Word] = []
-    if set(with_src) == set(adjacent):
-        fresh.extend(_heads(with_src, src))
-    if set(with_dst) == set(adjacent):
-        for t in _tails(with_dst, dst):
-            if t not in fresh:
-                fresh.append(t)
-    out = [w for w in words if w not in adjacent]
-    for w in fresh:
-        if w not in out:
-            out.append(w)
-    arcs.remove((src, dst))
-    return out
-
-
-def ref_apply(lang: NaiveLang, op: MutationOp, companion: Dg) -> NaiveLang:
-    """Reference result of one operator on a naive language.
-
-    ``companion`` is the graph the state had before the operator; it sizes
-    the precondition checks and, for node omission, fixes which arcs go.
+    Flags are sticky: arc omission flags an endpoint left without outgoing
+    (ingoing) arcs as finish (start), and a new node is flagged both ways.
+    Node omission omits the node's outgoing arcs, then its ingoing arcs,
+    then drops the node.  A failed precondition raises an
+    :class:`OperationError`.
     """
-    nodes = set(companion.nodes)
-    arcs = [tuple(a) for a in sorted(companion.arcs)]
-    words = list(lang.words)
+    nodes, arcs = set(g.nodes), set(g.arcs)
+    starts, finishes = set(g.starts), set(g.finishes)
+
+    def insert(src: str, dst: str) -> None:
+        if src not in nodes or dst not in nodes:
+            raise OperationError("unknown node")
+        if (src, dst) in arcs:
+            raise OperationError("arc already present")
+        if _reachable(arcs, dst, src):
+            raise OperationError("insertion would create a cycle")
+        arcs.add((src, dst))
+
+    def omit(src: str, dst: str) -> None:
+        if (src, dst) not in arcs:
+            raise OperationError("arc not present")
+        arcs.remove((src, dst))
+        for v in (src, dst):
+            if all(a != v for a, _ in arcs):
+                finishes.add(v)
+            if all(b != v for _, b in arcs):
+                starts.add(v)
 
     if isinstance(op, ArcInsert):
-        return NaiveLang(_ref_arc_insert(words, op.src, op.dst, nodes, arcs))
-    if isinstance(op, ArcOmit):
-        return NaiveLang(_ref_arc_omit(words, op.src, op.dst, arcs))
-    if isinstance(op, NodeInsert):
+        insert(op.src, op.dst)
+    elif isinstance(op, ArcOmit):
+        omit(op.src, op.dst)
+    elif isinstance(op, NodeInsert):
         if op.node in nodes:
             raise OperationError("node already present")
-        for v in (*op.outgoing, *op.ingoing):
-            if v not in nodes:
-                raise OperationError("unknown node")
-        nodes.add(op.node)
-        if (op.node,) not in words:
-            words.append((op.node,))
+        for flagged in (nodes, starts, finishes):
+            flagged.add(op.node)
         for x in op.outgoing:
-            words = _ref_arc_insert(words, op.node, x, nodes, arcs)
+            insert(op.node, x)
         for y in op.ingoing:
-            words = _ref_arc_insert(words, y, op.node, nodes, arcs)
-        return NaiveLang(words)
-    if isinstance(op, NodeOmit):
+            insert(y, op.node)
+    elif isinstance(op, NodeOmit):
         if op.node not in nodes:
             raise OperationError("unknown node")
         for x in sorted(b for a, b in arcs if a == op.node):
-            words = _ref_arc_omit(words, op.node, x, arcs)
+            omit(op.node, x)
         for y in sorted(a for a, b in arcs if b == op.node):
-            words = _ref_arc_omit(words, y, op.node, arcs)
-        return NaiveLang([w for w in words if w != (op.node,)])
-    raise TypeError(f"not a mutation operator: {op!r}")
+            omit(y, op.node)
+        for flagged in (nodes, starts, finishes):
+            flagged.discard(op.node)
+    else:
+        raise TypeError(f"not a mutation operator: {op!r}")
+    return Dg(nodes, arcs, starts, finishes)
 
 
-# --------------------------------------------------------------------------
-# independent path enumeration
+def ref_apply(lang: NaiveLang, op: MutationOp, companion: Dg) -> NaiveLang:
+    """Reference result of one operator: the path language of
+    ``companion``, the graph before the operator, edited by ``op``.
+
+    ``lang`` is not read: on a model the language before the operator is
+    ``companion``'s, so the result depends on the graph alone.
+    """
+    return NaiveLang(naive_enumerate(_ref_edit(companion, op)))
+
 
 def naive_enumerate(g: Dg) -> list[Word]:
-    """Exhaustive start-to-finish walk over the raw arc pairs, scanning all
-    of them at every step; depth-first, smallest successor first."""
+    """Exhaustive start-to-finish walk over the raw arc pairs, depth-first,
+    smallest successor first.  Each node's successor list is built once per
+    call from the sorted pairs."""
+    succ: dict[str, list[str]] = {}
+    # reversed order pushes the largest successor first and pops the
+    # smallest first
+    for a, b in sorted(g.arcs, reverse=True):
+        succ.setdefault(a, []).append(b)
     words: list[Word] = []
-    arcs = sorted(g.arcs, reverse=True)
     # a stack of trails, not recursion, so long chains cannot exhaust the
-    # interpreter's recursion limit; reversed order pops the smallest first
+    # interpreter's recursion limit
     stack = [(s,) for s in sorted(g.starts, reverse=True)]
     while stack:
         trail = stack.pop()
         if trail[-1] in g.finishes:
             words.append(trail)
-        stack.extend(trail + (b,) for a, b in arcs if a == trail[-1])
+        stack.extend(trail + (b,) for b in succ.get(trail[-1], ()))
     return words
 
 
@@ -390,15 +361,33 @@ def _invariant_violations(st: ModelState) -> list[str]:
     return problems
 
 
+def _graph_difference(dg: Dg, ref: Dg) -> str:
+    """Each field in which ``dg`` differs from ``ref``, with the elements
+    found on one side only."""
+    parts = []
+    for name in ("nodes", "arcs", "starts", "finishes"):
+        mine, theirs = getattr(dg, name), getattr(ref, name)
+        if mine != theirs:
+            parts.append(f"{name}: implementation only {sorted(mine - theirs)}, "
+                         f"reference only {sorted(theirs - mine)}")
+    return "; ".join(parts)
+
+
 def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
                      max_script: int = 6, *,
                      corrupt: Callable[[int, int, SopfRe], SopfRe] | None = None,
                      ) -> VerifyReport:
     """Seeded random models and scripts, applied through the efficient
-    implementation and the naive reference side by side; every step must
-    agree, keep its term counts and keep the model's invariants.
-    ``corrupt`` is a test-only hook that perturbs the implementation's
-    expression before comparison."""
+    implementation and the naive reference side by side.
+
+    The reference keeps its own graph, edited by :func:`_ref_edit` at every
+    step.  Each step must leave the implementation's graph equal to it
+    (failure kind ``graph``) and its expression equal to its
+    :func:`naive_enumerate` (``equivalence``), keep the term counts
+    (``counts``) and keep the model's invariants (``invariant``); a failed
+    precondition on either side is an ``error``.  ``corrupt`` is a
+    test-only hook that perturbs the implementation's expression before
+    comparison."""
     failures: list[TrialFailure] = []
     steps = 0
     for trial in range(trials):
@@ -416,24 +405,27 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
             failures.append(TrialFailure(trial, seed, script_text, step, kind, detail))
 
         state = model_from_graph(g)
-        lang = NaiveLang(naive_enumerate(g))
-        if not equivalent(state.re, lang):
+        ref = g
+        if not equivalent(state.re, NaiveLang(naive_enumerate(ref))):
             fail(0, "equivalence", "initial enumeration mismatch")
             continue
         if parse_script(script_text) != script:
             fail(0, "invariant", "script notation round-trip diverged")
         for step, op in enumerate(script, 1):
-            companion = state.dg
             try:
                 state, entry = apply_op(state, op)
-                lang = ref_apply(lang, op, companion)
+                ref = _ref_edit(ref, op)
             except ModelError as exc:
                 fail(step, "error", str(exc))
                 break
             steps += 1
+            if state.dg != ref:
+                fail(step, "graph", _graph_difference(state.dg, ref))
+                break
             shown = state.re
             if corrupt is not None:
                 shown = corrupt(trial, step, shown)
+            lang = NaiveLang(naive_enumerate(ref))
             if not equivalent(shown, lang):
                 fail(step, "equivalence",
                      f"implementation {print_sopf(shown)} vs reference "

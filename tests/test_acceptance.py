@@ -58,7 +58,7 @@ def test_criterion_3_mutation_script(sample_state):
     script = parse_script("(cd)o_a (df)i_a (n)o_n")
     final, _ = apply_script(sample_state, script)
 
-    # independent reference chain over plain word lists
+    # independent reference chain: each step enumerates the edited graph
     lang = NaiveLang([tuple(t) for t in SAMPLE_TERMS])
     dg = sample_state.dg
     from dagmut.graph import apply_dg_op

@@ -343,8 +343,17 @@ def hand_built_states(draw):
     return ModelState(g, SopfRe(terms)), script
 
 
+@st.composite
+def shuffled_states(draw):
+    """A scripted model whose expression holds all of its paths, in any
+    order: the reference, the graph's path language, is then the answer."""
+    g, script = draw(scripted_models())
+    paths = built(model_from_graph(g).re)
+    return ModelState(g, SopfRe(draw(st.permutations(paths)))), script
+
+
 @settings(max_examples=80, deadline=None)
-@given(hand_built_states())
+@given(shuffled_states())
 def test_operator_results_are_distinct_and_match_the_reference(model):
     state, script = model
     for op in script:

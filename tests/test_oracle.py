@@ -15,6 +15,7 @@ from dagmut import (
     model_from_graph,
     parse_graph,
 )
+from dagmut import mutate as mutate_module
 from dagmut import oracle as oracle_module
 from dagmut.graph import Dg, apply_dg_op, enumerate_paths, path_exists, validate_acyclic
 from dagmut.oracle import (
@@ -79,6 +80,14 @@ def test_ref_mirrors_preconditions():
         ref_apply(words("ab"), ArcOmit("b", "a"), g)
     with pytest.raises(OperationError):
         ref_apply(words("ab"), NodeOmit("v"), g)
+    with pytest.raises(OperationError):
+        ref_apply(words("ab"), ArcInsert("a", "b"), g)
+    with pytest.raises(OperationError):
+        ref_apply(words("ab"), ArcInsert("a", "v"), g)
+    with pytest.raises(OperationError):
+        ref_apply(words("ab"), NodeInsert("a"), g)
+    with pytest.raises(OperationError):
+        ref_apply(words("ab"), NodeInsert("v", ("b",), ("u",)), g)
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +276,23 @@ def test_invariant_violations_name_what_breaks_the_model():
     cyclic = Dg({"a", "b"}, {("a", "b"), ("b", "a")}, {"a"}, {"b"})
     assert _invariant_violations(_state(cyclic, sopf("ab"))) == [
         "cycle detected: a -> b -> a"]
+
+
+def test_graph_fault_is_reported_as_a_graph_failure(monkeypatch):
+    # the implementation's arc omission forgets the start flags it adds;
+    # its expression is still right, so only the graph check sees it
+    def forgetful(g, op):
+        out = apply_dg_op(g, op)
+        if isinstance(op, ArcOmit):
+            return Dg(out.nodes, out.arcs, g.starts, out.finishes)
+        return out
+
+    monkeypatch.setattr(mutate_module, "apply_dg_op", forgetful)
+    report = run_differential(trials=200, base_seed=1, max_nodes=8)
+    assert report.failures
+    assert {f.kind for f in report.failures} == {"graph"}
+    for f in report.failures:
+        assert f.detail.startswith("starts: implementation only [], reference only ['")
 
 
 def test_injected_fault_is_detected_and_located():
