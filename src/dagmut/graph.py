@@ -5,7 +5,7 @@ from a start-flagged node to a finish-flagged node.  Flags default to the
 degree rule (no ingoing arcs = start, no outgoing arcs = finish) and are
 sticky: mutation history only ever adds flags, never clears them.
 
-Cost model: a :class:`Dg` indexes its arcs by endpoint, so
+Cost model: a :class:`Dg` stores its arcs once, in an index by endpoint, so
 ``successors``/``predecessors``/degree queries cost O(deg) and
 :func:`path_exists` O(reachable).  The successor index is built with the
 graph; the predecessor index is built from it on its first read.  The
@@ -29,17 +29,21 @@ strings stay short), any other graph by the shared-node walk labelled
 with the codes.  :func:`render_paths` runs the shared-node walk on the
 node names, so ``dagmut convert`` prints without coding or decoding a
 term.
-:func:`apply_dg_op` derives the child graph from its parent and rebuilds
-only the index entries the operator touches (O(touched) Python work; the
-frozensets and the index dicts are still copied, at C speed).
+:func:`apply_dg_op` derives the child graph from its parent in one edit,
+node operators included, and rebuilds only the index entries the operator
+touches (O(touched) Python work).  It copies each index dict once, at C
+speed; it copies the node set only for a node operator and a flag set
+only when it adds a flag or drops the omitted node's, and it shares the
+other sets with the parent.  No operator builds an arc set: ``Dg.arcs``
+is derived from the index on its first read.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import CycleError, InsertionCycleError, OperationError, ParseError
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit
@@ -77,45 +81,72 @@ def _predecessor_index(succ: Adjacency) -> Adjacency:
     return _freeze(pred)
 
 
-@dataclass(frozen=True)
 class Dg:
     """A directed graph plus start/finish designation flags.
 
     Structural well-formedness (arc endpoints declared, no self-loops) is
     enforced at construction; acyclicity is not, see :func:`validate_acyclic`.
-    The successor and predecessor index is built here too; it is derived
-    from ``arcs`` and takes no part in equality, hashing or ``repr``.
-    Graphs assembled without the constructor (:func:`parse_graph`) build
-    the predecessor half on its first read.
+    The arcs are stored once, in the successor index ``_succ``: ``arcs``
+    is derived from it on its first read, as the predecessor index
+    ``_pred`` is.  Neither index takes part in ``repr``; equality compares
+    the successor index, which holds exactly the arcs.  Graphs assembled
+    without the constructor (:func:`parse_graph`) build the predecessor
+    half on its first read.  Instances are immutable.
     """
 
-    nodes: frozenset[str] = frozenset()
-    arcs: frozenset[Arc] = frozenset()
-    starts: frozenset[str] = frozenset()
-    finishes: frozenset[str] = frozenset()
-    _succ: Adjacency = field(init=False, repr=False, compare=False)
+    nodes: frozenset[str]
+    starts: frozenset[str]
+    finishes: frozenset[str]
+    _succ: Adjacency
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
-        object.__setattr__(self, "starts", frozenset(self.starts))
-        object.__setattr__(self, "finishes", frozenset(self.finishes))
-        for sym in self.nodes:
+    def __init__(self, nodes: Iterable[str] = (), arcs: Iterable[Arc] = (),
+                 starts: Iterable[str] = (), finishes: Iterable[str] = ()):
+        nodes = frozenset(nodes)
+        arcs = frozenset(tuple(a) for a in arcs)
+        for sym in nodes:
             validate_symbol(sym)
-        for src, dst in self.arcs:
-            if src not in self.nodes or dst not in self.nodes:
+        for src, dst in arcs:
+            if src not in nodes or dst not in nodes:
                 raise ValueError(f"arc ({src!r}, {dst!r}) references an undeclared node")
             if src == dst:
                 raise ValueError(f"self-loop on {src!r}")
-        for flagged in (self.starts, self.finishes):
-            if not flagged <= self.nodes:
+        starts, finishes = frozenset(starts), frozenset(finishes)
+        for flagged in (starts, finishes):
+            if not flagged <= nodes:
                 raise ValueError("flag on an undeclared node")
-        object.__setattr__(self, "_succ", _successor_index(self.arcs))
+        vars(self).update(nodes=nodes, starts=starts, finishes=finishes,
+                          _succ=_successor_index(arcs))
         self._pred  # built now, so graphs made in code carry both halves
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        """The arcs, read off the successor index."""
+        return frozenset([(v, w) for v, targets in self._succ.items() for w in targets])
 
     @cached_property
     def _pred(self) -> Adjacency:
         return _predecessor_index(self._succ)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Dg:
+            return NotImplemented
+        return (self.nodes == other.nodes and self.starts == other.starts
+                and self.finishes == other.finishes and self._succ == other._succ)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.arcs, self.starts, self.finishes))
+
+    def __repr__(self) -> str:
+        # the elements sorted, so equal graphs print alike whatever built them
+        fields = ", ".join(f"{name}={_sorted_repr(getattr(self, name))}"
+                           for name in ("nodes", "arcs", "starts", "finishes"))
+        return f"Dg({fields})"
 
     def successors(self, v: str) -> list[str]:
         return list(self._succ.get(v, ()))
@@ -130,25 +161,22 @@ class Dg:
         return len(self._pred.get(v, ()))
 
 
-def _derive(g: Dg, **changes) -> Dg:
-    """A :class:`Dg` with ``g``'s fields and index, ``changes`` replacing
-    some of them.  Nothing is checked: the caller validates what it adds,
-    and the rest was validated when ``g`` was built.  A caller that changes
-    ``_succ`` of a ``g`` whose ``_pred`` is built passes ``_pred`` too."""
+def _sorted_repr(items: frozenset) -> str:
+    """The ``repr`` of the frozenset ``items``, its elements sorted."""
+    return f"frozenset({{{', '.join(map(repr, sorted(items)))}}})" if items else "frozenset()"
+
+
+def _derive(g: Dg, succ: Adjacency, pred: Adjacency, **changes) -> Dg:
+    """A :class:`Dg` with ``g``'s node and flag sets, ``changes`` replacing
+    some of them, and the index ``succ``/``pred``.  Nothing is checked: the
+    caller validates what it adds, and the rest was validated when ``g`` was
+    built.  The sets are shared, not copied; ``g``'s derived ``arcs`` is not
+    carried over."""
     child = object.__new__(Dg)
-    vars(child).update(vars(g), **changes)
+    fields = vars(child)
+    fields.update(nodes=g.nodes, starts=g.starts, finishes=g.finishes)
+    fields.update(changes, _succ=succ, _pred=pred)
     return child
-
-
-def _patched(index: Adjacency, v: str, neighbours) -> Adjacency:
-    """Shallow copy of ``index`` with ``v`` mapped to ``neighbours``, sorted;
-    an empty entry is dropped."""
-    out = dict(index)
-    if neighbours:
-        out[v] = tuple(sorted(neighbours))
-    else:
-        del out[v]
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -221,8 +249,7 @@ def parse_graph(text: str) -> Dg:
     # number, so the graph is assembled without repeating them; its
     # predecessor index is built on first read, and convert never reads it
     g = object.__new__(Dg)
-    vars(g).update(nodes=nodes, arcs=frozenset(arcs), starts=starts, finishes=finishes,
-                   _succ=succ)
+    vars(g).update(nodes=nodes, starts=starts, finishes=finishes, _succ=succ)
     return g
 
 
@@ -235,7 +262,8 @@ def render_graph(g: Dg) -> str:
     representable; such values never arise from parsing or operators.)
     """
     lines = [f"node {v}" for v in sorted(g.nodes)]
-    lines += [f"arc {src} {dst}" for src, dst in sorted(g.arcs)]
+    # sorted sources, each with its sorted targets: the arcs in sorted order
+    lines += [f"arc {src} {dst}" for src in sorted(g._succ) for dst in g._succ[src]]
     lines += [f"start {v}" for v in sorted(g.starts)]
     lines += [f"finish {v}" for v in sorted(g.finishes)]
     return "".join(line + "\n" for line in lines)
@@ -282,19 +310,21 @@ def path_exists(g: Dg, src: str, dst: str) -> bool:
     for v in (src, dst):
         if v not in g.nodes:
             raise OperationError(f"unknown node {v!r}")
-    if src == dst:
-        return True
-    seen = {src}
-    frontier = [src]
+    return dst in _reached(g, (src,))
+
+
+def _reached(g: Dg, roots) -> set[str]:
+    """The nodes that a directed path (length >= 0) from one of ``roots``
+    reaches: one search, however many roots."""
+    succ = g._succ
+    seen = set(roots)
+    frontier = list(seen)
     while frontier:
-        v = frontier.pop()
-        for w in g.successors(v):
-            if w == dst:
-                return True
+        for w in succ.get(frontier.pop(), ()):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return False
+    return seen
 
 
 def _acyclic(g: Dg) -> None:
@@ -504,54 +534,111 @@ def apply_dg_op(g: Dg, op: MutationOp) -> Dg:
 
     Omission marks endpoints stripped of their last outgoing (ingoing) arc
     as finish (start) nodes; node insertion flags the new node both ways;
-    no operator ever clears a flag.
+    no operator ever clears a flag.  A node operator is the composition of
+    its arc operators (node insertion: the bare node, then its outgoing
+    arcs, then its ingoing ones; node omission: its outgoing arcs, then its
+    ingoing ones, then the bare node), applied as one edit: it raises what
+    the first failing step would raise, and returns what the last returns.
     """
     if isinstance(op, ArcInsert):
         src, dst = op.src, op.dst
         for v in (src, dst):
             if v not in g.nodes:
                 raise OperationError(f"unknown node {v!r}")
-        if (src, dst) in g.arcs:
+        targets = g._succ.get(src, ())
+        if dst in targets:
             raise OperationError(f"arc {src} -> {dst} already present")
         if path_exists(g, dst, src):
             raise InsertionCycleError(f"inserting arc {src} -> {dst} would create a cycle")
-        return _derive(g, arcs=g.arcs | {(src, dst)},
-                       _succ=_patched(g._succ, src, (*g._succ.get(src, ()), dst)),
-                       _pred=_patched(g._pred, dst, (*g._pred.get(dst, ()), src)))
+        succ, pred = g._succ.copy(), g._pred.copy()
+        succ[src] = _with(targets, dst)
+        pred[dst] = _with(pred.get(dst, ()), src)
+        return _derive(g, succ, pred)
 
     if isinstance(op, ArcOmit):
         src, dst = op.src, op.dst
-        if (src, dst) not in g.arcs:
+        if dst not in g._succ.get(src, ()):
             raise OperationError(f"arc {src} -> {dst} not present")
-        succ = _patched(g._succ, src, [w for w in g._succ[src] if w != dst])
-        pred = _patched(g._pred, dst, [w for w in g._pred[dst] if w != src])
-        return _derive(g, arcs=g.arcs - {(src, dst)}, _succ=succ, _pred=pred,
-                       starts=g.starts.union(v for v in (src, dst) if v not in pred),
-                       finishes=g.finishes.union(v for v in (src, dst) if v not in succ))
+        succ, pred = g._succ.copy(), g._pred.copy()
+        _drop(succ, src, dst)
+        _drop(pred, dst, src)
+        ends = (src, dst)
+        return _derive(g, succ, pred, starts=_stranded(g.starts, ends, pred),
+                       finishes=_stranded(g.finishes, ends, succ))
 
     if isinstance(op, NodeInsert):
-        # the arc insertions check the neighbours
-        if op.node in g.nodes:
-            raise OperationError(f"node {op.node!r} already present")
-        new = {op.node}
-        out = _derive(g, nodes=g.nodes | new, starts=g.starts | new, finishes=g.finishes | new)
-        for x in op.outgoing:
-            out = apply_dg_op(out, ArcInsert(op.node, x))
-        for y in op.ingoing:
-            out = apply_dg_op(out, ArcInsert(y, op.node))
-        return out
+        v, outgoing, ingoing = op.node, op.outgoing, op.ingoing
+        if v in g.nodes:
+            raise OperationError(f"node {v!r} already present")
+        for x in outgoing:
+            if x not in g.nodes:
+                raise OperationError(f"unknown node {x!r}")
+        # a NodeInsert names no neighbour twice and never v itself, so no
+        # arc is inserted twice; an outgoing arc closes no cycle, as v has
+        # no ingoing arc before them, and an ingoing arc y -> v closes one
+        # iff an outgoing target reaches y: one search serves them all
+        below = _reached(g, outgoing) if outgoing and ingoing else ()
+        for y in ingoing:
+            if y not in g.nodes:
+                raise OperationError(f"unknown node {y!r}")
+            if y in below:
+                raise InsertionCycleError(f"inserting arc {y} -> {v} would create a cycle")
+        succ, pred = g._succ.copy(), g._pred.copy()
+        if outgoing:
+            succ[v] = tuple(sorted(outgoing))
+        if ingoing:
+            pred[v] = tuple(sorted(ingoing))
+        for x in outgoing:
+            pred[x] = _with(pred.get(x, ()), v)
+        for y in ingoing:
+            succ[y] = _with(succ.get(y, ()), v)
+        new = {v}
+        return _derive(g, succ, pred, nodes=g.nodes | new,
+                       starts=g.starts | new, finishes=g.finishes | new)
 
     if isinstance(op, NodeOmit):
-        if op.node not in g.nodes:
-            raise OperationError(f"unknown node {op.node!r}")
-        out = g
-        for x in out.successors(op.node):
-            out = apply_dg_op(out, ArcOmit(op.node, x))
-        for y in out.predecessors(op.node):
-            out = apply_dg_op(out, ArcOmit(y, op.node))
-        # the node is isolated now, so the index has no entry for it
-        gone = {op.node}
-        return _derive(out, nodes=out.nodes - gone,
-                       starts=out.starts - gone, finishes=out.finishes - gone)
+        v = op.node
+        if v not in g.nodes:
+            raise OperationError(f"unknown node {v!r}")
+        succ, pred = g._succ.copy(), g._pred.copy()
+        below, above = succ.pop(v, ()), pred.pop(v, ())
+        for x in below:
+            _drop(pred, x, v)
+        for y in above:
+            _drop(succ, y, v)
+        # each neighbour is flagged as its last arc omission would flag it,
+        # and after that step its arcs no longer change: read them off the
+        # final index
+        ends = {*below, *above}
+        return _derive(g, succ, pred, nodes=g.nodes - {v},
+                       starts=_without(_stranded(g.starts, ends, pred), v),
+                       finishes=_without(_stranded(g.finishes, ends, succ), v))
 
     raise TypeError(f"not a mutation operator: {op!r}")
+
+
+def _with(neighbours: tuple[str, ...], v: str) -> tuple[str, ...]:
+    """The sorted ``neighbours`` with ``v`` added."""
+    return tuple(sorted((*neighbours, v)))
+
+
+def _drop(index: dict[str, tuple[str, ...]], u: str, v: str) -> None:
+    """Remove ``v`` from the entry of ``u`` in ``index``, in place; an
+    entry left empty is dropped."""
+    rest = tuple(w for w in index[u] if w != v)
+    if rest:
+        index[u] = rest
+    else:
+        del index[u]
+
+
+def _stranded(flags: frozenset[str], ends, index: Adjacency) -> frozenset[str]:
+    """``flags`` plus each node of ``ends`` without an entry in ``index``;
+    ``flags`` itself if that adds none."""
+    new = [v for v in ends if v not in index and v not in flags]
+    return flags.union(new) if new else flags
+
+
+def _without(flags: frozenset[str], v: str) -> frozenset[str]:
+    """``flags`` less ``v``; ``flags`` itself if it does not hold ``v``."""
+    return flags - {v} if v in flags else flags

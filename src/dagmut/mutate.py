@@ -46,12 +46,15 @@ that :func:`~dagmut.sopf.ht` and :func:`~dagmut.sopf.tt` run
 endpoints, so a term equal to a product is in both selections, and the
 union checks the products only against the smaller one.
 
-Node insertion searches for no term holding its node: no term of the
-pre-state holds the new node, and every term appended after them does, so
-each inner arc step (the private core behind :func:`arc_insert`) takes
-that slice as its selection and searches the expression only for the
-arc's other endpoint.  The slice is also the union's candidates whenever
-it is the smaller selection.  The bare term is appended without a probe:
+Node insertion edits the graph once, with the whole operator (see
+:func:`~dagmut.graph.apply_dg_op`), which checks every arc before any term
+is read; its inner arc steps work on the expression alone.  It searches
+for no term holding its node: no term of the pre-state holds the new
+node, and every term appended after them does, so each inner arc step
+(the term-side core behind :func:`arc_insert`) takes that slice as its
+selection and searches the expression only for the arc's other
+endpoint.  The slice is also the union's candidates whenever it is the
+smaller selection.  The bare term is appended without a probe:
 every symbol of a model is a node, so no term of the pre-state equals the
 bare term of a new node.
 
@@ -173,30 +176,31 @@ def _entry(op: MutationOp, before: SopfRe, after: SopfRe, kept: int, **extra) ->
 def arc_insert(st: ModelState, src: str, dst: str,
                counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert arc ``src -> dst`` and extend the expression accordingly."""
-    return _arc_insert(st, src, dst, counters)
+    dg = apply_dg_op(st.dg, ArcInsert(src, dst))
+    re, entry = _insert(st.re, src, dst, counters)
+    return _state(dg, re), entry
 
 
-def _arc_insert(st: ModelState, src: str, dst: str, counters: "OpCounters | None",
-                held_src: tuple[Code, ...] | None = None,
-                held_dst: tuple[Code, ...] | None = None) -> tuple[ModelState, LogEntry]:
-    """:func:`arc_insert`, given ``held_src`` (``held_dst``), the terms of
-    ``st.re`` holding ``src`` (``dst``) in its order, if the caller has
-    them.  The new terms go after those of ``st.re``."""
-    op = ArcInsert(src, dst)
-    dg = apply_dg_op(st.dg, op)
+def _insert(re: SopfRe, src: str, dst: str, counters: "OpCounters | None",
+            held_src: tuple[Code, ...] | None = None,
+            held_dst: tuple[Code, ...] | None = None) -> tuple[SopfRe, LogEntry]:
+    """Insert arc ``src -> dst`` into the expression ``re`` on the term side
+    alone, given ``held_src`` (``held_dst``), the terms of ``re`` holding
+    ``src`` (``dst``) in its order, if the caller has them.  The new terms
+    go after those of ``re``."""
     if held_src is None:
-        held_src = pt(st.re, (src,), counters)._terms
+        held_src = pt(re, (src,), counters)._terms
     if held_dst is None:
-        held_dst = pt(st.re, (dst,), counters)._terms
+        held_dst = pt(re, (dst,), counters)._terms
     heads = _heads(held_src, _code(src), counters)
     tails = _tails(held_dst, _code(dst), counters)
     products = set_concat(heads, tails, counters)
     # every product holds both endpoints, so a term equal to one is in
     # both selections: the smaller one is all the union need check
-    new_re = _extend(st.re, products, min(held_src, held_dst, key=len), counters)
-    # the union keeps every term of st.re
-    entry = _entry(op, st.re, new_re, len(st.re), added_bound=len(heads) * len(tails))
-    return _state(dg, new_re), entry
+    new_re = _extend(re, products, min(held_src, held_dst, key=len), counters)
+    # the union keeps every term of re
+    return new_re, _entry(ArcInsert(src, dst), re, new_re, len(re),
+                          added_bound=len(heads) * len(tails))
 
 
 def arc_omit(st: ModelState, src: str, dst: str,
@@ -254,36 +258,37 @@ def node_insert(st: ModelState, node: str,
                 outgoing: Sequence[str] = (), ingoing: Sequence[str] = (),
                 counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert ``node`` with its arcs: the bare term first, then outgoing
-    arcs, then ingoing arcs (each a full arc insertion).  The bare term
-    stays, as the node is flagged start and finish."""
+    arcs, then ingoing arcs (each an arc insertion on the term side, the
+    graph being edited once for all of them).  The bare term stays, as the
+    node is flagged start and finish."""
     op = NodeInsert(node, tuple(outgoing), tuple(ingoing))
-    # the arc insertions check the neighbours
-    dg = apply_dg_op(st.dg, NodeInsert(node))
+    # checks the node and every arc before any term is read
+    dg = apply_dg_op(st.dg, op)
     # every symbol of st.re is a node, so no term equals the bare term of
     # the new node: it is appended unprobed
     bare = _code(node)
     _tally(counters, built=1)
-    work = _state(dg, _trusted(st.re._terms + (bare,)))
+    re = _trusted(st.re._terms + (bare,))
     # no term of st.re holds the new node, and every later term does: the
     # bare term at position n, then the products of each insertion
     n = len(st.re)
     sub: list[LogEntry] = []
     for x in op.outgoing:
-        work, step = _arc_insert(work, node, x, counters, held_src=work.re._terms[n:])
+        re, step = _insert(re, node, x, counters, held_src=re._terms[n:])
         sub.append(step)
     for y in op.ingoing:
-        work, step = _arc_insert(work, y, node, counters, held_dst=work.re._terms[n:])
+        re, step = _insert(re, y, node, counters, held_dst=re._terms[n:])
         sub.append(step)
     # the insertions keep every term of st.re, and the new node's bare term
     # is not one of them
-    return work, _entry(op, st.re, work.re, len(st.re), sub=tuple(sub))
+    return _state(dg, re), _entry(op, st.re, re, len(st.re), sub=tuple(sub))
 
 
 def node_omit(st: ModelState, node: str,
               counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
-    """Omit ``node``: its outgoing arcs first, then its ingoing arcs (each a
-    full arc omission, leaving the node flagged both ways), then the bare
-    term and the node itself are dropped."""
+    """Omit ``node``: its outgoing arcs first, then its ingoing arcs (each
+    an arc omission on the term side, the graph being edited once for all
+    of them), then the bare term and the node itself are dropped."""
     op = NodeOmit(node)
     # an unknown node raises here, before any term is read
     dg = apply_dg_op(st.dg, op)

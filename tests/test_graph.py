@@ -1,4 +1,6 @@
 """Graph parsing, validation, path enumeration and graph-side operators."""
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,16 @@ from dagmut.graph import (
     render_paths,
     validate_acyclic,
 )
-from dagmut.oracle import default_flags, naive_enumerate, topological_order
+from dagmut.oracle import (
+    MAX_GEN_NODES,
+    GenConfig,
+    _ref_edit,
+    default_flags,
+    naive_enumerate,
+    random_model,
+    random_script,
+    topological_order,
+)
 from dagmut.sopf import print_sopf, term_key
 
 from support import SAMPLE_TERMS, built, flagged_models, scripted_models, spell
@@ -159,6 +170,20 @@ def test_constructor_rejects_malformed_input():
         Dg({"a"}, {("a", "a")})
     with pytest.raises(ValueError, match="flag on an undeclared node"):
         Dg({"a"}, set(), {"b"})
+
+
+def test_graphs_are_immutable_values_with_a_sorted_repr():
+    g = Dg(["b", "a"], [("a", "b"), ("a", "b")], ["a"], ["b"])
+    assert repr(g) == ("Dg(nodes=frozenset({'a', 'b'}), arcs=frozenset({('a', 'b')}), "
+                       "starts=frozenset({'a'}), finishes=frozenset({'b'}))")
+    assert repr(Dg()) == ("Dg(nodes=frozenset(), arcs=frozenset(), starts=frozenset(), "
+                          "finishes=frozenset())")
+    assert g == parse_graph("arc a b") and hash(g) == hash(parse_graph("arc a b"))
+    assert g != Dg({"a", "b"}, set(), {"a"}, {"b"}) and g != "a -> b"
+    with pytest.raises(FrozenInstanceError):
+        g.nodes = frozenset()
+    with pytest.raises(FrozenInstanceError):
+        del g.starts
 
 
 # --------------------------------------------------------------------------
@@ -335,6 +360,95 @@ def test_operator_precondition_errors(sample_graph):
         apply_dg_op(parse_graph("arc a b"), NodeInsert("v", ("a",), ("b",)))
 
 
+def folded(g, op):
+    """The node operator ``op`` on ``g`` as the fold of its arc steps: the
+    bare node, then its outgoing arcs, then its ingoing ones; or its
+    outgoing arcs, then its ingoing ones, then the node dropped."""
+    if isinstance(op, NodeInsert):
+        g = apply_dg_op(g, NodeInsert(op.node))
+        steps = [ArcInsert(op.node, x) for x in op.outgoing]
+        steps += [ArcInsert(y, op.node) for y in op.ingoing]
+        for step in steps:
+            g = apply_dg_op(g, step)
+        return g
+    if op.node not in g.nodes:
+        raise OperationError(f"unknown node {op.node!r}")
+    for x in g.successors(op.node):
+        g = apply_dg_op(g, ArcOmit(op.node, x))
+    for y in g.predecessors(op.node):
+        g = apply_dg_op(g, ArcOmit(y, op.node))
+    gone = {op.node}
+    return Dg(g.nodes - gone, g.arcs, g.starts - gone, g.finishes - gone)
+
+
+@st.composite
+def flagged_random_models(draw):
+    """A random model, after a few steps of its script, with its flags as
+    the steps left them (trim), with more flags on top (trim) or with
+    flags drawn freely (often not trim)."""
+    cfg = GenConfig(node_count=draw(st.integers(0, MAX_GEN_NODES)),
+                    arc_density=draw(st.floats(0.0, 1.0)),
+                    seed=draw(st.integers(0, 2**32)),
+                    script_length=draw(st.integers(0, 3)))
+    g = random_model(cfg)
+    for op in random_script(cfg, g):
+        g = apply_dg_op(g, op)
+    flags = st.sets(st.sampled_from(sorted(g.nodes))) if g.nodes else st.just(set())
+    how = draw(st.sampled_from(["kept", "added", "free"]))
+    if how == "added":
+        return Dg(g.nodes, g.arcs, g.starts | draw(flags), g.finishes | draw(flags))
+    if how == "free":
+        return Dg(g.nodes, g.arcs, draw(flags), draw(flags))
+    return g
+
+
+@st.composite
+def node_ops(draw, g):
+    """A node operator on ``g``'s nodes or new ones: "V", "Y" and "Z" are
+    never nodes of a random model, so they are unknown, and they sort
+    before its nodes."""
+    names = sorted(g.nodes) + ["Y", "Z"]
+    node = draw(st.sampled_from(names + ["V"]))
+    if draw(st.booleans()):
+        return NodeOmit(node)
+    others = st.lists(st.sampled_from([n for n in names if n != node]), max_size=4, unique=True)
+    return NodeInsert(node, tuple(draw(others)), tuple(draw(others)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flagged_random_models(), st.data())
+def test_node_operators_equal_the_fold_of_their_arc_steps(g, data):
+    op = data.draw(node_ops(g))
+    try:
+        expected = folded(g, op)
+    except OperationError as exc:
+        with pytest.raises(OperationError) as err:
+            apply_dg_op(g, op)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+    else:
+        out = apply_dg_op(g, op)
+        assert out == expected
+        assert_index_matches_arcs(out, expected.arcs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scripted_models())
+def test_operators_copy_only_what_they_change(model):
+    # a set the operator leaves as it was is the parent's own object, and a
+    # child never inherits the arc set its parent derived
+    g, script = model
+    for op in script:
+        g.arcs
+        child = apply_dg_op(g, op)
+        if isinstance(op, (ArcInsert, ArcOmit)):
+            assert child.nodes is g.nodes
+        for name in ("nodes", "starts", "finishes"):
+            if getattr(child, name) == getattr(g, name):
+                assert getattr(child, name) is getattr(g, name)
+        assert child.arcs == frozenset((v, w) for v, ws in child._succ.items() for w in ws)
+        g = child
+
+
 # --------------------------------------------------------------------------
 # rendering
 
@@ -420,26 +534,35 @@ def test_path_exists_is_transitive_over_arcs(g, i, j):
             assert path_exists(g, u, w)
 
 
-def assert_index_matches_arcs(g):
+def assert_index_matches_arcs(g, arcs=None):
+    """Both halves of ``g``'s index hold exactly ``arcs`` (``g.arcs``, which
+    is read off the successor half, if not given)."""
+    arcs = g.arcs if arcs is None else arcs
     for v in g.nodes | {"absent"}:
-        assert g.successors(v) == sorted(w for u, w in g.arcs if u == v)
-        assert g.predecessors(v) == sorted(u for u, w in g.arcs if w == v)
-        assert g.out_degree(v) == sum(1 for u, _ in g.arcs if u == v)
-        assert g.in_degree(v) == sum(1 for _, w in g.arcs if w == v)
+        assert g.successors(v) == sorted(w for u, w in arcs if u == v)
+        assert g.predecessors(v) == sorted(u for u, w in arcs if w == v)
+        assert g.out_degree(v) == sum(1 for u, _ in arcs if u == v)
+        assert g.in_degree(v) == sum(1 for _, w in arcs if w == v)
 
 
 @settings(max_examples=60, deadline=None)
 @given(scripted_models())
 def test_derived_graphs_keep_their_index_exact(model):
+    # each derived graph holds the arcs of the reference edit, which
+    # builds its graph with the constructor from plain sets; it is the same
+    # value as a graph built by the constructor or read from its text
     g, script = model
+    ref = g
     assert_index_matches_arcs(g)
     for op in script:
-        g = apply_dg_op(g, op)
-        assert_index_matches_arcs(g)
+        g, ref = apply_dg_op(g, op), _ref_edit(ref, op)
+        assert_index_matches_arcs(g, ref.arcs)
         assert "_succ" not in repr(g) and "_pred" not in repr(g)
-        for same in (Dg(g.nodes, g.arcs, g.starts, g.finishes), parse_graph(render_graph(g))):
+        listed = (sorted(s, reverse=True) for s in (g.nodes, ref.arcs, g.starts, g.finishes))
+        for same in (ref, Dg(*listed), parse_graph(render_graph(g))):
             assert g == same and hash(g) == hash(same)
-            assert_index_matches_arcs(same)
+            assert repr(g) == repr(same) and render_graph(g) == render_graph(same)
+            assert_index_matches_arcs(same, ref.arcs)
             assert topological_order(same) == topological_order(g)
         assert validate_acyclic(g) is None
         assert topological_order(g) == _sort_based_kahn(g)

@@ -572,23 +572,23 @@ def test_node_insert_errors():
 
 
 def test_insertions_check_reachability_once(monkeypatch):
-    import dagmut.graph
-    import dagmut.mutate
-    calls = []
-    real = dagmut.graph.path_exists
-
-    def counted(g, u, v):
-        calls.append((u, v))
-        return real(g, u, v)
-
-    for module in (dagmut.graph, dagmut.mutate):
-        monkeypatch.setattr(module, "path_exists", counted, raising=False)
-    st_ = model_from_graph(parse_graph("arc a b\narc b c"))
+    # arc insertion asks path_exists once, whether the target reaches the
+    # source; node insertion runs one search from its outgoing targets,
+    # which serves every ingoing arc, and asks path_exists nothing
+    asked = count_calls(monkeypatch, graph, "path_exists")
+    searches = count_calls(monkeypatch, graph, "_reached")
+    st_ = model_from_graph(parse_graph("arc a b\narc b c\narc x b"))
     arc_insert(st_, "a", "c")
-    assert calls == [("c", "a")]
-    calls.clear()
-    node_insert(st_, "v", outgoing=("c",), ingoing=("a",))
-    assert calls == [("c", "v"), ("v", "a")]
+    assert [args[1:] for args in asked] == [("c", "a")]
+    assert [args[1] for args in searches] == [("c",)]
+    asked.clear()
+    searches.clear()
+    node_insert(st_, "v", outgoing=("b", "c"), ingoing=("a", "x"))
+    assert not asked and [args[1] for args in searches] == [("b", "c")]
+    searches.clear()
+    with pytest.raises(OperationError, match="inserting arc c -> w would create a cycle"):
+        node_insert(st_, "w", outgoing=("b",), ingoing=("a", "c", "x"))
+    assert not asked and len(searches) == 1
 
 
 # --------------------------------------------------------------------------
