@@ -35,7 +35,11 @@ touches (O(touched) Python work).  It copies each index dict once, at C
 speed; it copies the node set only for a node operator and a flag set
 only when it adds a flag or drops the omitted node's, and it shares the
 other sets with the parent.  No operator builds an arc set: ``Dg.arcs``
-is derived from the index on its first read.
+is derived from the index on its first read.  The fragments of an
+insertion, the paths from a start to a node and from a node to a finish,
+are spelled by one walk over one side's index (:func:`_spell_from`),
+which visits each prefix of those paths once: O(total path length) on a
+trim graph, where every trail the walk follows ends at a flagged node.
 """
 from __future__ import annotations
 
@@ -43,11 +47,15 @@ from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import CycleError, InsertionCycleError, OperationError, ParseError
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit
-from .sopf import EMPTY_TOKEN, _OWN_CODES, SopfRe, _codes, _trusted, validate_symbol
+from .sopf import (_CODES, _OWN_CODES, EMPTY_TOKEN, Code, SopfRe, _codes, _tally, _trusted,
+                   validate_symbol)
+
+if TYPE_CHECKING:
+    from .metrics import OpCounters
 
 Arc = tuple[str, str]
 #: node -> its sorted neighbours on one side; nodes without any are absent
@@ -325,6 +333,50 @@ def _reached(g: Dg, roots) -> set[str]:
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+def _spell_from(g: Dg, root: str, backward: bool,
+                counters: "OpCounters | None" = None) -> tuple[Code, ...]:
+    """The paths between ``root`` and the flagged nodes on one side of it,
+    spelled in the codes of :mod:`dagmut.sopf`, which every node reached
+    must have: backward, the paths from a start to ``root`` (its heads),
+    forward, those from ``root`` to a finish (its tails).  A flag does not
+    end a path, as a start may have predecessors.
+
+    One depth-first walk over that side's index with an explicit stack.
+    The trail is a list of codes, joined once per path (and reversed,
+    backward), and a run of one-neighbour nodes takes no stack frame, so
+    a chain costs O(length) and no recursion.  Tallies each node visited
+    as a term searched and each path as a term built.
+    """
+    index, ends = (g._pred, g.starts) if backward else (g._succ, g.finishes)
+    codes = _CODES
+    words: list[Code] = []
+    trail: list[Code] = []
+    visited = 0
+    # a frame: the nodes it enters, and the trail length at its node
+    stack = [(iter((root,)), 0)]
+    while stack:
+        entering, depth = stack[-1]
+        for v in entering:
+            del trail[depth:]
+            while True:
+                visited += 1
+                trail.append(codes[v])
+                if v in ends:
+                    word = "".join(trail)
+                    words.append(word[::-1] if backward else word)
+                below = index.get(v)
+                if below is None or len(below) > 1:
+                    break
+                v = below[0]
+            if below:
+                stack.append((iter(below), len(trail)))
+                break
+        else:
+            stack.pop()
+    _tally(counters, searched=visited, built=len(words))
+    return tuple(words)
 
 
 def _acyclic(g: Dg) -> None:

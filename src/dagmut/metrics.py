@@ -37,9 +37,12 @@ class OpCounters:
     - ``symbol_comparisons``: terms read by a C-level search pass (``in``,
       ``str.find``, ``str.index``, ``str.rindex``), one per term visited.
       A pass that may stop at its first hit (``any``, a tuple ``in`` or
-      ``index``) counts every term it is given.
-    - ``term_copies``: new terms built: each fragment cut and each product
-      joined, before deduplication, and each term appended bare.
+      ``index``) counts every term it is given.  The graph walk that
+      spells an insertion's fragments (``graph._spell_from``) counts each
+      node it visits as one item searched.
+    - ``term_copies``: new terms built: each fragment cut or spelled by
+      the graph walk and each product joined, before deduplication, and
+      each term appended bare.
     - ``set_lookups``: terms hashed by ``dict.fromkeys``, ``set(...)`` or a
       set probe.
     """

@@ -22,41 +22,50 @@ so :func:`model_from_graph` and :class:`ModelState` refuse any other graph.
 The operators work on the code strings of :mod:`dagmut.sopf`: a symbol
 search is one ``in``, and the omitted pair one two-code-point ``in``.
 
+Because the expression is the graph's path language, the fragments and
+the exhaustion tests have a graph meaning, and the operators read them
+off the graph where that is cheaper than a scan of the terms.  The heads
+of a node, the terms holding it cut after it, are the paths from a start
+to it; its tails are the paths from it to a finish (each term is a path,
+which holds a node at most once).  A term holds an arc's two endpoints
+adjacently iff it runs through the arc.
+
+Arc insertion reads no term.  It spells the heads of the source and the
+tails of the target with one walk of the graph each
+(:func:`~dagmut.graph._spell_from`) and appends their products unprobed:
+every product holds the new adjacency, which no term of the pre-state
+holds, and the products are distinct, as a path holds the source once.
+
 Omission works on the terms that hold its arc.  It splits the expression
 once into ``held``, the terms holding one endpoint (the source for
 :func:`arc_omit`, the node for :func:`node_omit`), and ``rest``, the
 others, and does all its work on ``held``: the pair is searched for only
 there, and the selected endpoint is exhausted when every term of ``held``
-is joined.  The other endpoint is exhausted when no term that ``held``
-keeps and no term of ``rest`` holds it, which one scan of those terms
-learns, stopping at the first term that holds it.  An exhausted endpoint's
-selection is the joined terms themselves, so they are what the heads or
-tails are cut from.  The kept terms are ``rest`` and what ``held`` keeps,
-so no term of the expression is hashed.  Each step sends its fragments to
-``held`` or ``rest`` by whether they hold the selected endpoint; node
-omission splits once and passes both on from step to step, without
-building the intermediate expressions, as the inner log entries need only
-counts.  An omission result is ``rest + held``: an order other than its
-input's, which only printing reads, and printing sorts.
-
-Arc insertion cuts its fragments from its two selections, the terms
-holding the source and those holding the target, with the cut kernels
-that :func:`~dagmut.sopf.ht` and :func:`~dagmut.sopf.tt` run
-(``sopf._heads``/``sopf._tails``).  Every product holds both
-endpoints, so a term equal to a product is in both selections, and the
-union checks the products only against the smaller one.
+is joined.  The other endpoint is exhausted when every path through it
+runs through the arc: it has no flag on the arc's side and no other
+neighbour there, which the graph answers without a scan.  An exhausted
+endpoint's selection is the joined terms themselves, so they are what the
+heads or tails are cut from.  The kept terms are ``rest`` and what
+``held`` keeps, so no term of the expression is hashed.  Each step sends
+its fragments to ``held`` or ``rest`` by whether they hold the selected
+endpoint; node omission splits once and passes both on from step to
+step, without building the intermediate expressions, as the inner log
+entries need only counts.  An omission result is ``rest + held``: an
+order other than its input's, which only printing reads, and printing
+sorts.
 
 Node insertion edits the graph once, with the whole operator (see
 :func:`~dagmut.graph.apply_dg_op`), which checks every arc before any term
-is read; its inner arc steps work on the expression alone.  It searches
-for no term holding its node: no term of the pre-state holds the new
-node, and every term appended after them does, so each inner arc step
-(the term-side core behind :func:`arc_insert`) takes that slice as its
-selection and searches the expression only for the arc's other
-endpoint.  The slice is also the union's candidates whenever it is the
-smaller selection.  The bare term is appended without a probe:
-every symbol of a model is a node, so no term of the pre-state equals the
-bare term of a new node.
+is read, and then reads no term either.  Its inner steps take their
+fragments from the final graph: no ancestor of an ingoing neighbour and no
+descendant of an outgoing one is the new node, or the graph would be
+cyclic, so the final graph gives them what each step would see.  An
+outgoing step ``v -> x`` joins the bare word ``v`` to the tails of ``x``.
+The new node's tails are its bare term and those products, so every
+ingoing step ``y -> v`` joins the heads of ``y`` to the terms appended
+before the first ingoing step.  The bare term is appended without a
+probe: every symbol of a model is a node, so no term of the pre-state
+equals the bare term of a new node.
 
 Results and log entries are those of the composition of the public arc
 operators around the bare term.  Counters tally the work the operators
@@ -72,21 +81,19 @@ from operator import contains, not_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ModelError, OperationError, ScriptError
-from .graph import Dg, apply_dg_op, enumerate_paths
+from .graph import Adjacency, Dg, _spell_from, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     Code,
     SopfRe,
     _code,
-    _extend,
     _heads,
     _split,
     _tails,
     _tally,
     _trusted,
     print_sopf,
-    pt,
-    set_concat,
+    pt,  # noqa: F401  not called here; the benchmark's tracer test reads mutate.pt
     set_union,
 )
 
@@ -97,9 +104,13 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class ModelState:
     """A graph and its expression, transformed together and never separately.
-    Built by hand, its graph must be trim and its terms paths of the graph;
-    they may be a subset of the paths, which
-    :func:`~dagmut.oracle._invariant_violations` reports."""
+
+    Operators assume ``re == enumerate_paths(dg)``, as every state from
+    :func:`model_from_graph` or an operator has it: they read fragments and
+    exhaustion off the graph.  Built by hand, its graph must be trim and
+    its terms paths of the graph; a subset of the paths is accepted, and
+    :func:`~dagmut.oracle._invariant_violations` reports it, but operators
+    give it no defined result."""
 
     dg: Dg
     re: SopfRe
@@ -177,30 +188,32 @@ def arc_insert(st: ModelState, src: str, dst: str,
                counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert arc ``src -> dst`` and extend the expression accordingly."""
     dg = apply_dg_op(st.dg, ArcInsert(src, dst))
-    re, entry = _insert(st.re, src, dst, counters)
-    return _state(dg, re), entry
+    # no ancestor of src is dst, or the arc would close a cycle, so these
+    # are the fragments of the graph without the arc
+    products, entry = _insert(_spell_from(dg, src, True, counters),
+                              _spell_from(dg, dst, False, counters), src, dst, counters)
+    return _state(dg, _trusted(st.re._terms + products)), entry
 
 
-def _insert(re: SopfRe, src: str, dst: str, counters: "OpCounters | None",
-            held_src: tuple[Code, ...] | None = None,
-            held_dst: tuple[Code, ...] | None = None) -> tuple[SopfRe, LogEntry]:
-    """Insert arc ``src -> dst`` into the expression ``re`` on the term side
-    alone, given ``held_src`` (``held_dst``), the terms of ``re`` holding
-    ``src`` (``dst``) in its order, if the caller has them.  The new terms
-    go after those of ``re``."""
-    if held_src is None:
-        held_src = pt(re, (src,), counters)._terms
-    if held_dst is None:
-        held_dst = pt(re, (dst,), counters)._terms
-    heads = _heads(held_src, _code(src), counters)
-    tails = _tails(held_dst, _code(dst), counters)
-    products = set_concat(heads, tails, counters)
-    # every product holds both endpoints, so a term equal to one is in
-    # both selections: the smaller one is all the union need check
-    new_re = _extend(re, products, min(held_src, held_dst, key=len), counters)
-    # the union keeps every term of re
-    return new_re, _entry(ArcInsert(src, dst), re, new_re, len(re),
-                          added_bound=len(heads) * len(tails))
+def _insert(heads: Sequence[Code], tails: Sequence[Code], src: str, dst: str,
+            counters: "OpCounters | None") -> tuple[tuple[Code, ...], LogEntry]:
+    """The products of the ``heads`` of ``src`` and the ``tails`` of
+    ``dst``, and the log entry of inserting arc ``src -> dst``.  Every
+    product holds the adjacency ``src dst``, which no term of a model
+    without the arc holds, and no two are equal, as a path holds ``src``
+    once: all of them are new terms."""
+    products = tuple([h + t for h in heads for t in tails])
+    _tally(counters, built=len(products))
+    return products, LogEntry(ArcInsert(src, dst), terms_added=len(products), terms_removed=0,
+                              added_bound=len(products))
+
+
+def _exhausted(index: Adjacency, flags: frozenset[str], end: str, other: str) -> bool:
+    """Whether every path through ``end`` runs through its arc with
+    ``other``, so that every term holding ``end`` holds the pair: ``end``
+    has no flag in ``flags`` and ``other`` is its only neighbour in
+    ``index`` (both of the side facing ``other``)."""
+    return end not in flags and index.get(end) == (other,)
 
 
 def arc_omit(st: ModelState, src: str, dst: str,
@@ -209,33 +222,33 @@ def arc_omit(st: ModelState, src: str, dst: str,
     dg = apply_dg_op(st.dg, ArcOmit(src, dst))
     # the split searches every term once
     _tally(counters, searched=len(st.re))
-    held, rest, entry = _omit(*_split(st.re._terms, _code(src)), src, dst, src, counters)
+    held, rest, entry = _omit(*_split(st.re._terms, _code(src)), src, dst, src,
+                              _exhausted(st.dg._pred, st.dg.starts, dst, src), counters)
     return _state(dg, _trusted(rest + held)), entry
 
 
 def _omit(held: tuple[Code, ...], rest: tuple[Code, ...], src: str, dst: str, sym: str,
-          counters: "OpCounters | None") -> tuple[tuple[Code, ...], tuple[Code, ...], LogEntry]:
+          other_out: bool, counters: "OpCounters | None"
+          ) -> tuple[tuple[Code, ...], tuple[Code, ...], LogEntry]:
     """Omit arc ``src -> dst`` from the expression ``rest + held`` on the
     term side alone, where ``held`` are its terms that hold ``sym`` (``src``
-    or ``dst``) and ``rest`` the others.
+    or ``dst``) and ``rest`` the others, and ``other_out`` says whether the
+    other endpoint is exhausted: whether every term holding it holds the
+    pair.
 
     Returns the new ``held`` and ``rest`` and the step's log entry: the
     kept terms of ``held`` followed by the fragments that hold ``sym``, and
     ``rest`` followed by the other fragments.  Only ``held`` is searched,
-    for the pair as one two-code-point string; ``rest`` is read only to
-    learn whether a term holds the other endpoint, and only up to the first
-    that does.
+    for the pair as one two-code-point string; ``rest`` is not read.
     """
     s, d = _code(src), _code(dst)
-    own, other = (s, d) if sym == src else (d, s)
+    own = s if sym == src else d
     found = list(map(contains, held, repeat(s + d)))
     joined = tuple(compress(held, found))
     kept = tuple(compress(held, map(not_, found)))
     # an endpoint is exhausted once every term holding it is joined; then
     # its selection is ``joined`` itself
     own_out = not kept
-    other_out = (not any(map(contains, kept, repeat(other)))
-                 and not any(map(contains, rest, repeat(other))))
     src_out, dst_out = (own_out, other_out) if sym == src else (other_out, own_out)
     heads = _heads(joined, s, counters) if src_out else SopfRe()
     tails = _tails(joined, d, counters) if dst_out else SopfRe()
@@ -245,9 +258,8 @@ def _omit(held: tuple[Code, ...], rest: tuple[Code, ...], src: str, dst: str, sy
     # so neither holds the pair src dst: no joined term comes back
     fragments = set_union(heads, tails, counters)._terms
     holds = list(map(contains, fragments, repeat(own)))
-    # the searches for the pair, for the other endpoint and for the side
-    # each fragment goes to
-    _tally(counters, searched=len(held) + len(kept) + len(rest) + len(fragments))
+    # the searches for the pair and for the side each fragment goes to
+    _tally(counters, searched=len(held) + len(fragments))
     entry = LogEntry(ArcOmit(src, dst), terms_added=len(fragments), terms_removed=len(joined),
                      added_bound=len(heads) + len(tails), removed_expected=len(joined))
     return (kept + tuple(compress(fragments, holds)),
@@ -268,17 +280,22 @@ def node_insert(st: ModelState, node: str,
     # the new node: it is appended unprobed
     bare = _code(node)
     _tally(counters, built=1)
-    re = _trusted(st.re._terms + (bare,))
-    # no term of st.re holds the new node, and every later term does: the
-    # bare term at position n, then the products of each insertion
-    n = len(st.re)
+    added = (bare,)
     sub: list[LogEntry] = []
+    # no descendant of an outgoing neighbour and no ancestor of an ingoing
+    # one is the node, or dg would be cyclic, so dg gives each step the
+    # fragments that its expression holds
     for x in op.outgoing:
-        re, step = _insert(re, node, x, counters, held_src=re._terms[n:])
+        products, step = _insert((bare,), _spell_from(dg, x, False, counters), node, x, counters)
+        added += products
         sub.append(step)
+    # the node's tails: its bare term and the outgoing products
+    below = added
     for y in op.ingoing:
-        re, step = _insert(re, y, node, counters, held_dst=re._terms[n:])
+        products, step = _insert(_spell_from(dg, y, True, counters), below, y, node, counters)
+        added += products
         sub.append(step)
+    re = _trusted(st.re._terms + added)
     # the insertions keep every term of st.re, and the new node's bare term
     # is not one of them
     return _state(dg, re), _entry(op, st.re, re, len(st.re), sub=tuple(sub))
@@ -292,6 +309,7 @@ def node_omit(st: ModelState, node: str,
     op = NodeOmit(node)
     # an unknown node raises here, before any term is read
     dg = apply_dg_op(st.dg, op)
+    g = st.dg
     bare = _code(node)
     # the split searches every term once
     _tally(counters, searched=len(st.re))
@@ -300,11 +318,15 @@ def node_omit(st: ModelState, node: str,
     # only its bare term is left at the end, so exactly the others are kept
     kept = len(rest)
     sub: list[LogEntry] = []
-    for x in st.dg.successors(node):
-        held, rest, step = _omit(held, rest, node, x, node, counters)
+    # a step leaves the other endpoint's arcs and flags as g has them: the
+    # steps before it omit arcs of other neighbours, and flag only those
+    for x in g.successors(node):
+        held, rest, step = _omit(held, rest, node, x, node,
+                                 _exhausted(g._pred, g.starts, x, node), counters)
         sub.append(step)
-    for y in st.dg.predecessors(node):
-        held, rest, step = _omit(held, rest, y, node, node, counters)
+    for y in g.predecessors(node):
+        held, rest, step = _omit(held, rest, y, node, node,
+                                 _exhausted(g._succ, g.finishes, y, node), counters)
         sub.append(step)
     final_re = _trusted(rest)
     return _state(dg, final_re), _entry(op, st.re, final_re, kept, sub=tuple(sub))

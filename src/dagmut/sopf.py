@@ -32,19 +32,19 @@ given.  Results that are duplicate-free by construction skip that step
 through the private :func:`_trusted`: the filters :func:`pt`,
 :func:`set_difference` and :func:`remove_term`, :func:`add_term` (after
 its one search) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
-Unions go through one private helper, :func:`_extend`, which adds terms
-to an expression and checks them only against the terms they can equal,
-which the caller names: :func:`set_union` names the whole first operand,
-arc insertion the smaller of its two endpoint selections.
+:func:`set_union` hashes its two operands and appends the new terms of
+the second.  Arc insertion calls none of these: on a model its products
+are new terms by construction (see :mod:`dagmut.mutate`).
 
 Fragments are cut by one private kernel per side, :func:`_heads` and
 :func:`_tails`: one pass cuts each term with one ``str.index``
-(``str.rindex``) of the cut pattern.  Arc insertion calls them on its
-``pt`` selections of the arc's endpoints, and omission on its joined
+(``str.rindex``) of the cut pattern.  Omission calls them on its joined
 terms, which hold the omitted pair; :func:`ht` and :func:`tt` call them
 on any terms, and turn the ``ValueError`` of a term without the pattern
 into one that names it.  Every fragment holds the cut pattern, so none
-is empty and the fragments are deduplicated into :func:`_trusted`.
+is empty and the fragments are deduplicated into :func:`_trusted`.  Arc
+and node insertion take their fragments from the graph instead
+(:func:`dagmut.graph._spell_from`), spelled in the same codes.
 
 The mutation operators call no :func:`set_difference`.  Omission splits
 an expression once into the terms that hold a symbol and the others
@@ -393,23 +393,13 @@ def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
 # set operations
 
 def set_union(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:
-    return _extend(a, b, a._terms, counters)
-
-
-def _extend(r: SopfRe, extra: SopfRe, candidates: Sequence[Code],
-            counters: "OpCounters | None" = None) -> SopfRe:
-    """The union of ``r`` and ``extra``, hashing only ``extra`` and
-    ``candidates``: ``r``'s terms, then those of ``extra`` not among them.
-
-    ``candidates`` are the terms of ``r`` that may equal a term of
-    ``extra``; the caller guarantees that no other term of ``r`` does
-    (:func:`set_union` names all of ``r``).
-    """
-    fresh = extra._terms
-    if fresh and candidates:
-        fresh = tuple(filterfalse(set(candidates).__contains__, fresh))
-        _tally(counters, hashed=len(candidates) + len(extra))
-    return _trusted(r._terms + fresh) if fresh else r
+    """``a``'s terms, then those of ``b`` not among them; ``a`` itself if
+    that adds none."""
+    fresh = b._terms
+    if fresh and a._terms:
+        fresh = tuple(filterfalse(set(a._terms).__contains__, fresh))
+        _tally(counters, hashed=len(a) + len(b))
+    return _trusted(a._terms + fresh) if fresh else a
 
 
 def set_difference(r: SopfRe, c: SopfRe, counters: "OpCounters | None" = None) -> SopfRe:

@@ -454,22 +454,22 @@ op=tt size=8 cost=24 exponent=1.000 verdict=pass
 op=tt size=16 cost=48 exponent=1.000 verdict=pass
 op=tt size=32 cost=96 exponent=1.000 verdict=pass
 op=tt size=64 cost=192 exponent=1.000 verdict=pass
-op=arc_insert size=8 cost=75 exponent=0.983 verdict=pass
-op=arc_insert size=16 cost=147 exponent=0.983 verdict=pass
-op=arc_insert size=32 cost=291 exponent=0.983 verdict=pass
-op=arc_insert size=64 cost=579 exponent=0.983 verdict=pass
-op=arc_omit size=8 cost=20 exponent=0.908 verdict=pass
-op=arc_omit size=16 cost=36 exponent=0.908 verdict=pass
-op=arc_omit size=32 cost=68 exponent=0.908 verdict=pass
-op=arc_omit size=64 cost=132 exponent=0.908 verdict=pass
-op=node_insert size=8 cost=89 exponent=0.866 verdict=pass
-op=node_insert size=16 cost=153 exponent=0.866 verdict=pass
-op=node_insert size=32 cost=281 exponent=0.866 verdict=pass
-op=node_insert size=64 cost=537 exponent=0.866 verdict=pass
-op=node_omit size=8 cost=32 exponent=0.882 verdict=pass
-op=node_omit size=16 cost=56 exponent=0.882 verdict=pass
-op=node_omit size=32 cost=104 exponent=0.882 verdict=pass
-op=node_omit size=64 cost=200 exponent=0.882 verdict=pass
+op=arc_insert size=8 cost=5 exponent=0.000 verdict=pass
+op=arc_insert size=16 cost=5 exponent=0.000 verdict=pass
+op=arc_insert size=32 cost=5 exponent=0.000 verdict=pass
+op=arc_insert size=64 cost=5 exponent=0.000 verdict=pass
+op=arc_omit size=8 cost=13 exponent=0.804 verdict=pass
+op=arc_omit size=16 cost=21 exponent=0.804 verdict=pass
+op=arc_omit size=32 cost=37 exponent=0.804 verdict=pass
+op=arc_omit size=64 cost=69 exponent=0.804 verdict=pass
+op=node_insert size=8 cost=8 exponent=0.000 verdict=pass
+op=node_insert size=16 cost=8 exponent=0.000 verdict=pass
+op=node_insert size=32 cost=8 exponent=0.000 verdict=pass
+op=node_insert size=64 cost=8 exponent=0.000 verdict=pass
+op=node_omit size=8 cost=18 exponent=0.681 verdict=pass
+op=node_omit size=16 cost=26 exponent=0.681 verdict=pass
+op=node_omit size=32 cost=42 exponent=0.681 verdict=pass
+op=node_omit size=64 cost=74 exponent=0.681 verdict=pass
 """
 
 

@@ -36,10 +36,10 @@ def test_arc_omit_fixture():
     result, counters = measure("arc_omit", state, "c", "d")
     assert len(result.re) == 6
     # frozen regression values for this exact input: the split reads all
-    # 9 terms, the pair search the 6 holding c, the search for d the other
-    # 6; neither endpoint is exhausted, so nothing is cut or hashed
+    # 9 terms and the pair search the 6 holding c; the graph says d is not
+    # exhausted, and c is not, so nothing is cut or hashed
     assert (counters.symbol_comparisons, counters.term_copies,
-            counters.set_lookups) == (21, 0, 0)
+            counters.set_lookups) == (15, 0, 0)
 
 
 def test_measure_unknown_kind():

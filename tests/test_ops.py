@@ -38,7 +38,7 @@ from dagmut.mutate import (
 )
 from dagmut.ops import format_op, format_script
 from dagmut.oracle import GenConfig, NaiveLang, equivalent, random_model, random_script, ref_apply
-from dagmut.sopf import SopfRe, _trusted, add_term, remove_term, term_key
+from dagmut.sopf import SopfRe, _trusted, add_term, ht, pt, remove_term, term_key, tt
 
 from support import MUTATED_TERMS, built, count_calls, scripted_models, spell, sopf
 
@@ -171,19 +171,31 @@ def test_operator_states_and_logs_stay_exact(model):
                                                             len(before - after))
 
 
-@settings(max_examples=100, deadline=None)
-@given(scripted_models(), st.data())
-def test_operators_keep_the_graph_language_under_explicit_flags(model, data):
-    # random_model flags by the degree rule only; more start and finish
-    # flags keep its graph trim, and the flag rules of the operators must
-    # keep the expression the graph's path language (the script does not
-    # depend on flags, so it stays valid)
-    g, script = model
+@st.composite
+def flagged_states(draw):
+    """A scripted model as a state, with more start and finish flags than
+    random_model's degree rule sets: they keep its graph trim, and the
+    script does not depend on flags, so it stays valid."""
+    g, script = draw(scripted_models())
     extra = st.sets(st.sampled_from(sorted(g.nodes))) if g.nodes else st.just(set())
-    state = model_from_graph(Dg(g.nodes, g.arcs, g.starts | data.draw(extra),
-                                g.finishes | data.draw(extra)))
+    return model_from_graph(Dg(g.nodes, g.arcs, g.starts | draw(extra),
+                               g.finishes | draw(extra))), script
+
+
+def stepped(state, script):
+    """``state`` and the state after each operator of ``script``."""
+    yield state
     for op in script:
         state, _ = apply_op(state, op)
+        yield state
+
+
+@settings(max_examples=100, deadline=None)
+@given(flagged_states())
+def test_operators_keep_the_graph_language_under_explicit_flags(model):
+    # the flag rules of the operators must keep the expression the graph's
+    # path language
+    for state in stepped(*model):
         assert state.re == enumerate_paths(state.dg)
         mutate_module._require_trim(state.dg, state.re)
 
@@ -234,6 +246,56 @@ def test_arc_insert_duplicate_arc():
         arc_insert(st_, "a", "b")
 
 
+@settings(max_examples=100, deadline=None)
+@given(flagged_states())
+def test_graph_fragments_and_exhaustion_equal_the_term_side(model):
+    # the paper's term-side selectors, as a theorem of the path language:
+    # on every state, the walk spells the heads ht(pt(re, v), v) and the
+    # tails tt(pt(re, v), v) of every node, so of both endpoints of every
+    # arc that can be inserted; and the graph says an endpoint of an arc
+    # is exhausted exactly when every term holding it holds the pair
+    for state in stepped(*model):
+        g, re = state.dg, state.re
+        for v in g.nodes:
+            held = pt(re, (v,))
+            assert _trusted(graph._spell_from(g, v, True)) == ht(held, (v,))
+            assert _trusted(graph._spell_from(g, v, False)) == tt(held, (v,))
+        # node omission asks the pre-state's graph about the expressions
+        # that its arc steps leave: the path languages of the graphs below
+        for v in g.nodes:
+            work = g
+            for u, w in [(v, x) for x in g.successors(v)] + [(y, v) for y in g.predecessors(v)]:
+                paths = enumerate_paths(work)
+                joined = pt(paths, (u, w))
+                if u == v:
+                    assert (mutate_module._exhausted(g._pred, g.starts, w, u)
+                            == (pt(paths, (w,)) == joined))
+                else:
+                    assert (mutate_module._exhausted(g._succ, g.finishes, u, w)
+                            == (pt(paths, (u,)) == joined))
+                work = apply_dg_op(work, ArcOmit(u, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flagged_states())
+def test_arc_insert_products_equal_no_term(model):
+    # every product holds the new adjacency src dst, which no term of the
+    # model without the arc holds, and a path holds src once, so the
+    # products are distinct new terms, appended unprobed
+    for state in stepped(*model):
+        g = state.dg
+        terms = set(state.re._terms)
+        for src, dst in [(u, w) for u in sorted(g.nodes) for w in sorted(g.nodes)
+                         if u != w and w not in g._succ.get(u, ())
+                         and not graph.path_exists(g, w, u)]:
+            out, entry = arc_insert(state, src, dst)
+            products = out.re._terms[len(state.re):]
+            assert out.re._terms[:len(state.re)] == state.re._terms
+            assert not terms.intersection(products)
+            assert len(set(products)) == len(products) == entry.terms_added == entry.added_bound
+            assert out.re == enumerate_paths(out.dg)
+
+
 # --------------------------------------------------------------------------
 # arc omission
 
@@ -267,31 +329,18 @@ def test_arc_omit_missing_arc(sample_state):
 # --------------------------------------------------------------------------
 # hand-built states: terms that are not paths of the graph
 #
-# Operators build their results without re-deduplicating them, checking new
-# terms only against the terms they can equal.  These states put such terms
-# exactly where a product or a fragment lands.  The constructor refuses a
-# term that is not a path, so they are built with ``mutate._state``.
+# Omission builds its results without re-deduplicating them, checking its
+# fragments only against each other.  These states put terms that are not
+# paths exactly where a fragment lands, and in each the graph's answer to
+# whether an endpoint is exhausted holds for the terms.  The constructor
+# refuses a term that is not a path, so they are built with
+# ``mutate._state``.
 
 def rebuilt(re: SopfRe) -> SopfRe:
     """``re`` through the public constructor, after checking that its terms
     are already distinct."""
     assert len(set(re._terms)) == len(re._terms)
     return SopfRe(built(re))
-
-
-@pytest.mark.parametrize("terms", [
-    ("a", "b", "ab"),
-    ("a", "b", "ab", "cb"),
-    ("a", "b", "ab", "ac"),
-], ids=["selections_equal", "source_selection_smaller", "target_selection_smaller"])
-def test_arc_insert_product_equal_to_a_hand_built_term(terms):
-    # "ab" is no path while a -> b is missing, and it is the one product;
-    # the union checks it against the smaller of the terms holding a and
-    # those holding b, and "ab" is in both
-    st_ = mutate_module._state(parse_graph("node a\nnode b\nnode c"), sopf(*terms))
-    out, entry = arc_insert(st_, "a", "b")
-    assert out.re == rebuilt(out.re) == sopf(*terms)
-    assert entry.terms_added == 0 and entry.added_bound == 1
 
 
 def test_arc_omit_keeps_a_hand_built_head_once():
@@ -365,9 +414,8 @@ def test_operator_results_are_distinct_and_match_the_reference(model):
 
 # Node operators as the step-by-step composition of the public arc
 # operators around the bare term: the result and the log entry with every
-# inner step must be those of the composition.  Its states hold some of the
-# paths only, so their fragments need not be paths: they are built with
-# ``mutate._state``.
+# inner step must be those of the composition.  The intermediate states
+# are built with ``mutate._state``.
 
 def composed_node_insert(state, op):
     work = mutate_module._state(apply_dg_op(state.dg, NodeInsert(op.node)),
@@ -412,7 +460,7 @@ def check_against_composition(state, op):
 
 
 @settings(max_examples=80, deadline=None)
-@given(hand_built_states(), st.data())
+@given(shuffled_states(), st.data())
 def test_node_operators_equal_their_arc_composition(model, data):
     state, script = model
     nodes = sorted(state.dg.nodes)
@@ -500,7 +548,7 @@ def kernel_calls(state, ops, counters):
 
 
 @settings(max_examples=60, deadline=None)
-@given(hand_built_states())
+@given(shuffled_states())
 def test_counting_calls_the_same_kernels(model):
     # counters tally the work of each kernel from lengths it holds: a
     # counted run does no search, cut or probe that an uncounted run skips
@@ -512,8 +560,8 @@ def test_counting_calls_the_same_kernels(model):
 
 # The summed counts of a fixed set of seeded runs.  The counts are the cost
 # model of the term algebra, so a change that moves them must say so.
-PINNED_COUNTS = OpCounters(symbol_comparisons=136299, term_copies=19015,
-                           set_lookups=24867)
+PINNED_COUNTS = OpCounters(symbol_comparisons=41760, term_copies=6971,
+                           set_lookups=2355)
 
 
 def test_operator_counts_are_pinned():
@@ -591,6 +639,42 @@ def test_insertions_check_reachability_once(monkeypatch):
     assert not asked and len(searches) == 1
 
 
+def chain_state(n):
+    """The model of an ``n``-node chain, and its node names in chain order."""
+    names = [f"c{k}" for k in range(n)]
+    g = parse_graph("".join(f"arc {a} {b}\n" for a, b in zip(names, names[1:])))
+    return model_from_graph(g), names
+
+
+def insert_across_the_middle(state, names, counters=None):
+    """An arc and a node insertion that each bypass the middle node."""
+    mid = len(names) // 2
+    return (arc_insert(state, names[mid - 1], names[mid + 1], counters),
+            node_insert(state, "v", (names[mid + 1],), (names[mid - 1],), counters))
+
+
+def test_insertions_on_a_deep_chain():
+    # the walk follows a run of one-neighbour nodes without a stack frame,
+    # so a chain far deeper than the recursion limit raises no
+    # RecursionError
+    state, names = chain_state(10_000)
+    (arc_out, arc_entry), (node_out, node_entry) = insert_across_the_middle(state, names)
+    assert arc_out.re == enumerate_paths(arc_out.dg)
+    assert arc_entry.terms_added == 1
+    assert node_out.re == enumerate_paths(node_out.dg)
+    assert [step.terms_added for step in node_entry.sub] == [1, 2]
+
+
+def test_walk_work_on_a_chain_grows_linearly():
+    # each node the walks pass is visited once, however deep the chain
+    def work(n):
+        counters = OpCounters()
+        insert_across_the_middle(*chain_state(n), counters)
+        return counters.cost()
+
+    assert work(4000) <= 2.05 * work(2000)
+
+
 # --------------------------------------------------------------------------
 # node omission
 
@@ -616,32 +700,21 @@ def test_node_omit_isolated():
 def test_node_operators_select_their_node_once(monkeypatch, sample_state):
     # node omission splits the expression once, by its node, and its inner
     # arc steps search only the terms holding it; arc omission splits once,
-    # by its source; node insertion searches only for its neighbours
-    import dagmut.mutate
-    scans = []
-    real_pt, real_split = dagmut.mutate.pt, dagmut.mutate._split
-
-    def counted_pt(r, pattern, counters=None):
-        scans.append(tuple(pattern))
-        return real_pt(r, pattern, counters)
-
-    def counted_split(terms, sym):
-        scans.append((sym,))
-        return real_split(terms, sym)
-
-    monkeypatch.setattr(dagmut.mutate, "pt", counted_pt)
-    monkeypatch.setattr(dagmut.mutate, "_split", counted_split)
+    # by its source; insertion reads its fragments off the graph, so node
+    # insertion selects, splits and cuts no term
+    splits = count_calls(monkeypatch, mutate_module, "_split")
     _, entry = node_omit(sample_state, "h", OpCounters())
     assert len(entry.sub) == 3
-    assert scans == [("h",)]
-    scans.clear()
+    assert [args[1] for args in splits] == ["h"]
+    splits.clear()
     arc_omit(sample_state, "g", "h", OpCounters())
-    assert scans == [("g",)]
-    scans.clear()
-    _, entry = node_insert(sample_state, "v", ("h", "i"), ("a", "c"), OpCounters())
+    assert [args[1] for args in splits] == ["g"]
+    splits.clear()
+    op = NodeInsert("v", ("h", "i"), ("a", "c"))
+    calls = kernel_calls(sample_state, [op], OpCounters())
+    assert not splits and not calls.keys() & {"pt", "ht", "tt", "_heads", "_tails", "_split"}
+    _, entry = node_insert(sample_state, op.node, op.outgoing, op.ingoing)
     assert len(entry.sub) == 4
-    assert ("v",) not in scans
-    assert sorted(set(scans)) == [("a",), ("c",), ("h",), ("i",)]
 
 
 def test_uncounted_operators_run_no_pair_loop_and_reverse_no_term(sample_state):

@@ -17,7 +17,6 @@ from dagmut.metrics import OpCounters
 from dagmut.sopf import (
     SopfRe,
     _code,
-    _extend,
     _heads,
     _tails,
     add_term,
@@ -455,20 +454,6 @@ def test_union_and_difference_match_the_scan(a, b):
     same_run(set_union, ref_union, a, b)
     same_run(set_difference, ref_difference, a, b)
     same_run(set_difference, ref_difference, a, set_union(a, b))
-
-
-@given(scan_exprs, scan_exprs, st.randoms(use_true_random=False))
-def test_extend_matches_the_union(a, b, rnd):
-    # the candidates hold every term of a that b holds, plus some others
-    shared = [t for t in a._terms if t in b._terms]
-    others = [t for t in a._terms if t not in b._terms]
-    candidates = shared + rnd.sample(others, rnd.randint(0, len(others)))
-    counters = OpCounters()
-    merged = _extend(a, b, candidates, counters)
-    assert merged == ref_union(a, b, OpCounters())
-    assert len(set(merged._terms)) == len(merged._terms)
-    # the union hashes the candidates and the new terms
-    assert counters == OpCounters(set_lookups=(len(candidates) + len(b)) * bool(candidates and b))
 
 
 def test_find_first_and_last_with_repeated_symbols():
