@@ -296,6 +296,22 @@ def test_arc_insert_products_equal_no_term(model):
             assert out.re == enumerate_paths(out.dg)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("node a\nnode b\nnode c", ("a", "b", "c", "ab")),
+    ("node a\narc c b\narc d b", ("a", "cb", "db", "ab")),
+    ("arc a c\narc a d\nnode b", ("ac", "ad", "b", "ab")),
+], ids=["selections_equal", "source_selection_smaller", "target_selection_smaller"])
+def test_arc_insert_product_equal_to_a_hand_built_term(text, expected):
+    # "ab" is the one product of a -> b, whether fewer terms hold a than
+    # b, fewer hold b, or as many: it is appended behind the terms it
+    # cannot equal, and the expression equals the hand-built terms
+    st_ = model_from_graph(parse_graph(text))
+    out, entry = arc_insert(st_, "a", "b")
+    assert out.re._terms[:len(st_.re)] == st_.re._terms
+    assert out.re == rebuilt(out.re) == sopf(*expected)
+    assert entry.terms_added == entry.added_bound == 1 and entry.terms_removed == 0
+
+
 # --------------------------------------------------------------------------
 # arc omission
 
