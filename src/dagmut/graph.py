@@ -35,8 +35,8 @@ touches (O(touched) Python work).  It copies each index dict once, at C
 speed; it copies the node set only for a node operator and a flag set
 only when it adds a flag or drops the omitted node's, and it shares the
 other sets with the parent.  No operator builds an arc set: ``Dg.arcs``
-is derived from the index on its first read.  The fragments of an
-insertion, the paths from a start to a node and from a node to a finish,
+is derived from the index on its first read.  The fragments of every
+operator, the paths from a start to a node and from a node to a finish,
 are spelled by one walk over one side's index (:func:`_spell_from`),
 which visits each prefix of those paths once: O(total path length) on a
 trim graph, where every trail the walk follows ends at a flagged node.

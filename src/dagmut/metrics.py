@@ -38,7 +38,7 @@ class OpCounters:
       ``str.find``, ``str.index``, ``str.rindex``), one per term visited.
       A pass that may stop at its first hit (``any``, a tuple ``in`` or
       ``index``) counts every term it is given.  The graph walk that
-      spells an insertion's fragments (``graph._spell_from``) counts each
+      spells an operator's fragments (``graph._spell_from``) counts each
       node it visits as one item searched.
     - ``term_copies``: new terms built: each fragment cut or spelled by
       the graph walk and each product joined, before deduplication, and
@@ -69,10 +69,10 @@ class TrendReport:
 
 
 #: Worst-case growth exponents in term-set size at fixed term length.
-#: Selectors and arc operators are bounded quadratically (the arc-insertion
-#: figure is the duplicate-tolerant variant: concatenation products are
-#: deduplicated by hashed insertion, not pairwise comparison); plain set
-#: concatenation with pairwise filtering is bounded quartically.
+#: Selectors and operators are bounded quadratically, as a term-side
+#: operator deduplicating its fragments pairwise is (the operators spell
+#: theirs from the graph and hash no term); plain set concatenation with
+#: pairwise filtering is bounded quartically.
 BOUND_EXPONENTS: dict[str, float] = {
     "set_union": 2.0,
     "set_difference": 2.0,

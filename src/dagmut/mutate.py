@@ -23,12 +23,13 @@ The operators work on the code strings of :mod:`dagmut.sopf`: a symbol
 search is one ``in``, and the omitted pair one two-code-point ``in``.
 
 Because the expression is the graph's path language, the fragments and
-the exhaustion tests have a graph meaning, and the operators read them
-off the graph where that is cheaper than a scan of the terms.  The heads
-of a node, the terms holding it cut after it, are the paths from a start
-to it; its tails are the paths from it to a finish (each term is a path,
-which holds a node at most once).  A term holds an arc's two endpoints
-adjacently iff it runs through the arc.
+the exhaustion tests have a graph meaning, and every operator reads them
+off the graph.  The heads of a node, the terms holding it cut after it,
+are the paths from a start to it; its tails are the paths from it to a
+finish (each term is a path, which holds a node at most once).  A term
+holds an arc's two endpoints adjacently iff it runs through the arc, and
+omitting the arc exhausts an endpoint iff the graph edit newly flags it
+(finish for the source, start for the target).
 
 Arc insertion reads no term.  It spells the heads of the source and the
 tails of the target with one walk of the graph each
@@ -36,23 +37,19 @@ tails of the target with one walk of the graph each
 every product holds the new adjacency, which no term of the pre-state
 holds, and the products are distinct, as a path holds the source once.
 
-Omission works on the terms that hold its arc.  It splits the expression
-once into ``held``, the terms holding one endpoint (the source for
-:func:`arc_omit`, the node for :func:`node_omit`), and ``rest``, the
-others, and does all its work on ``held``: the pair is searched for only
-there, and the selected endpoint is exhausted when every term of ``held``
-is joined.  The other endpoint is exhausted when every path through it
-runs through the arc: it has no flag on the arc's side and no other
-neighbour there, which the graph answers without a scan.  An exhausted
-endpoint's selection is the joined terms themselves, so they are what the
-heads or tails are cut from.  The kept terms are ``rest`` and what
-``held`` keeps, so no term of the expression is hashed.  Each step sends
-its fragments to ``held`` or ``rest`` by whether they hold the selected
-endpoint; node omission splits once and passes both on from step to
-step, without building the intermediate expressions, as the inner log
-entries need only counts.  An omission result is ``rest + held``: an
-order other than its input's, which only printing reads, and printing
-sorts.
+Arc omission keeps the terms without its pair, by one C-level search of
+each, and appends unprobed the words of each endpoint that the edit newly
+flags: the heads of the source, the tails of the target.  No kept term
+holds such an endpoint, and no tail holds the source, which every head
+holds, so all of them are new terms.  Node omission splits the expression
+once by its node (:func:`~dagmut.sopf._split`) and keeps the terms
+without it whole.  Each inner step drops its pair from the terms holding
+the node and re-adds: at the last outgoing step, unless the node is a
+finish, its heads, spelled on the pre-state graph; at the last ingoing
+step, unless it is a start, its bare word; and the words of its
+neighbour if the final graph newly flags it.  No intermediate expression
+is built, as the inner log entries need only counts.  An omission result
+puts the words it re-adds behind the kept terms; printing sorts.
 
 Node insertion edits the graph once, with the whole operator (see
 :func:`~dagmut.graph.apply_dg_op`), which checks every arc before any term
@@ -70,8 +67,8 @@ equals the bare term of a new node.
 Results and log entries are those of the composition of the public arc
 operators around the bare term.  Counters tally the work the operators
 do (see :class:`~dagmut.metrics.OpCounters`), which is less than that
-composition does: a split instead of three selections, no difference
-and no probe of the bare term.
+composition does: node omission searches every term once, not once per
+step, and neither node operator searches for its bare term.
 """
 from __future__ import annotations
 
@@ -81,20 +78,17 @@ from operator import contains, not_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ModelError, OperationError, ScriptError
-from .graph import Adjacency, Dg, _spell_from, apply_dg_op, enumerate_paths
+from .graph import Dg, _spell_from, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     Code,
     SopfRe,
     _code,
-    _heads,
     _split,
-    _tails,
     _tally,
     _trusted,
     print_sopf,
     pt,  # noqa: F401  not called here; the benchmark's tracer test reads mutate.pt
-    set_union,
 )
 
 if TYPE_CHECKING:
@@ -135,8 +129,7 @@ def _require_trim(g: Dg, paths: SopfRe) -> None:
 
 def _state(dg: Dg, re: SopfRe) -> ModelState:
     """A :class:`ModelState` built without the constructor's checks, from
-    the paths of a trim ``dg`` or an operator result (tests also pass terms
-    that are not paths, to reach the kernels' edge cases)."""
+    the paths of a trim ``dg`` or an operator result."""
     st = object.__new__(ModelState)
     vars(st).update(dg=dg, re=re)
     return st
@@ -208,62 +201,41 @@ def _insert(heads: Sequence[Code], tails: Sequence[Code], src: str, dst: str,
                               added_bound=len(products))
 
 
-def _exhausted(index: Adjacency, flags: frozenset[str], end: str, other: str) -> bool:
-    """Whether every path through ``end`` runs through its arc with
-    ``other``, so that every term holding ``end`` holds the pair: ``end``
-    has no flag in ``flags`` and ``other`` is its only neighbour in
-    ``index`` (both of the side facing ``other``)."""
-    return end not in flags and index.get(end) == (other,)
+def _unjoined(terms: tuple[Code, ...], src: str, dst: str,
+              counters: "OpCounters | None") -> tuple[Code, ...]:
+    """The ``terms`` that do not hold ``src dst`` adjacently: one C-level
+    search of each for the pair as one two-code-point string."""
+    pair = _code(src) + _code(dst)
+    _tally(counters, searched=len(terms))
+    return tuple(compress(terms, map(not_, map(contains, terms, repeat(pair)))))
+
+
+def _regained(g: Dg, dg: Dg, end: str, backward: bool,
+              counters: "OpCounters | None") -> tuple[Code, ...]:
+    """The words re-added for ``end``, an endpoint of an arc omitted by the
+    edit ``g`` -> ``dg``: spelled on ``dg``, its heads if ``dg`` newly
+    flags it finish (``backward``), its tails if it newly flags it start."""
+    before, after = (g.finishes, dg.finishes) if backward else (g.starts, dg.starts)
+    return _spell_from(dg, end, backward, counters) if end in after and end not in before else ()
+
+
+def _omitted(src: str, dst: str, removed: int, added: int) -> LogEntry:
+    """The log entry of omitting ``src -> dst``: every word added is new."""
+    return LogEntry(ArcOmit(src, dst), terms_added=added, terms_removed=removed,
+                    added_bound=added, removed_expected=removed)
 
 
 def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
-    dg = apply_dg_op(st.dg, ArcOmit(src, dst))
-    # the split searches every term once
-    _tally(counters, searched=len(st.re))
-    held, rest, entry = _omit(*_split(st.re._terms, _code(src)), src, dst, src,
-                              _exhausted(st.dg._pred, st.dg.starts, dst, src), counters)
-    return _state(dg, _trusted(rest + held)), entry
-
-
-def _omit(held: tuple[Code, ...], rest: tuple[Code, ...], src: str, dst: str, sym: str,
-          other_out: bool, counters: "OpCounters | None"
-          ) -> tuple[tuple[Code, ...], tuple[Code, ...], LogEntry]:
-    """Omit arc ``src -> dst`` from the expression ``rest + held`` on the
-    term side alone, where ``held`` are its terms that hold ``sym`` (``src``
-    or ``dst``) and ``rest`` the others, and ``other_out`` says whether the
-    other endpoint is exhausted: whether every term holding it holds the
-    pair.
-
-    Returns the new ``held`` and ``rest`` and the step's log entry: the
-    kept terms of ``held`` followed by the fragments that hold ``sym``, and
-    ``rest`` followed by the other fragments.  Only ``held`` is searched,
-    for the pair as one two-code-point string; ``rest`` is not read.
-    """
-    s, d = _code(src), _code(dst)
-    own = s if sym == src else d
-    found = list(map(contains, held, repeat(s + d)))
-    joined = tuple(compress(held, found))
-    kept = tuple(compress(held, map(not_, found)))
-    # an endpoint is exhausted once every term holding it is joined; then
-    # its selection is ``joined`` itself
-    own_out = not kept
-    src_out, dst_out = (own_out, other_out) if sym == src else (other_out, own_out)
-    heads = _heads(joined, s, counters) if src_out else SopfRe()
-    tails = _tails(joined, d, counters) if dst_out else SopfRe()
-    # heads hold src and come back only once every term holding src is
-    # dropped, and tails likewise hold dst, so no fragment equals a kept
-    # term; a head ends at the first src and a tail starts at the last dst,
-    # so neither holds the pair src dst: no joined term comes back
-    fragments = set_union(heads, tails, counters)._terms
-    holds = list(map(contains, fragments, repeat(own)))
-    # the searches for the pair and for the side each fragment goes to
-    _tally(counters, searched=len(held) + len(fragments))
-    entry = LogEntry(ArcOmit(src, dst), terms_added=len(fragments), terms_removed=len(joined),
-                     added_bound=len(heads) + len(tails), removed_expected=len(joined))
-    return (kept + tuple(compress(fragments, holds)),
-            rest + tuple(compress(fragments, map(not_, holds))), entry)
+    g = st.dg
+    dg = apply_dg_op(g, ArcOmit(src, dst))
+    kept = _unjoined(st.re._terms, src, dst, counters)
+    # no ancestor of src is dst and no descendant of dst is src, so dg
+    # spells what g would
+    added = _regained(g, dg, src, True, counters) + _regained(g, dg, dst, False, counters)
+    return (_state(dg, _trusted(kept + added)),
+            _omitted(src, dst, len(st.re) - len(kept), len(added)))
 
 
 def node_insert(st: ModelState, node: str,
@@ -310,25 +282,38 @@ def node_omit(st: ModelState, node: str,
     # an unknown node raises here, before any term is read
     dg = apply_dg_op(st.dg, op)
     g = st.dg
-    bare = _code(node)
     # the split searches every term once
     _tally(counters, searched=len(st.re))
-    held, rest = _split(st.re._terms, bare)
+    held, rest = _split(st.re._terms, _code(node))
     # the arc steps drop only terms holding the node, and on a trim model
     # only its bare term is left at the end, so exactly the others are kept
     kept = len(rest)
+    regained: list[Code] = []
     sub: list[LogEntry] = []
-    # a step leaves the other endpoint's arcs and flags as g has them: the
-    # steps before it omit arcs of other neighbours, and flag only those
-    for x in g.successors(node):
-        held, rest, step = _omit(held, rest, node, x, node,
-                                 _exhausted(g._pred, g.starts, x, node), counters)
-        sub.append(step)
-    for y in g.predecessors(node):
-        held, rest, step = _omit(held, rest, y, node, node,
-                                 _exhausted(g._succ, g.finishes, y, node), counters)
-        sub.append(step)
-    final_re = _trusted(rest)
+    # a neighbour is flagged by its own step, and no later step changes
+    # what the walk from it reads, so the final graph spells its words
+    below = g.successors(node)
+    for k, x in enumerate(below, 1):
+        left = _unjoined(held, node, x, counters)
+        # the last outgoing step flags the node finish unless it is one:
+        # its heads, which the final graph no longer holds, come back
+        own = (_spell_from(g, node, True, counters)
+               if k == len(below) and node not in g.finishes else ())
+        theirs = _regained(g, dg, x, False, counters)
+        sub.append(_omitted(node, x, len(held) - len(left), len(own) + len(theirs)))
+        held = left + own
+        regained += theirs
+    above = g.predecessors(node)
+    for k, y in enumerate(above, 1):
+        left = _unjoined(held, y, node, counters)
+        # the last ingoing step flags the node start unless it is one: its
+        # bare word comes back, and goes with the node
+        own = k == len(above) and node not in g.starts
+        theirs = _regained(g, dg, y, True, counters)
+        sub.append(_omitted(y, node, len(held) - len(left), own + len(theirs)))
+        held = left
+        regained += theirs
+    final_re = _trusted(rest + tuple(regained))
     return _state(dg, final_re), _entry(op, st.re, final_re, kept, sub=tuple(sub))
 
 

@@ -33,24 +33,19 @@ through the private :func:`_trusted`: the filters :func:`pt`,
 :func:`set_difference` and :func:`remove_term`, :func:`add_term` (after
 its one search) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
 :func:`set_union` hashes its two operands and appends the new terms of
-the second.  Arc insertion calls none of these: on a model its products
-are new terms by construction (see :mod:`dagmut.mutate`).
+the second.  The mutation operators call none of those operations: on a
+model every term they add is new by construction (see
+:mod:`dagmut.mutate`).
 
-Fragments are cut by one private kernel per side, :func:`_heads` and
-:func:`_tails`: one pass cuts each term with one ``str.index``
-(``str.rindex``) of the cut pattern.  Omission calls them on its joined
-terms, which hold the omitted pair; :func:`ht` and :func:`tt` call them
-on any terms, and turn the ``ValueError`` of a term without the pattern
-into one that names it.  Every fragment holds the cut pattern, so none
-is empty and the fragments are deduplicated into :func:`_trusted`.  Arc
-and node insertion take their fragments from the graph instead
-(:func:`dagmut.graph._spell_from`), spelled in the same codes.
-
-The mutation operators call no :func:`set_difference`.  Omission splits
-an expression once into the terms that hold a symbol and the others
-(:func:`_split`), keeps the others whole and filters only the first, so
-it never probes the terms it keeps; its fragments can equal no kept term
-and are appended unchecked.
+:func:`ht` and :func:`tt` cut their fragments in one pass, one
+``str.index`` (``str.rindex``) of the cut pattern per term, and turn the
+``ValueError`` of a term without the pattern into one that names it.
+Every fragment holds the cut pattern, so none is empty and the fragments
+are deduplicated into :func:`_trusted`.  The mutation operators cut no
+term: they spell their fragments from the graph
+(:func:`dagmut.graph._spell_from`), in the same codes.  Node omission
+splits an expression once into the terms that hold its node and the
+others (:func:`_split`), and keeps the others whole.
 
 A query (``in``, :func:`pt`, :func:`ht`, :func:`tt`,
 :func:`remove_term`) gives no symbol a code: it looks each one up, and
@@ -319,28 +314,6 @@ def _tally(counters: "OpCounters | None", searched: int = 0, built: int = 0,
 # --------------------------------------------------------------------------
 # selectors
 
-def _fragments(cuts: list[Code], counters: "OpCounters | None") -> SopfRe:
-    """The distinct ``cuts``, each cut from one term by one search."""
-    _tally(counters, searched=len(cuts), built=len(cuts), hashed=len(cuts))
-    # every cut holds the pattern it was cut at, so none is empty
-    return _trusted(tuple(dict.fromkeys(cuts)))
-
-
-def _heads(terms: Sequence[Code], pat: Code, counters: "OpCounters | None") -> SopfRe:
-    """``ht`` of ``terms`` for the pattern coded ``pat``: one pass cuts
-    each term just after its first ``pat``.  A term without it raises the
-    ``ValueError`` of ``str.index``."""
-    n = len(pat)
-    return _fragments([t[:t.index(pat) + n] for t in terms], counters)
-
-
-def _tails(terms: Sequence[Code], pat: Code, counters: "OpCounters | None") -> SopfRe:
-    """``tt`` of ``terms`` for the pattern coded ``pat``: one pass cuts
-    each term at its last ``pat``.  A term without it raises the
-    ``ValueError`` of ``str.rindex``."""
-    return _fragments([t[t.rindex(pat):] for t in terms], counters)
-
-
 def _split(terms: tuple[Code, ...], sym: Code) -> tuple[tuple[Code, ...], tuple[Code, ...]]:
     """The terms that hold ``sym`` and the others, each in ``terms``' order:
     :func:`pt`'s one-symbol selection and its complement, from one scan."""
@@ -364,29 +337,37 @@ def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     return _trusted(tuple(compress(terms, map(contains, terms, repeat(pat)))))
 
 
-def _cut(kernel, p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None") -> SopfRe:
-    """``kernel`` (:func:`_heads` or :func:`_tails`) over the terms of
-    ``p``; a term without the pattern is named in the error, the
-    canonically first one, spelled as :func:`print_sopf` spells it."""
+def _cut(p: SopfRe, pattern: Sequence[str], last: bool,
+         counters: "OpCounters | None") -> SopfRe:
+    """The distinct fragments of the terms of ``p``: each term cut just
+    after its first ``pattern`` by one ``str.index``, or at its ``last``
+    by one ``str.rindex``.  A term without the pattern is named in the
+    error, the canonically first one, spelled as :func:`print_sopf` spells
+    it."""
     pat = _pattern(pattern)
+    terms = p._terms
     try:
-        return kernel(p._terms, pat, counters)
+        cuts = ([t[t.rindex(pat):] for t in terms] if last
+                else [t[:t.index(pat) + len(pat)] for t in terms])
     except ValueError:
-        missing = _trusted(tuple(t for t in p._terms if pat not in t))
+        missing = _trusted(tuple(t for t in terms if pat not in t))
         term = print_sopf(_trusted(missing._sorted()[:1]))
         raise ValueError(f"term {term!r} does not contain the pattern") from None
+    _tally(counters, searched=len(cuts), built=len(cuts), hashed=len(cuts))
+    # every cut holds the pattern it was cut at, so none is empty
+    return _trusted(tuple(dict.fromkeys(cuts)))
 
 
 def ht(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Prefixes of the terms of ``p``, each cut just after the first occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
-    return _cut(_heads, p, pattern, counters)
+    return _cut(p, pattern, False, counters)
 
 
 def tt(p: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
     """Suffixes of the terms of ``p``, each starting at the last occurrence
     of ``pattern``.  Every term of ``p`` must contain the pattern."""
-    return _cut(_tails, p, pattern, counters)
+    return _cut(p, pattern, True, counters)
 
 
 # --------------------------------------------------------------------------

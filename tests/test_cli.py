@@ -458,18 +458,18 @@ op=arc_insert size=8 cost=5 exponent=0.000 verdict=pass
 op=arc_insert size=16 cost=5 exponent=0.000 verdict=pass
 op=arc_insert size=32 cost=5 exponent=0.000 verdict=pass
 op=arc_insert size=64 cost=5 exponent=0.000 verdict=pass
-op=arc_omit size=8 cost=13 exponent=0.804 verdict=pass
-op=arc_omit size=16 cost=21 exponent=0.804 verdict=pass
-op=arc_omit size=32 cost=37 exponent=0.804 verdict=pass
-op=arc_omit size=64 cost=69 exponent=0.804 verdict=pass
+op=arc_omit size=8 cost=11 exponent=0.870 verdict=pass
+op=arc_omit size=16 cost=19 exponent=0.870 verdict=pass
+op=arc_omit size=32 cost=35 exponent=0.870 verdict=pass
+op=arc_omit size=64 cost=67 exponent=0.870 verdict=pass
 op=node_insert size=8 cost=8 exponent=0.000 verdict=pass
 op=node_insert size=16 cost=8 exponent=0.000 verdict=pass
 op=node_insert size=32 cost=8 exponent=0.000 verdict=pass
 op=node_insert size=64 cost=8 exponent=0.000 verdict=pass
-op=node_omit size=8 cost=18 exponent=0.681 verdict=pass
-op=node_omit size=16 cost=26 exponent=0.681 verdict=pass
-op=node_omit size=32 cost=42 exponent=0.681 verdict=pass
-op=node_omit size=64 cost=74 exponent=0.681 verdict=pass
+op=node_omit size=8 cost=13 exponent=0.804 verdict=pass
+op=node_omit size=16 cost=21 exponent=0.804 verdict=pass
+op=node_omit size=32 cost=37 exponent=0.804 verdict=pass
+op=node_omit size=64 cost=69 exponent=0.804 verdict=pass
 """
 
 

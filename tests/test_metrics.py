@@ -35,11 +35,10 @@ def test_arc_omit_fixture():
     state = model_from_graph(parse_graph(SAMPLE_GRAPH_TEXT))
     result, counters = measure("arc_omit", state, "c", "d")
     assert len(result.re) == 6
-    # frozen regression values for this exact input: the split reads all
-    # 9 terms and the pair search the 6 holding c; the graph says d is not
-    # exhausted, and c is not, so nothing is cut or hashed
+    # frozen regression values for this exact input: the pair search reads
+    # all 9 terms; the edit flags neither c nor d, so no word is spelled
     assert (counters.symbol_comparisons, counters.term_copies,
-            counters.set_lookups) == (15, 0, 0)
+            counters.set_lookups) == (9, 0, 0)
 
 
 def test_measure_unknown_kind():

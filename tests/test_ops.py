@@ -252,28 +252,30 @@ def test_graph_fragments_and_exhaustion_equal_the_term_side(model):
     # the paper's term-side selectors, as a theorem of the path language:
     # on every state, the walk spells the heads ht(pt(re, v), v) and the
     # tails tt(pt(re, v), v) of every node, so of both endpoints of every
-    # arc that can be inserted; and the graph says an endpoint of an arc
-    # is exhausted exactly when every term holding it holds the pair
+    # arc that can be inserted or omitted; and omitting an arc newly flags
+    # an endpoint exactly when every term holding it holds the pair
+    def omitted(work, u, w):
+        paths = enumerate_paths(work)
+        joined = pt(paths, (u, w))
+        after = apply_dg_op(work, ArcOmit(u, w))
+        assert (u in after.finishes - work.finishes) == (pt(paths, (u,)) == joined)
+        assert (w in after.starts - work.starts) == (pt(paths, (w,)) == joined)
+        return after
+
     for state in stepped(*model):
         g, re = state.dg, state.re
         for v in g.nodes:
             held = pt(re, (v,))
             assert _trusted(graph._spell_from(g, v, True)) == ht(held, (v,))
             assert _trusted(graph._spell_from(g, v, False)) == tt(held, (v,))
-        # node omission asks the pre-state's graph about the expressions
-        # that its arc steps leave: the path languages of the graphs below
+        for u, w in g.arcs:
+            omitted(g, u, w)
+        # and on every arc step of a node omission, on the graphs that its
+        # earlier steps leave
         for v in g.nodes:
             work = g
             for u, w in [(v, x) for x in g.successors(v)] + [(y, v) for y in g.predecessors(v)]:
-                paths = enumerate_paths(work)
-                joined = pt(paths, (u, w))
-                if u == v:
-                    assert (mutate_module._exhausted(g._pred, g.starts, w, u)
-                            == (pt(paths, (w,)) == joined))
-                else:
-                    assert (mutate_module._exhausted(g._succ, g.finishes, u, w)
-                            == (pt(paths, (u,)) == joined))
-                work = apply_dg_op(work, ArcOmit(u, w))
+                work = omitted(work, u, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,16 +344,6 @@ def test_arc_omit_missing_arc(sample_state):
         arc_omit(sample_state, "a", "q")
 
 
-# --------------------------------------------------------------------------
-# hand-built states: terms that are not paths of the graph
-#
-# Omission builds its results without re-deduplicating them, checking its
-# fragments only against each other.  These states put terms that are not
-# paths exactly where a fragment lands, and in each the graph's answer to
-# whether an endpoint is exhausted holds for the terms.  The constructor
-# refuses a term that is not a path, so they are built with
-# ``mutate._state``.
-
 def rebuilt(re: SopfRe) -> SopfRe:
     """``re`` through the public constructor, after checking that its terms
     are already distinct."""
@@ -359,30 +351,25 @@ def rebuilt(re: SopfRe) -> SopfRe:
     return SopfRe(built(re))
 
 
-def test_arc_omit_keeps_a_hand_built_head_once():
-    # "ab" is the head that "abc" would leave, but it holds b without the
-    # pair, so no head comes back and "ab" stays once
-    st_ = mutate_module._state(parse_graph("arc a b\narc b c"), sopf("abc", "ab"))
-    out, entry = arc_omit(st_, "b", "c")
-    assert out.re == rebuilt(out.re) == sopf("ab", "c")
-    assert (entry.terms_added, entry.terms_removed, entry.added_bound) == (1, 1, 1)
-
-
-def test_arc_omit_merges_a_head_equal_to_a_tail():
-    # both terms hold the pair b c; "cbc" leaves the head "cb" and "bcb" the
-    # tail "cb"
-    st_ = mutate_module._state(parse_graph("arc b c"), sopf("bcb", "cbc"))
-    out, entry = arc_omit(st_, "b", "c")
-    assert out.re == rebuilt(out.re) == sopf("b", "cb", "c")
-    assert (entry.terms_added, entry.added_bound) == (3, 4)
-
-
-def test_arc_omit_finds_the_pair_past_a_first_miss():
-    # the first b of "babc" is followed by a, the second by c
-    st_ = mutate_module._state(parse_graph("arc a b\narc b c"), sopf("babc", "bab"))
-    out, entry = arc_omit(st_, "b", "c")
-    assert out.re == rebuilt(out.re) == sopf("bab", "c")
-    assert entry.removed_expected == 1 and entry.terms_removed == 1
+@pytest.mark.parametrize("text, flagged, expected, counts", [
+    ("arc a b\narc a c\narc d b", (False, False), ("ac", "db"), (0, 1, 0)),
+    ("arc a b\narc c b", (True, False), ("a", "cb"), (1, 1, 1)),
+    ("arc a b\narc a c", (False, True), ("ac", "b"), (1, 1, 1)),
+    ("arc x a\narc y a\narc a b\narc b c\narc b d", (True, True),
+     ("xa", "ya", "bc", "bd"), (4, 4, 4)),
+], ids=["neither_flagged", "source_flagged", "target_flagged", "both_flagged"])
+def test_arc_omit_adds_the_words_of_each_newly_flagged_endpoint(text, flagged, expected,
+                                                                counts):
+    # omitting a -> b flags a finish iff b was its last successor, and b
+    # start iff a was its last predecessor; the heads of a flagged a and the
+    # tails of a flagged b come back, spelled by the graph and appended
+    # behind the kept terms, which hold neither
+    st_ = model_from_graph(parse_graph(text))
+    out, entry = arc_omit(st_, "a", "b")
+    assert ("a" in out.dg.finishes - st_.dg.finishes,
+            "b" in out.dg.starts - st_.dg.starts) == flagged
+    assert out.re == rebuilt(out.re) == sopf(*expected) == enumerate_paths(out.dg)
+    assert (entry.terms_added, entry.terms_removed, entry.added_bound) == counts
 
 
 def test_arc_omit_finds_the_last_holder_of_its_target():
@@ -575,9 +562,10 @@ def test_counting_calls_the_same_kernels(model):
 
 
 # The summed counts of a fixed set of seeded runs.  The counts are the cost
-# model of the term algebra, so a change that moves them must say so.
-PINNED_COUNTS = OpCounters(symbol_comparisons=41760, term_copies=6971,
-                           set_lookups=2355)
+# model of the term algebra, so a change that moves them must say so.  No
+# operator hashes a term: every word it adds is new by construction.
+PINNED_COUNTS = OpCounters(symbol_comparisons=37344, term_copies=6412,
+                           set_lookups=0)
 
 
 def test_operator_counts_are_pinned():
@@ -669,16 +657,25 @@ def insert_across_the_middle(state, names, counters=None):
             node_insert(state, "v", (names[mid + 1],), (names[mid - 1],), counters))
 
 
-def test_insertions_on_a_deep_chain():
+def test_operators_on_a_deep_chain():
     # the walk follows a run of one-neighbour nodes without a stack frame,
     # so a chain far deeper than the recursion limit raises no
-    # RecursionError
+    # RecursionError, whether an insertion or an omission spells the words
     state, names = chain_state(10_000)
+    mid = len(names) // 2
     (arc_out, arc_entry), (node_out, node_entry) = insert_across_the_middle(state, names)
     assert arc_out.re == enumerate_paths(arc_out.dg)
     assert arc_entry.terms_added == 1
     assert node_out.re == enumerate_paths(node_out.dg)
     assert [step.terms_added for step in node_entry.sub] == [1, 2]
+    # omitting an arc or a node of the middle cuts the chain's one term in
+    # two, each re-added as the walk spells it
+    arc_out, arc_entry = arc_omit(state, names[mid - 1], names[mid])
+    assert arc_out.re == enumerate_paths(arc_out.dg) == SopfRe([names[:mid], names[mid:]])
+    assert (arc_entry.terms_added, arc_entry.terms_removed) == (2, 1)
+    node_out, node_entry = node_omit(state, names[mid])
+    assert node_out.re == enumerate_paths(node_out.dg) == SopfRe([names[:mid], names[mid + 1:]])
+    assert [step.terms_added for step in node_entry.sub] == [2, 2]
 
 
 def test_walk_work_on_a_chain_grows_linearly():
@@ -715,27 +712,27 @@ def test_node_omit_isolated():
 
 def test_node_operators_select_their_node_once(monkeypatch, sample_state):
     # node omission splits the expression once, by its node, and its inner
-    # arc steps search only the terms holding it; arc omission splits once,
-    # by its source; insertion reads its fragments off the graph, so node
-    # insertion selects, splits and cuts no term
+    # arc steps search only the terms holding it; arc omission scans every
+    # term once for its pair; every operator reads its fragments off the
+    # graph, so none cuts or merges terms, and node insertion selects,
+    # splits and cuts no term
     splits = count_calls(monkeypatch, mutate_module, "_split")
     _, entry = node_omit(sample_state, "h", OpCounters())
     assert len(entry.sub) == 3
     assert [args[1] for args in splits] == ["h"]
     splits.clear()
-    arc_omit(sample_state, "g", "h", OpCounters())
-    assert [args[1] for args in splits] == ["g"]
-    splits.clear()
+    calls = kernel_calls(sample_state, [ArcOmit("g", "h")], OpCounters())
+    assert not splits and not calls.keys() & {"_split", "ht", "tt", "set_union"}
     op = NodeInsert("v", ("h", "i"), ("a", "c"))
     calls = kernel_calls(sample_state, [op], OpCounters())
-    assert not splits and not calls.keys() & {"pt", "ht", "tt", "_heads", "_tails", "_split"}
+    assert not splits and not calls.keys() & {"pt", "ht", "tt", "_split"}
     _, entry = node_insert(sample_state, op.node, op.outgoing, op.ingoing)
     assert len(entry.sub) == 4
 
 
 def test_uncounted_operators_run_no_pair_loop_and_reverse_no_term(sample_state):
-    # terms are code-point strings: a pair is one substring search and a
-    # last occurrence one rindex, so no term is reversed
+    # terms are code-point strings: a pair is one substring search, and
+    # every fragment is spelled by the graph walk, so no term is sliced
     steps = []
 
     class SpiedTerm(str):
@@ -751,7 +748,7 @@ def test_uncounted_operators_run_no_pair_loop_and_reverse_no_term(sample_state):
            NodeInsert("v", ("h",), ("a", "c")), NodeOmit("h"), NodeOmit("g")]
     for op in ops:
         apply_op(spied, op)
-    assert steps and all(step is None for step in steps)
+    assert not steps
 
 
 def test_node_omit_unknown(sample_state):

@@ -16,9 +16,6 @@ from dagmut import sopf as sopf_module
 from dagmut.metrics import OpCounters
 from dagmut.sopf import (
     SopfRe,
-    _code,
-    _heads,
-    _tails,
     add_term,
     ht,
     parse_sopf,
@@ -438,15 +435,6 @@ def test_ht_tt_match_the_scan(r, s):
     p = pt(r, s)
     same_run(ht, lambda *a: ref_cut(*a, last=False), p, s)
     same_run(tt, lambda *a: ref_cut(*a, last=True), p, s)
-    # the unchecked cut kernels, on the selection of a one-symbol pattern
-    held = pt(r, s[:1])
-    for kernel, last in ((_heads, False), (_tails, True)):
-        def cut(p, sym, counters):
-            return kernel(p._terms, _code(sym), counters)
-        same_run(cut, lambda p, sym, c: ref_cut(p, (sym,), c, last=last), held, s[0])
-        uncounted = cut(held, s[0], None)
-        assert uncounted == ref_cut(held, s[:1], OpCounters(), last=last)
-        assert len(set(uncounted._terms)) == len(uncounted._terms)
 
 
 @given(scan_exprs, scan_exprs)
