@@ -5,7 +5,8 @@ hashes, tallied into an explicit :class:`OpCounters` context threaded
 through the term-set operations.  :func:`trend` runs an operation over
 size-doubling corpora, fits the log-log slope and checks it against the
 operation's worst-case bound exponent (in term-set size, with term length
-held fixed) plus a fixed slack.
+held fixed) plus a fixed slack.  One table, ``_KINDS``, gives each bench
+kind its bound exponent, its operation and its corpus builder.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import linear_regression
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import Dg
 from .mutate import ModelState, arc_insert, arc_omit, model_from_graph, node_insert, node_omit
@@ -68,53 +69,6 @@ class TrendReport:
         return "pass" if self.passed else "fail"
 
 
-#: Worst-case growth exponents in term-set size at fixed term length.
-#: Selectors and operators are bounded quadratically, as a term-side
-#: operator deduplicating its fragments pairwise is (the operators spell
-#: theirs from the graph and hash no term); plain set concatenation with
-#: pairwise filtering is bounded quartically.
-BOUND_EXPONENTS: dict[str, float] = {
-    "set_union": 2.0,
-    "set_difference": 2.0,
-    "set_concat": 4.0,
-    "pt": 2.0,
-    "ht": 2.0,
-    "tt": 2.0,
-    "arc_insert": 2.0,
-    "arc_omit": 2.0,
-    "node_insert": 2.0,
-    "node_omit": 2.0,
-}
-
-_DISPATCH = {
-    "set_union": lambda c, a, b: set_union(a, b, c),
-    "set_difference": lambda c, a, b: set_difference(a, b, c),
-    "set_concat": lambda c, a, b: set_concat(a, b, c),
-    "pt": lambda c, r, s: pt(r, s, c),
-    "ht": lambda c, p, s: ht(p, s, c),
-    "tt": lambda c, p, s: tt(p, s, c),
-    "arc_insert": lambda c, st, u, v: arc_insert(st, u, v, c)[0],
-    "arc_omit": lambda c, st, u, v: arc_omit(st, u, v, c)[0],
-    "node_insert": lambda c, st, v, outs, ins: node_insert(st, v, outs, ins, c)[0],
-    "node_omit": lambda c, st, v: node_omit(st, v, c)[0],
-}
-
-
-def measure(kind: str, *inputs):
-    """Run one operation with counting enabled.
-
-    Returns ``(result, counters)``; the result is identical to an
-    uncounted run.
-    """
-    try:
-        fn = _DISPATCH[kind]
-    except KeyError:
-        raise ValueError(f"unknown operation kind {kind!r}") from None
-    counters = OpCounters()
-    result = fn(counters, *inputs)
-    return result, counters
-
-
 # --------------------------------------------------------------------------
 # corpora
 
@@ -149,23 +103,60 @@ def _layered_state(width: int) -> ModelState:
     return model_from_graph(Dg(nodes, arcs, frozenset([entry]), frozenset([exit_])))
 
 
-def trend_inputs(kind: str, size: int, rng: random.Random):
-    """Inputs for one series point of :func:`trend`."""
-    if kind in ("set_union", "set_difference", "set_concat"):
-        return (_random_re(rng, size), _random_re(rng, size))
-    if kind == "pt":
-        return (_random_re(rng, size, plant="q", every=2), ("q",))
-    if kind in ("ht", "tt"):
-        return (_random_re(rng, size, plant="q"), ("q",))
-    if kind == "arc_insert":
-        return (_layered_state(size), "in0", "out0")
-    if kind == "arc_omit":
-        return (_layered_state(size), "m0", "out0")
-    if kind == "node_insert":
-        return (_layered_state(size), "v0", ("out0",), ("in0",))
-    if kind == "node_omit":
-        return (_layered_state(size), "m0")
-    raise ValueError(f"no trend corpus for operation kind {kind!r}")
+def _random_pair(size: int, rng: random.Random) -> tuple[SopfRe, SopfRe]:
+    return (_random_re(rng, size), _random_re(rng, size))
+
+
+def _planted(every: int) -> Callable:
+    """Random terms, every ``every``-th holding ``q``, and the selection ``q``."""
+    return lambda size, rng: (_random_re(rng, size, plant="q", every=every), ("q",))
+
+
+def _layered(*args) -> Callable:
+    """A layered state of the series size, then ``args``."""
+    return lambda size, rng: (_layered_state(size), *args)
+
+
+def _state_only(operator: Callable) -> Callable:
+    """``operator`` returning its state without the log entry."""
+    return lambda *inputs: operator(*inputs)[0]
+
+
+#: The bench kinds: each kind's worst-case growth exponent in term-set size
+#: at fixed term length, its operation (counters passed last) and its
+#: corpus builder (series size, seeded rng).  Selectors and operators are
+#: bounded quadratically, as a term-side operator deduplicating its
+#: fragments pairwise is (the operators spell theirs from the graph and
+#: hash no term); set concatenation with pairwise filtering quartically.
+_KINDS: dict[str, tuple[float, Callable, Callable]] = {
+    "set_union": (2.0, set_union, _random_pair),
+    "set_difference": (2.0, set_difference, _random_pair),
+    "set_concat": (4.0, set_concat, _random_pair),
+    "pt": (2.0, pt, _planted(2)),
+    "ht": (2.0, ht, _planted(1)),
+    "tt": (2.0, tt, _planted(1)),
+    "arc_insert": (2.0, _state_only(arc_insert), _layered("in0", "out0")),
+    "arc_omit": (2.0, _state_only(arc_omit), _layered("m0", "out0")),
+    "node_insert": (2.0, _state_only(node_insert), _layered("v0", ("out0",), ("in0",))),
+    "node_omit": (2.0, _state_only(node_omit), _layered("m0")),
+}
+
+#: Worst-case growth exponent of each bench kind (see ``_KINDS``).
+BOUND_EXPONENTS: dict[str, float] = {kind: bound for kind, (bound, _, _) in _KINDS.items()}
+
+
+def measure(kind: str, *inputs):
+    """Run one operation with counting enabled.
+
+    Returns ``(result, counters)``; the result is identical to an
+    uncounted run.
+    """
+    try:
+        _, operation, _ = _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown operation kind {kind!r}") from None
+    counters = OpCounters()
+    return operation(*inputs, counters), counters
 
 
 def fit_exponent(series: Sequence[tuple[int, int]]) -> float:
@@ -190,13 +181,15 @@ def trend(kind: str, sizes: Sequence[int], *, seed: int = 0) -> TrendReport:
     for size in sizes:
         if not 2 <= size <= MAX_TREND_SIZE:
             raise ValueError(f"series sizes must be in 2..{MAX_TREND_SIZE}, got {size}")
-    if kind not in BOUND_EXPONENTS:
-        raise ValueError(f"no bound exponent known for {kind!r}")
-    bound_exponent = BOUND_EXPONENTS[kind]
+    try:
+        bound_exponent, operation, corpus = _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"no bound exponent known for {kind!r}") from None
     series = []
     for index, size in enumerate(sizes):
         rng = random.Random(seed * 7919 + index * 104729 + size)
-        _, counters = measure(kind, *trend_inputs(kind, size, rng))
+        counters = OpCounters()
+        operation(*corpus(size, rng), counters)
         series.append((size, counters.cost()))
     slope = fit_exponent(series)
     return TrendReport(op_kind=kind, series=tuple(series),

@@ -140,17 +140,17 @@ class LogEntry:
     """Term accounting for one operator application.
 
     ``terms_added``/``terms_removed`` are net set differences against the
-    pre-state.  For arc operators ``added_bound`` is the head-count x
-    tail-count product (insertion) or head-count + tail-count sum
-    (omission) and ``removed_expected`` the count of adjacent-pair terms;
-    node operators carry their inner arc steps in ``sub`` instead.
+    pre-state, as the operator measures them.  An arc operator's
+    ``added_bound`` is its head-count x tail-count product (insertion) or
+    re-added word count (omission): on a model every word an operator adds
+    is new, so it equals ``terms_added``; the benchmark reads it.  Node
+    operators carry their inner arc steps in ``sub`` instead.
     """
 
     op: MutationOp
     terms_added: int
     terms_removed: int
     added_bound: int | None = None
-    removed_expected: int | None = None
     sub: tuple["LogEntry", ...] = ()
 
     @property
@@ -169,12 +169,6 @@ def model_from_graph(g: Dg) -> ModelState:
     # per model and shared by every state derived from this one
     g._pred
     return state
-
-
-def _entry(op: MutationOp, before: SopfRe, after: SopfRe, kept: int, **extra) -> LogEntry:
-    """Net term counts, ``kept`` being the number of terms of ``before``
-    still in ``after``."""
-    return LogEntry(op, terms_added=len(after) - kept, terms_removed=len(before) - kept, **extra)
 
 
 def arc_insert(st: ModelState, src: str, dst: str,
@@ -219,12 +213,6 @@ def _regained(g: Dg, dg: Dg, end: str, backward: bool,
     return _spell_from(dg, end, backward, counters) if end in after and end not in before else ()
 
 
-def _omitted(src: str, dst: str, removed: int, added: int) -> LogEntry:
-    """The log entry of omitting ``src -> dst``: every word added is new."""
-    return LogEntry(ArcOmit(src, dst), terms_added=added, terms_removed=removed,
-                    added_bound=added, removed_expected=removed)
-
-
 def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
@@ -235,7 +223,7 @@ def arc_omit(st: ModelState, src: str, dst: str,
     # spells what g would
     added = _regained(g, dg, src, True, counters) + _regained(g, dg, dst, False, counters)
     return (_state(dg, _trusted(kept + added)),
-            _omitted(src, dst, len(st.re) - len(kept), len(added)))
+            LogEntry(ArcOmit(src, dst), len(added), len(st.re) - len(kept), len(added)))
 
 
 def node_insert(st: ModelState, node: str,
@@ -267,10 +255,9 @@ def node_insert(st: ModelState, node: str,
         products, step = _insert(_spell_from(dg, y, True, counters), below, y, node, counters)
         added += products
         sub.append(step)
-    re = _trusted(st.re._terms + added)
-    # the insertions keep every term of st.re, and the new node's bare term
-    # is not one of them
-    return _state(dg, re), _entry(op, st.re, re, len(st.re), sub=tuple(sub))
+    # the insertions keep every term of st.re and add only new ones
+    return (_state(dg, _trusted(st.re._terms + added)),
+            LogEntry(op, len(added), 0, sub=tuple(sub)))
 
 
 def node_omit(st: ModelState, node: str,
@@ -286,8 +273,8 @@ def node_omit(st: ModelState, node: str,
     _tally(counters, searched=len(st.re))
     held, rest = _split(st.re._terms, _code(node))
     # the arc steps drop only terms holding the node, and on a trim model
-    # only its bare term is left at the end, so exactly the others are kept
-    kept = len(rest)
+    # only its bare term is left at the end, so exactly these are removed
+    removed = len(held)
     regained: list[Code] = []
     sub: list[LogEntry] = []
     # a neighbour is flagged by its own step, and no later step changes
@@ -300,7 +287,8 @@ def node_omit(st: ModelState, node: str,
         own = (_spell_from(g, node, True, counters)
                if k == len(below) and node not in g.finishes else ())
         theirs = _regained(g, dg, x, False, counters)
-        sub.append(_omitted(node, x, len(held) - len(left), len(own) + len(theirs)))
+        added = len(own) + len(theirs)
+        sub.append(LogEntry(ArcOmit(node, x), added, len(held) - len(left), added))
         held = left + own
         regained += theirs
     above = g.predecessors(node)
@@ -310,11 +298,12 @@ def node_omit(st: ModelState, node: str,
         # bare word comes back, and goes with the node
         own = k == len(above) and node not in g.starts
         theirs = _regained(g, dg, y, True, counters)
-        sub.append(_omitted(y, node, len(held) - len(left), own + len(theirs)))
+        added = own + len(theirs)
+        sub.append(LogEntry(ArcOmit(y, node), added, len(held) - len(left), added))
         held = left
         regained += theirs
-    final_re = _trusted(rest + tuple(regained))
-    return _state(dg, final_re), _entry(op, st.re, final_re, kept, sub=tuple(sub))
+    return (_state(dg, _trusted(rest + tuple(regained))),
+            LogEntry(op, len(regained), removed, sub=tuple(sub)))
 
 
 def apply_op(st: ModelState, op: MutationOp,

@@ -20,8 +20,9 @@ O(V + E) big-int ORs, then one bit test per node pair.
 against :func:`naive_enumerate` before the first step.  Every step then
 goes through :func:`~dagmut.mutate.apply_op` and :func:`_ref_edit` side by
 side; the two graphs must be equal, the expression must be the reference
-graph's path language, and the step must keep its term counts and the
-model's invariants.
+graph's path language, the step's log entry must state the terms the
+reference language gained and lost, and the model must keep its
+invariants.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 
 from .errors import ModelError, OperationError
 from .graph import Arc, Dg, apply_dg_op, enumerate_paths, parse_graph, render_graph
-from .mutate import ModelState, _require_trim, apply_op, model_from_graph
+from .mutate import LogEntry, ModelState, _require_trim, apply_op, model_from_graph
 from .ops import (
     ArcInsert,
     ArcOmit,
@@ -327,20 +328,22 @@ class VerifyReport:
         return self.trials - len(failed)
 
 
-def _count_violations(entries) -> list[str]:
-    problems: list[str] = []
-    stack = list(entries)
-    while stack:
-        e = stack.pop()
-        stack.extend(e.sub)
-        if isinstance(e.op, ArcInsert) and e.terms_removed:
-            problems.append(f"{e.notation}: insertion removed terms")
-        if (isinstance(e.op, ArcOmit) and e.removed_expected is not None
-                and e.terms_removed != e.removed_expected):
-            problems.append(f"{e.notation}: removed {e.terms_removed} != {e.removed_expected}")
-        if e.added_bound is not None and e.terms_added > e.added_bound:
-            problems.append(f"{e.notation}: added {e.terms_added} > bound {e.added_bound}")
-    return problems
+def _count_violations(entry: LogEntry, before: set[Word], after: set[Word]) -> list[str]:
+    """What the reference word sets ``before`` and ``after`` the step of
+    ``entry`` contradict in its counts: the terms added and removed, or,
+    these being right, for a node operator the net change of its arc steps
+    plus its bare term's (+1 inserted, -1 omitted), which must be its own."""
+    added, removed = len(after - before), len(before - after)
+    if (entry.terms_added, entry.terms_removed) != (added, removed):
+        return [f"{entry.notation}: added {entry.terms_added} removed {entry.terms_removed}, "
+                f"reference added {added} removed {removed}"]
+    bare = {NodeInsert: 1, NodeOmit: -1}.get(type(entry.op))
+    if bare is not None:
+        steps = sum(e.terms_added - e.terms_removed for e in entry.sub) + bare
+        if steps != added - removed:
+            return [f"{entry.notation}: arc steps and bare term net {steps:+d}, "
+                    f"operator net {added - removed:+d}"]
+    return []
 
 
 def _invariant_violations(st: ModelState) -> list[str]:
@@ -382,12 +385,14 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
 
     The reference keeps its own graph, edited by :func:`_ref_edit` at every
     step.  Each step must leave the implementation's graph equal to it
-    (failure kind ``graph``) and its expression equal to its
-    :func:`naive_enumerate` (``equivalence``), keep the term counts
-    (``counts``) and keep the model's invariants (``invariant``); a failed
-    precondition on either side is an ``error``.  ``corrupt`` is a
-    test-only hook that perturbs the implementation's expression before
-    comparison."""
+    (failure kind ``graph``), its expression equal to the word set of its
+    :func:`naive_enumerate` (``equivalence``), its log entry's counts equal
+    to the words that set gained and lost (``counts``, see
+    :func:`_count_violations`), and keep the model's invariants
+    (``invariant``); a failed precondition on either side is an
+    ``error``.  Each step's word set is built once, for both checks.
+    ``corrupt`` is a test-only hook that perturbs the implementation's
+    expression before comparison."""
     failures: list[TrialFailure] = []
     steps = 0
     for trial in range(trials):
@@ -406,7 +411,8 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
 
         state = model_from_graph(g)
         ref = g
-        if not equivalent(state.re, NaiveLang(naive_enumerate(ref))):
+        words = set(naive_enumerate(ref))
+        if set(state.re.terms) != words:
             fail(0, "equivalence", "initial enumeration mismatch")
             continue
         if parse_script(script_text) != script:
@@ -425,13 +431,13 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
             shown = state.re
             if corrupt is not None:
                 shown = corrupt(trial, step, shown)
-            lang = NaiveLang(naive_enumerate(ref))
-            if not equivalent(shown, lang):
+            before, words = words, set(naive_enumerate(ref))
+            if set(shown.terms) != words:
                 fail(step, "equivalence",
                      f"implementation {print_sopf(shown)} vs reference "
-                     f"{print_sopf(SopfRe(tuple(lang.words)))}")
+                     f"{print_sopf(SopfRe(tuple(words)))}")
                 break
-            for problem in _count_violations([entry]):
+            for problem in _count_violations(entry, before, words):
                 fail(step, "counts", problem)
             for problem in _invariant_violations(state):
                 fail(step, "invariant", problem)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dagmut import model_from_graph, parse_graph
-from dagmut.metrics import _DISPATCH, BOUND_EXPONENTS, SLACK, OpCounters, measure, trend
+from dagmut.metrics import SLACK, OpCounters, measure, trend
 from dagmut.sopf import SopfRe, parse_sopf
 from dagmut.sopf import set_concat, set_union
 
@@ -45,10 +45,6 @@ def test_measure_unknown_kind():
     for kind in ("sort", "add_term"):
         with pytest.raises(ValueError, match="unknown operation kind"):
             measure(kind, SopfRe())
-
-
-def test_measure_and_trend_know_the_same_kinds():
-    assert set(_DISPATCH) == set(BOUND_EXPONENTS)
 
 
 def test_counters_never_decrease_across_calls():

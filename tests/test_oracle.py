@@ -1,5 +1,6 @@
 """The naive reference, random generators and the differential harness."""
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,31 @@ def test_graph_fault_is_reported_as_a_graph_failure(monkeypatch):
     assert {f.kind for f in report.failures} == {"graph"}
     for f in report.failures:
         assert f.detail.startswith("starts: implementation only [], reference only ['")
+
+
+def test_log_fault_is_reported_as_a_counts_failure(monkeypatch):
+    # the implementation's log entry misstates one count; its graph and
+    # expression are right, so only the counts check sees it
+    def first_step_adds_one_less(e):
+        if not e.sub:
+            return e
+        first = replace(e.sub[0], terms_added=e.sub[0].terms_added - 1)
+        return replace(e, sub=(first, *e.sub[1:]))
+
+    apply_op = oracle_module.apply_op
+    for faulty, misstate in [
+        (ArcInsert, lambda e: replace(e, terms_added=e.terms_added - 1)),
+        (NodeOmit, lambda e: replace(e, terms_removed=e.terms_removed + 1)),
+        (NodeInsert, first_step_adds_one_less),
+    ]:
+        def misreporting(st, op, faulty=faulty, misstate=misstate):
+            out, entry = apply_op(st, op)
+            return out, misstate(entry) if isinstance(op, faulty) else entry
+
+        monkeypatch.setattr(oracle_module, "apply_op", misreporting)
+        report = run_differential(trials=200, base_seed=1, max_nodes=8)
+        assert report.failures, faulty
+        assert {f.kind for f in report.failures} == {"counts"}, faulty
 
 
 def test_injected_fault_is_detected_and_located():
