@@ -19,7 +19,7 @@ from .graph import parse_graph, render_graph, render_paths
 from .metrics import BOUND_EXPONENTS, MAX_TREND_SIZE, SLACK, trend
 from .mutate import model_from_graph, apply_script
 from .ops import parse_script
-from .oracle import MAX_GEN_NODES, run_differential
+from .oracle import run_differential
 from .sopf import print_sopf
 
 
@@ -61,15 +61,12 @@ def _run_mutate(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.trials < 0:
-        print(f"error: --trials must be nonnegative, got {args.trials}", file=sys.stderr)
+    try:
+        report = run_differential(trials=args.trials, base_seed=args.seed,
+                                  max_nodes=args.max_nodes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not 0 <= args.max_nodes <= MAX_GEN_NODES:
-        print(f"error: --max-nodes must be in 0..{MAX_GEN_NODES}, got {args.max_nodes}",
-              file=sys.stderr)
-        return 1
-    report = run_differential(trials=args.trials, base_seed=args.seed,
-                              max_nodes=args.max_nodes)
     if args.format == "machine":
         print(f"trials={report.trials} ok={report.passed_trials()} "
               f"steps={report.steps_checked} "

@@ -10,9 +10,10 @@ Cost model: a :class:`Dg` stores its arcs once, in an index by endpoint, so
 :func:`path_exists` O(reachable).  The successor index is built with the
 graph; the predecessor index is built from it on its first read.  The
 constructor and ``mutate.model_from_graph`` read it; a convert (parse,
-walk) never does.  :func:`validate_acyclic` is one Kahn pass over a plain
-list, in-degrees counted from the successor index: O(V + E).  The path
-walk behind :func:`render_paths` and :func:`enumerate_paths` (on
+walk) never does.  One Kahn loop over a plain list, :func:`_peel`, serves
+:func:`topological_order` (in-degrees counted from the successor index:
+O(V + E)), :func:`validate_acyclic` and the path walk's dead-end discount.
+The path walk behind :func:`render_paths` and :func:`enumerate_paths` (on
 multi-character names) expands every node it reaches once: below a node
 with more than one entry (a *shared* node) it spells the words once and
 splices them in at every entry, one string concatenation per word, so a
@@ -280,25 +281,38 @@ def render_graph(g: Dg) -> str:
 # --------------------------------------------------------------------------
 # structure queries
 
-def validate_acyclic(g: Dg) -> tuple[str, ...] | None:
-    """``None`` when a topological order exists, else one witness cycle
-    as a node sequence whose first and last entries coincide."""
+def topological_order(g: Dg) -> list[str]:
+    """Kahn's topological order, first ready first out from the sorted
+    sources, successors in sorted order.  On a cyclic graph it stops short:
+    it omits every node on or behind a cycle."""
     succ = g._succ
     indeg: dict[str, int] = {}
     for targets in succ.values():
         for w in targets:
             indeg[w] = indeg.get(w, 0) + 1
-    # one Kahn pass; the loop also visits the nodes appended while it runs
-    ready = [v for v in g.nodes if v not in indeg]
-    for v in ready:
+    return _peel(succ, indeg, sorted(g.nodes.difference(indeg)))
+
+
+def _peel(succ: Adjacency, counts: dict[str, int], peeled: list[str]) -> list[str]:
+    """Kahn's loop: extend ``peeled`` by each node whose count in ``counts``
+    (updated in place) drops to zero as the nodes before it are taken out.
+    Returns ``peeled``."""
+    for v in peeled:
         for w in succ.get(v, ()):
-            left = indeg[w] - 1
-            indeg[w] = left
+            left = counts[w] - 1
+            counts[w] = left
             if not left:
-                ready.append(w)
-    if len(ready) == len(g.nodes):
+                peeled.append(w)
+    return peeled
+
+
+def validate_acyclic(g: Dg) -> tuple[str, ...] | None:
+    """``None`` when a topological order exists, else one witness cycle
+    as a node sequence whose first and last entries coincide."""
+    order = topological_order(g)
+    if len(order) == len(g.nodes):
         return None
-    remaining = g.nodes.difference(ready)
+    remaining = g.nodes.difference(order)
     # every remaining node keeps a predecessor among the remaining ones;
     # walk predecessors until a node repeats, then unroll the loop forward
     chain = [min(remaining)]
@@ -400,20 +414,20 @@ def _walk(g: Dg, label: Mapping[str, str] | None = None, sep: str = "") -> list[
     A path may run through further flagged nodes; every flagged prefix
     endpoint yields its own word.
 
-    The walk expands every node it reaches once.  A node is shared if
-    more than one entry can lead to it: two or more predecessors, or a
-    start flag and a predecessor.  Only predecessors that a start can
-    reach count; they are looked for only when some node without
-    predecessors has no start flag, and a node whose other predecessors
-    are such dead ends is no shared node.  The first entry to a shared
-    node spells the words below it, starting at the node, into a table of
-    their own; that entry and every later one splice the table in, one
-    ``prefix + suffix`` string per word.  Other nodes are expanded in
-    their entry's table.  A table is dropped once the node's last entry
-    has used it.  Every cycle the walk reaches passes through a shared
-    node (the node where the walk first enters it), so entering a shared
-    node that is still being expanded is a cycle.  A cycle the walk does
-    not reach leaves nodes unexpanded, and only then does
+    The walk expands every node it reaches once.  A node is shared if more
+    than one entry can lead to it: two or more predecessors, or a start
+    flag and a predecessor.  Only predecessors that a start can reach
+    count: when some node without predecessors has no start flag, the Kahn
+    loop :func:`_peel` from those nodes takes out the others, and a node
+    whose other predecessors are such dead ends is no shared node.  The
+    first entry to a shared node spells the words below it, starting at the
+    node, into a table of their own; that entry and every later one splice
+    the table in, one ``prefix + suffix`` string per word.  Other nodes are
+    expanded in their entry's table.  A table is dropped once the node's
+    last entry has used it.  Every cycle the walk reaches passes through a
+    shared node (the node where the walk first enters it), so entering a
+    shared node that is still being expanded is a cycle.  A cycle the walk
+    does not reach leaves nodes unexpanded, and only then does
     :func:`validate_acyclic` run.  Either way the error carries that
     function's witness.
     """
@@ -424,7 +438,8 @@ def _walk(g: Dg, label: Mapping[str, str] | None = None, sep: str = "") -> list[
     for v in entries.keys() & starts:
         entries[v] += 1
     if len(g.nodes) - len(entries) > len(starts) - sum(map(entries.__contains__, starts)):
-        _uncount_unreached(g, entries)  # some node without predecessors is no start
+        # some node without predecessors is no start: uncount its arcs
+        _peel(succ, entries, list(g.nodes.difference(entries, starts)))
     # shared node -> its entries still to come
     shared = {v: n for v, n in entries.items() if n > 1}
     # shared node -> its table, or _OPEN while it is being expanded
@@ -488,19 +503,6 @@ def _walk(g: Dg, label: Mapping[str, str] | None = None, sep: str = "") -> list[
         _acyclic(g)
     # each trail is reached once, so the words are distinct
     return list(chain.from_iterable(map(words.__getitem__, sorted(words))))
-
-
-def _uncount_unreached(g: Dg, entries: Counter) -> None:
-    """Take out of the entry counts ``entries`` the arcs from nodes that
-    no start reaches: a node without predecessors and start flag, and in
-    turn each node left without entries (a start counts one for its flag,
-    so it never is)."""
-    unreached = list(g.nodes.difference(entries, g.starts))
-    for u in unreached:
-        for w in g._succ.get(u, ()):
-            entries[w] -= 1
-            if not entries[w]:
-                unreached.append(w)
 
 
 def _splice(out: dict[int, list[str]], below: dict[int, list[str]], trail: list[str],

@@ -8,10 +8,10 @@ naively (:func:`naive_enumerate`).  It shares no term algebra and no graph
 operator with the efficient implementation, so the two can disagree when
 one is wrong.
 
-The generators keep their own graph helpers: the degree-rule flags of
-:func:`random_model` and the heap-ordered :func:`topological_order`, whose
-smallest-ready-node-first order fixes the scripts :func:`random_script`
-draws.  Each script step finds its insertable arcs from one row of
+The generators keep one graph helper of their own, the degree-rule flags
+of :func:`random_model`; :func:`random_script` takes its order from
+:func:`~dagmut.graph.topological_order`, which fixes the node insertions
+it draws.  Each script step finds its insertable arcs from one row of
 reachability bits per node, built in one backward pass over that order:
 O(V + E) big-int ORs, then one bit test per node pair.
 
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .errors import ModelError, OperationError
-from .graph import Arc, Dg, apply_dg_op, enumerate_paths, parse_graph, render_graph
+from .graph import (Arc, Dg, apply_dg_op, enumerate_paths, parse_graph, render_graph,
+                    topological_order)
 from .mutate import LogEntry, ModelState, _require_trim, apply_op, model_from_graph
 from .ops import (
     ArcInsert,
@@ -214,28 +214,6 @@ def random_model(cfg: GenConfig) -> Dg:
     return Dg(nodes, frozenset(arcs), starts, finishes)
 
 
-def topological_order(g: Dg) -> list[str]:
-    """Kahn's topological order, smallest ready node first, so that
-    :func:`random_script` splits the same order on every run.
-
-    On a cyclic graph the order stops short: it omits every node on or
-    behind a cycle.
-    """
-    succ = g._succ
-    indeg = {v: len(preds) for v, preds in g._pred.items()}
-    ready = sorted(g.nodes - indeg.keys())  # a sorted list is a heap
-    order: list[str] = []
-    while ready:
-        v = heappop(ready)
-        order.append(v)
-        for w in succ.get(v, ()):
-            left = indeg[w] - 1
-            indeg[w] = left
-            if not left:
-                heappush(ready, w)
-    return order
-
-
 def _reach_rows(g: Dg, order: Sequence[str], nodes: Sequence[str]) -> dict[str, int]:
     """For each node ``v`` of the acyclic ``g``, the set of nodes a path
     (length >= 0) from ``v`` reaches, as an int whose bit ``k`` stands for
@@ -392,7 +370,15 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
     (``invariant``); a failed precondition on either side is an
     ``error``.  Each step's word set is built once, for both checks.
     ``corrupt`` is a test-only hook that perturbs the implementation's
-    expression before comparison."""
+    expression before comparison.  Raises :class:`ValueError`, before any
+    trial, on a negative ``trials`` or ``max_script`` or a ``max_nodes``
+    outside ``0..MAX_GEN_NODES``."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if not 0 <= max_nodes <= MAX_GEN_NODES:
+        raise ValueError(f"max_nodes must be in 0..{MAX_GEN_NODES}, got {max_nodes}")
+    if max_script < 0:
+        raise ValueError(f"max_script must be nonnegative, got {max_script}")
     failures: list[TrialFailure] = []
     steps = 0
     for trial in range(trials):

@@ -394,9 +394,9 @@ def test_verify_machine_output_is_pinned(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("--max-nodes", MAX_GEN_NODES + 1),
-     f"--max-nodes must be in 0..{MAX_GEN_NODES}, got {MAX_GEN_NODES + 1}"),
-    (("--max-nodes", -1), f"--max-nodes must be in 0..{MAX_GEN_NODES}, got -1"),
-    (("--trials", -3), "--trials must be nonnegative, got -3"),
+     f"max_nodes must be in 0..{MAX_GEN_NODES}, got {MAX_GEN_NODES + 1}"),
+    (("--max-nodes", -1), f"max_nodes must be in 0..{MAX_GEN_NODES}, got -1"),
+    (("--trials", -3), "trials must be nonnegative, got -3"),
 ])
 def test_verify_out_of_range_arguments_are_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "verify", *argv)

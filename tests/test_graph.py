@@ -22,6 +22,7 @@ from dagmut.graph import (
     path_exists,
     render_graph,
     render_paths,
+    topological_order,
     validate_acyclic,
 )
 from dagmut.oracle import (
@@ -32,7 +33,6 @@ from dagmut.oracle import (
     naive_enumerate,
     random_model,
     random_script,
-    topological_order,
 )
 from dagmut.sopf import print_sopf, term_key
 
@@ -202,27 +202,24 @@ def test_empty_graph_is_acyclic():
     assert validate_acyclic(Dg()) is None
 
 
-def _sort_based_kahn(g):
-    """Reference Kahn order: re-sort the ready list after each pop and scan
-    the arc set for neighbours."""
+def _queue_kahn(g):
+    """Reference Kahn order: a first-in first-out queue from the sorted
+    sources; each node taken out scans the arc set for its successors and
+    visits them in sorted order."""
     indeg = {v: sum(1 for _, w in g.arcs if w == v) for v in g.nodes}
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
+    queue = sorted(v for v, d in indeg.items() if d == 0)
+    for v in queue:
         for w in sorted(w for u, w in g.arcs if u == v):
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    return order
+                queue.append(w)
+    return queue
 
 
-def test_topological_order_pops_the_smallest_ready_node(sample_graph):
+def test_topological_order_is_a_queue_from_the_sorted_sources(sample_graph):
     cyclic = Dg({"a", "b", "c", "d", "e"}, {("a", "b"), ("b", "c"), ("c", "b"), ("a", "e")})
     for g in (sample_graph, cyclic, Dg(), parse_graph("arc b a\narc c a\nnode d")):
-        assert topological_order(g) == _sort_based_kahn(g)
+        assert topological_order(g) == _queue_kahn(g)
     assert topological_order(cyclic) == ["a", "d", "e"]
 
 
@@ -240,8 +237,12 @@ def digraphs(draw):
 @given(digraphs())
 def test_validate_acyclic_agrees_with_the_oracle_order(g):
     witness = validate_acyclic(g)
-    assert (witness is None) == (len(topological_order(g)) == len(g.nodes))
-    if witness is not None:
+    order = topological_order(g)
+    assert (witness is None) == (len(order) == len(g.nodes))
+    if witness is None:
+        position = {v: k for k, v in enumerate(order)}
+        assert all(position[u] < position[v] for u, v in g.arcs)
+    else:
         assert witness[0] == witness[-1]
         assert all((u, v) in g.arcs for u, v in zip(witness, witness[1:]))
 
@@ -565,7 +566,7 @@ def test_derived_graphs_keep_their_index_exact(model):
             assert_index_matches_arcs(same, ref.arcs)
             assert topological_order(same) == topological_order(g)
         assert validate_acyclic(g) is None
-        assert topological_order(g) == _sort_based_kahn(g)
+        assert topological_order(g) == _queue_kahn(g)
 
 
 @settings(max_examples=150, deadline=None)

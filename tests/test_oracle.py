@@ -18,8 +18,16 @@ from dagmut import (
 )
 from dagmut import mutate as mutate_module
 from dagmut import oracle as oracle_module
-from dagmut.graph import Dg, apply_dg_op, enumerate_paths, path_exists, validate_acyclic
+from dagmut.graph import (
+    Dg,
+    apply_dg_op,
+    enumerate_paths,
+    path_exists,
+    topological_order,
+    validate_acyclic,
+)
 from dagmut.oracle import (
+    MAX_GEN_NODES,
     GenConfig,
     NaiveLang,
     equivalent,
@@ -35,7 +43,6 @@ from dagmut.oracle import (
     _invariant_violations,
     _reach_rows,
     naive_enumerate,
-    topological_order,
 )
 
 from support import count_calls, scripted_models, sopf
@@ -252,6 +259,23 @@ def test_small_differential_run_passes():
     assert report.ok
     assert report.passed_trials() == 40
     assert report.steps_checked > 0
+
+
+def test_differential_arguments_are_checked_before_any_trial(monkeypatch):
+    drawn = count_calls(monkeypatch, oracle_module, "random_model")
+    for kwargs, message in [
+            ({"trials": -3}, "trials must be nonnegative, got -3"),
+            ({"max_nodes": MAX_GEN_NODES + 1},
+             f"max_nodes must be in 0..{MAX_GEN_NODES}, got {MAX_GEN_NODES + 1}"),
+            ({"max_nodes": -1}, f"max_nodes must be in 0..{MAX_GEN_NODES}, got -1"),
+            ({"max_script": -1}, "max_script must be nonnegative, got -1")]:
+        with pytest.raises(ValueError) as exc:
+            run_differential(**{"trials": 50, **kwargs})
+        assert str(exc.value) == message
+        assert not drawn
+    assert run_differential(trials=0).trials == 0 and not drawn
+    report = run_differential(trials=3, max_nodes=MAX_GEN_NODES)
+    assert report.ok and report.trials == 3 and len(drawn) == 3
 
 
 def test_timing_probes_see_every_conversion_and_step(monkeypatch):
