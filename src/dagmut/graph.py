@@ -512,7 +512,7 @@ def _splice(out: dict[int, list[str]], below: dict[int, list[str]], trail: list[
     above = trail[base:]
     prefix = sep.join(above) + sep if above else ""
     for count, suffixes in below.items():
-        out.setdefault(len(above) + count, []).extend(map(prefix.__add__, suffixes))
+        out.setdefault(len(above) + count, []).extend([prefix + s for s in suffixes])
 
 
 def _spelled_walk(g: Dg) -> list[str]:

@@ -35,7 +35,7 @@ class OpCounters:
 
     Each field counts terms, one per term a pass handles:
 
-    - ``symbol_comparisons``: terms read by a C-level search pass (``in``,
+    - ``symbol_comparisons``: terms read by a search pass (``in``,
       ``str.find``, ``str.index``, ``str.rindex``), one per term visited.
       A pass that may stop at its first hit (``any``, a tuple ``in`` or
       ``index``) counts every term it is given.  The graph walk that

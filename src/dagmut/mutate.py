@@ -37,13 +37,13 @@ tails of the target with one walk of the graph each
 every product holds the new adjacency, which no term of the pre-state
 holds, and the products are distinct, as a path holds the source once.
 
-Arc omission keeps the terms without its pair, by one C-level search of
-each, and appends unprobed the words of each endpoint that the edit newly
-flags: the heads of the source, the tails of the target.  No kept term
-holds such an endpoint, and no tail holds the source, which every head
-holds, so all of them are new terms.  Node omission splits the expression
-once by its node (:func:`~dagmut.sopf._split`) and keeps the terms
-without it whole.  Each inner step drops its pair from the terms holding
+Arc omission keeps the terms without its pair, one ``in`` per term, and
+appends unprobed the words of each endpoint that the edit newly flags:
+the heads of the source, the tails of the target.  No kept term holds
+such an endpoint, and no tail holds the source, which every head holds,
+so all of them are new terms.  Node omission splits the expression once
+by its node (:func:`~dagmut.sopf._split`) and keeps the terms without it
+whole.  Each inner step drops its pair from the terms holding
 the node and re-adds: at the last outgoing step, unless the node is a
 finish, its heads, spelled on the pre-state graph; at the last ingoing
 step, unless it is a start, its bare word; and the words of its
@@ -73,8 +73,6 @@ step, and neither node operator searches for its bare term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import contains, not_
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ModelError, OperationError, ScriptError
@@ -197,11 +195,11 @@ def _insert(heads: Sequence[Code], tails: Sequence[Code], src: str, dst: str,
 
 def _unjoined(terms: tuple[Code, ...], src: str, dst: str,
               counters: "OpCounters | None") -> tuple[Code, ...]:
-    """The ``terms`` that do not hold ``src dst`` adjacently: one C-level
-    search of each for the pair as one two-code-point string."""
+    """The ``terms`` that do not hold ``src dst`` adjacently: one ``in``
+    of each for the pair as one two-code-point string."""
     pair = _code(src) + _code(dst)
     _tally(counters, searched=len(terms))
-    return tuple(compress(terms, map(not_, map(contains, terms, repeat(pair)))))
+    return tuple([t for t in terms if pair not in t])
 
 
 def _regained(g: Dg, dg: Dg, end: str, backward: bool,

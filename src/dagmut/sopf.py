@@ -54,16 +54,15 @@ point that the alphabet never hands out and so no term holds.
 
 Every operation optionally threads an :class:`~dagmut.metrics.OpCounters`
 instance through which it tallies the work it does: the terms it hands
-to a C-level search, the terms it builds and the terms it hashes (see
-:class:`~dagmut.metrics.OpCounters`).  Each tally is the length of a
-sequence the operation already holds; passing ``None`` (the default)
-skips all accounting.
+to a search (one ``in`` or cut each), the terms it builds and the terms
+it hashes (see :class:`~dagmut.metrics.OpCounters`).  Each tally is the
+length of a sequence the operation already holds; passing ``None`` (the
+default) skips all accounting.
 """
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from itertools import compress, filterfalse, repeat
-from operator import contains, not_
+from itertools import filterfalse, repeat
 from threading import Lock
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -316,9 +315,11 @@ def _tally(counters: "OpCounters | None", searched: int = 0, built: int = 0,
 
 def _split(terms: tuple[Code, ...], sym: Code) -> tuple[tuple[Code, ...], tuple[Code, ...]]:
     """The terms that hold ``sym`` and the others, each in ``terms``' order:
-    :func:`pt`'s one-symbol selection and its complement, from one scan."""
-    holds = list(map(contains, terms, repeat(sym)))
-    return tuple(compress(terms, holds)), tuple(compress(terms, map(not_, holds)))
+    :func:`pt`'s selection and its complement: one loop, one ``in`` per term."""
+    held, rest = [], []
+    for t in terms:
+        (held if sym in t else rest).append(t)
+    return tuple(held), tuple(rest)
 
 
 def _pattern(pattern: Sequence[str]) -> Code:
@@ -334,7 +335,7 @@ def pt(r: SopfRe, pattern: Sequence[str], counters: "OpCounters | None" = None) 
     pat = _pattern(pattern)
     terms = r._terms
     _tally(counters, searched=len(terms))
-    return _trusted(tuple(compress(terms, map(contains, terms, repeat(pat)))))
+    return _trusted(tuple([t for t in terms if pat in t]))
 
 
 def _cut(p: SopfRe, pattern: Sequence[str], last: bool,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dagmut
 from dagmut import ModelError, ParseError, print_sopf
+from dagmut import mutate as mutate_module
 from dagmut import sopf as sopf_module
 from dagmut.metrics import OpCounters
 from dagmut.sopf import (
@@ -544,6 +545,23 @@ def test_mixed_alphabet_operations_match_the_tuple_loops(order, xs, ys, s, t):
             assert parse_sopf(print_sopf(a, dotted=True), dotted=True) == a
         if all(len(sym) == 1 for x in xs for sym in x):
             assert parse_sopf(print_sopf(a)) == a
+
+
+@given(st.permutations(MIXED_NAMES), mixed_term_lists, mixed_symbols, mixed_symbols)
+def test_split_and_unjoined_match_the_tuple_definitions(order, xs, x, y):
+    # every draw also holds both symbols reversed and apart, and repeats
+    xs = [*xs, (y, x), (x, "c", y), (y, "b", x, "xy"), (x, y, x, y)]
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_alphabet(mp, order)
+        codes = tuple(sopf_module._encode(t) for t in xs)
+        held = tuple(c for c, t in zip(codes, xs) if x in t)
+        rest = tuple(c for c, t in zip(codes, xs) if x not in t)
+        assert sopf_module._split(codes, sopf_module._code(x)) == (held, rest)
+        joined = [(x, y) in zip(t, t[1:]) for t in xs]
+        counters = OpCounters()
+        kept = mutate_module._unjoined(codes, x, y, counters)
+        assert kept == tuple(c for c, hit in zip(codes, joined) if not hit)
+        assert counters == OpCounters(symbol_comparisons=len(xs))
 
 
 def test_pickles_by_name_across_interpreters():
