@@ -38,9 +38,15 @@ only when it adds a flag or drops the omitted node's, and it shares the
 other sets with the parent.  No operator builds an arc set: ``Dg.arcs``
 is derived from the index on its first read.  The fragments of every
 operator, the paths from a start to a node and from a node to a finish,
-are spelled by one walk over one side's index (:func:`_spell_from`),
-which visits each prefix of those paths once: O(total path length) on a
-trim graph, where every trail the walk follows ends at a flagged node.
+are spelled by one walk over one side's index (:func:`_spell_from`).  It
+starts as a trie walk, which visits each prefix of those paths once:
+O(total path length) on a trim graph, where every trail the walk follows
+ends at a flagged node.  Once it has visited more nodes than the graph
+has, it goes on in table mode from the same stack: it expands a node at
+most twice and splices the words below it in at every later entry, one
+string concatenation per word, so its Python steps are O(V + E) plus
+one per word it splices.  A walk that never outgrows the graph, as every
+walk on a tree or a chain, stays a trie walk.
 """
 from __future__ import annotations
 
@@ -357,17 +363,24 @@ def _spell_from(g: Dg, root: str, backward: bool,
     forward, those from ``root`` to a finish (its tails).  A flag does not
     end a path, as a start may have predecessors.
 
-    One depth-first walk over that side's index with an explicit stack.
-    The trail is a list of codes, joined once per path (and reversed,
-    backward), and a run of one-neighbour nodes takes no stack frame, so
-    a chain costs O(length) and no recursion.  Tallies each node visited
-    as a term searched and each path as a term built.
+    One depth-first walk over that side's index with an explicit stack: a
+    trie walk, which visits each prefix of those paths once.  The trail is
+    a list of codes, joined once per path (and reversed, backward), and a
+    run of one-neighbour nodes takes no stack frame, so a chain costs
+    O(length) and no recursion.  Once the walk has visited more nodes than
+    ``g`` has, some node has been entered twice, and the walk goes on from
+    the same stack in table mode (:func:`_spell_tabled`), where a node
+    entered often is expanded at most twice.  A walk that never outgrows
+    the graph, as on a tree, costs what the trie walk costs.  Tallies each
+    node entered as a term searched and each word returned as a term
+    built.
     """
     index, ends = (g._pred, g.starts) if backward else (g._succ, g.finishes)
     codes = _CODES
     words: list[Code] = []
     trail: list[Code] = []
     visited = 0
+    limit = len(g.nodes)
     # a frame: the nodes it enters, and the trail length at its node
     stack = [(iter((root,)), 0)]
     while stack:
@@ -386,11 +399,90 @@ def _spell_from(g: Dg, root: str, backward: bool,
                 v = below[0]
             if below:
                 stack.append((iter(below), len(trail)))
+                if visited > limit:
+                    visited += _spell_tabled(index, ends, backward, stack, trail, words)
                 break
         else:
             stack.pop()
     _tally(counters, searched=visited, built=len(words))
     return tuple(words)
+
+
+def _spell_tabled(index: Adjacency, ends: frozenset[str], backward: bool,
+                  stack: list, trail: list[Code], words: list[Code]) -> int:
+    """Finish the walk of :func:`_spell_from` from its ``stack`` and
+    ``trail``, adding the rest of its words to ``words``, in table mode;
+    returns the nodes it entered.  Empties ``stack``.
+
+    A node reached through a frame is marked on its first entry and
+    expanded in its entry's table, as the trie walk expands it.  Its
+    second entry spells the words below it, starting at the node, into a
+    table of its own; that entry and every later one splice the table in,
+    one ``prefix + word`` string per word.  A node inside a run of
+    one-neighbour nodes is followed as the trie walk follows it, unmarked,
+    so the table of a node above a chain holds each word through the
+    chain once, and the chain's nodes hold no table each, which would copy
+    the chain once per node.  Backward, every table holds its words
+    reversed, as they are returned, and a splice appends the reversed
+    prefix.
+    """
+    codes = _CODES
+    # a frame: the nodes it enters, the trail length at its node, its
+    # table, where in ``trail`` the words of that table start and, for a
+    # shared node's table, the table and start of the entry that opened it
+    frames = [(entering, depth, words, 0, None) for entering, depth in stack]
+    stack.clear()
+    # node -> None once marked, then its table
+    tables: dict[str, list[Code] | None] = {}
+    visited = 0
+    while frames:
+        entering, depth, out, base, opener = frames[-1]
+        for v in entering:
+            del trail[depth:]
+            visited += 1
+            if v in tables:
+                table = tables[v]
+                if table is not None:
+                    _splice_words(out, table, trail[base:], backward)
+                    continue
+                # acyclic: no entry reaches v again before its table is
+                # complete
+                table = tables[v] = [codes[v]] if v in ends else []
+                frames.append((iter(index.get(v, ())), depth + 1, table, depth, (out, base)))
+                trail.append(codes[v])
+                break
+            tables[v] = None
+            while True:
+                trail.append(codes[v])
+                if v in ends:
+                    word = "".join(trail[base:])
+                    out.append(word[::-1] if backward else word)
+                below = index.get(v)
+                if below is None or len(below) > 1:
+                    break
+                v = below[0]
+                visited += 1
+            if below:
+                frames.append((iter(below), len(trail), out, base, None))
+                break
+        else:
+            frames.pop()
+            if opener is not None:
+                into, into_base = opener
+                _splice_words(into, out, trail[into_base:base], backward)
+    return visited
+
+
+def _splice_words(out: list[Code], table: list[Code], above: list[Code],
+                  backward: bool) -> None:
+    """Add to ``out`` each word of ``table`` behind the codes ``above``
+    (in front of them reversed, ``backward``)."""
+    prefix = "".join(above)
+    if backward:
+        prefix = prefix[::-1]
+        out.extend([word + prefix for word in table])
+    else:
+        out.extend([prefix + word for word in table])
 
 
 def _acyclic(g: Dg) -> None:

@@ -40,10 +40,12 @@ class OpCounters:
       A pass that may stop at its first hit (``any``, a tuple ``in`` or
       ``index``) counts every term it is given.  The graph walk that
       spells an operator's fragments (``graph._spell_from``) counts each
-      node it visits as one item searched.
+      node it enters as one item searched; an entry that splices in a
+      node's table counts once, and the nodes below it none.
     - ``term_copies``: new terms built: each fragment cut or spelled by
-      the graph walk and each product joined, before deduplication, and
-      each term appended bare.
+      the graph walk (a word spliced in from a table counts as built,
+      not visited; the table's own words are not counted) and each
+      product joined, before deduplication, and each term appended bare.
     - ``set_lookups``: terms hashed by ``dict.fromkeys``, ``set(...)`` or a
       set probe.
     """

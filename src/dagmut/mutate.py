@@ -69,6 +69,13 @@ operators around the bare term.  Counters tally the work the operators
 do (see :class:`~dagmut.metrics.OpCounters`), which is less than that
 composition does: node omission searches every term once, not once per
 step, and neither node operator searches for its bare term.
+
+Each operator and log entry is built once.  A public operator function
+builds and checks its operator and hands it to a private core, which
+:func:`apply_op` calls with the operator it was given.  The inner arc
+steps of a node operator and every log entry are built without the
+dataclass constructors: the names they hold were checked by the
+enclosing operator or are nodes of the graph.
 """
 from __future__ import annotations
 
@@ -133,6 +140,15 @@ def _state(dg: Dg, re: SopfRe) -> ModelState:
     return st
 
 
+def _arc_op(kind: type, src: str, dst: str) -> ArcInsert | ArcOmit:
+    """An arc operator of ``kind`` on names already validated, by an
+    enclosing operator or by the graph, built without the dataclass
+    constructor's checks."""
+    op = object.__new__(kind)
+    vars(op).update(src=src, dst=dst)
+    return op
+
+
 @dataclass(frozen=True)
 class LogEntry:
     """Term accounting for one operator application.
@@ -156,6 +172,16 @@ class LogEntry:
         return format_op(self.op)
 
 
+def _entry(op: MutationOp, added: int, removed: int, bound: int | None = None,
+           sub: tuple[LogEntry, ...] = ()) -> LogEntry:
+    """``LogEntry(op, added, removed, bound, sub)``, built without the
+    frozen dataclass constructor."""
+    entry = object.__new__(LogEntry)
+    vars(entry).update(op=op, terms_added=added, terms_removed=removed, added_bound=bound,
+                       sub=sub)
+    return entry
+
+
 def model_from_graph(g: Dg) -> ModelState:
     """Build the synchronized state of a trim acyclic graph; its expression
     is the full start-to-finish path enumeration.  A graph that is not trim
@@ -172,25 +198,29 @@ def model_from_graph(g: Dg) -> ModelState:
 def arc_insert(st: ModelState, src: str, dst: str,
                counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Insert arc ``src -> dst`` and extend the expression accordingly."""
-    dg = apply_dg_op(st.dg, ArcInsert(src, dst))
+    return _arc_insert(st, ArcInsert(src, dst), counters)
+
+
+def _arc_insert(st: ModelState, op: ArcInsert,
+                counters: "OpCounters | None") -> tuple[ModelState, LogEntry]:
+    dg = apply_dg_op(st.dg, op)
     # no ancestor of src is dst, or the arc would close a cycle, so these
     # are the fragments of the graph without the arc
-    products, entry = _insert(_spell_from(dg, src, True, counters),
-                              _spell_from(dg, dst, False, counters), src, dst, counters)
+    products, entry = _insert(_spell_from(dg, op.src, True, counters),
+                              _spell_from(dg, op.dst, False, counters), op, counters)
     return _state(dg, _trusted(st.re._terms + products)), entry
 
 
-def _insert(heads: Sequence[Code], tails: Sequence[Code], src: str, dst: str,
+def _insert(heads: Sequence[Code], tails: Sequence[Code], op: ArcInsert,
             counters: "OpCounters | None") -> tuple[tuple[Code, ...], LogEntry]:
-    """The products of the ``heads`` of ``src`` and the ``tails`` of
-    ``dst``, and the log entry of inserting arc ``src -> dst``.  Every
-    product holds the adjacency ``src dst``, which no term of a model
-    without the arc holds, and no two are equal, as a path holds ``src``
-    once: all of them are new terms."""
+    """The products of the ``heads`` of ``op.src`` and the ``tails`` of
+    ``op.dst``, and the log entry of inserting that arc.  Every product
+    holds the adjacency ``src dst``, which no term of a model without the
+    arc holds, and no two are equal, as a path holds ``src`` once: all of
+    them are new terms."""
     products = tuple([h + t for h in heads for t in tails])
     _tally(counters, built=len(products))
-    return products, LogEntry(ArcInsert(src, dst), terms_added=len(products), terms_removed=0,
-                              added_bound=len(products))
+    return products, _entry(op, len(products), 0, len(products))
 
 
 def _unjoined(terms: tuple[Code, ...], src: str, dst: str,
@@ -214,14 +244,19 @@ def _regained(g: Dg, dg: Dg, end: str, backward: bool,
 def arc_omit(st: ModelState, src: str, dst: str,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Omit arc ``src -> dst`` and shrink the expression accordingly."""
-    g = st.dg
-    dg = apply_dg_op(g, ArcOmit(src, dst))
+    return _arc_omit(st, ArcOmit(src, dst), counters)
+
+
+def _arc_omit(st: ModelState, op: ArcOmit,
+              counters: "OpCounters | None") -> tuple[ModelState, LogEntry]:
+    g, src, dst = st.dg, op.src, op.dst
+    dg = apply_dg_op(g, op)
     kept = _unjoined(st.re._terms, src, dst, counters)
     # no ancestor of src is dst and no descendant of dst is src, so dg
     # spells what g would
     added = _regained(g, dg, src, True, counters) + _regained(g, dg, dst, False, counters)
     return (_state(dg, _trusted(kept + added)),
-            LogEntry(ArcOmit(src, dst), len(added), len(st.re) - len(kept), len(added)))
+            _entry(op, len(added), len(st.re) - len(kept), len(added)))
 
 
 def node_insert(st: ModelState, node: str,
@@ -231,7 +266,12 @@ def node_insert(st: ModelState, node: str,
     arcs, then ingoing arcs (each an arc insertion on the term side, the
     graph being edited once for all of them).  The bare term stays, as the
     node is flagged start and finish."""
-    op = NodeInsert(node, tuple(outgoing), tuple(ingoing))
+    return _node_insert(st, NodeInsert(node, tuple(outgoing), tuple(ingoing)), counters)
+
+
+def _node_insert(st: ModelState, op: NodeInsert,
+                 counters: "OpCounters | None") -> tuple[ModelState, LogEntry]:
+    node = op.node
     # checks the node and every arc before any term is read
     dg = apply_dg_op(st.dg, op)
     # every symbol of st.re is a node, so no term equals the bare term of
@@ -244,18 +284,19 @@ def node_insert(st: ModelState, node: str,
     # one is the node, or dg would be cyclic, so dg gives each step the
     # fragments that its expression holds
     for x in op.outgoing:
-        products, step = _insert((bare,), _spell_from(dg, x, False, counters), node, x, counters)
+        products, step = _insert((bare,), _spell_from(dg, x, False, counters),
+                                 _arc_op(ArcInsert, node, x), counters)
         added += products
         sub.append(step)
     # the node's tails: its bare term and the outgoing products
     below = added
     for y in op.ingoing:
-        products, step = _insert(_spell_from(dg, y, True, counters), below, y, node, counters)
+        products, step = _insert(_spell_from(dg, y, True, counters), below,
+                                 _arc_op(ArcInsert, y, node), counters)
         added += products
         sub.append(step)
     # the insertions keep every term of st.re and add only new ones
-    return (_state(dg, _trusted(st.re._terms + added)),
-            LogEntry(op, len(added), 0, sub=tuple(sub)))
+    return _state(dg, _trusted(st.re._terms + added)), _entry(op, len(added), 0, sub=tuple(sub))
 
 
 def node_omit(st: ModelState, node: str,
@@ -263,7 +304,12 @@ def node_omit(st: ModelState, node: str,
     """Omit ``node``: its outgoing arcs first, then its ingoing arcs (each
     an arc omission on the term side, the graph being edited once for all
     of them), then the bare term and the node itself are dropped."""
-    op = NodeOmit(node)
+    return _node_omit(st, NodeOmit(node), counters)
+
+
+def _node_omit(st: ModelState, op: NodeOmit,
+               counters: "OpCounters | None") -> tuple[ModelState, LogEntry]:
+    node = op.node
     # an unknown node raises here, before any term is read
     dg = apply_dg_op(st.dg, op)
     g = st.dg
@@ -286,7 +332,7 @@ def node_omit(st: ModelState, node: str,
                if k == len(below) and node not in g.finishes else ())
         theirs = _regained(g, dg, x, False, counters)
         added = len(own) + len(theirs)
-        sub.append(LogEntry(ArcOmit(node, x), added, len(held) - len(left), added))
+        sub.append(_entry(_arc_op(ArcOmit, node, x), added, len(held) - len(left), added))
         held = left + own
         regained += theirs
     above = g.predecessors(node)
@@ -297,24 +343,24 @@ def node_omit(st: ModelState, node: str,
         own = k == len(above) and node not in g.starts
         theirs = _regained(g, dg, y, True, counters)
         added = own + len(theirs)
-        sub.append(LogEntry(ArcOmit(y, node), added, len(held) - len(left), added))
+        sub.append(_entry(_arc_op(ArcOmit, y, node), added, len(held) - len(left), added))
         held = left
         regained += theirs
     return (_state(dg, _trusted(rest + tuple(regained))),
-            LogEntry(op, len(regained), removed, sub=tuple(sub)))
+            _entry(op, len(regained), removed, sub=tuple(sub)))
 
 
 def apply_op(st: ModelState, op: MutationOp,
              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
     """Apply a single operator to the synchronized state."""
     if isinstance(op, ArcInsert):
-        return arc_insert(st, op.src, op.dst, counters)
+        return _arc_insert(st, op, counters)
     if isinstance(op, ArcOmit):
-        return arc_omit(st, op.src, op.dst, counters)
+        return _arc_omit(st, op, counters)
     if isinstance(op, NodeInsert):
-        return node_insert(st, op.node, op.outgoing, op.ingoing, counters)
+        return _node_insert(st, op, counters)
     if isinstance(op, NodeOmit):
-        return node_omit(st, op.node, counters)
+        return _node_omit(st, op, counters)
     raise TypeError(f"not a mutation operator: {op!r}")
 
 

@@ -3,7 +3,7 @@ import inspect
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dagmut import graph
@@ -38,7 +38,8 @@ from dagmut.mutate import (
 )
 from dagmut.ops import format_op, format_script
 from dagmut.oracle import GenConfig, NaiveLang, equivalent, random_model, random_script, ref_apply
-from dagmut.sopf import SopfRe, _trusted, add_term, ht, pt, remove_term, term_key, tt
+from dagmut.sopf import (SopfRe, _code, _codes, _trusted, add_term, ht, pt, remove_term, term_key,
+                         tt)
 
 from support import MUTATED_TERMS, built, count_calls, scripted_models, spell, sopf
 
@@ -276,6 +277,62 @@ def test_graph_fragments_and_exhaustion_equal_the_term_side(model):
             work = g
             for u, w in [(v, x) for x in g.successors(v)] + [(y, v) for y in g.predecessors(v)]:
                 work = omitted(work, u, w)
+
+
+def ladder_arcs(rungs):
+    """The arcs of a two-wide ladder: rung ``k`` is the pair ``r{k}a``,
+    ``r{k}b``, each with an arc to both nodes of the next rung."""
+    return [(f"r{k}{x}", f"r{k + 1}{y}")
+            for k in range(rungs - 1) for x in "ab" for y in "ab"]
+
+
+def arc_graph(arcs):
+    """The graph of ``arcs``, flagged by the degree rule, its names coded."""
+    g = parse_graph("".join(f"arc {a} {b}\n" for a, b in arcs))
+    _codes(g.nodes)
+    return g
+
+
+@st.composite
+def lattice_states(draw):
+    """A layered lattice with multi-character names, as a state: two-wide
+    ladders and lattices of widths 1-3 whose arcs between consecutive
+    layers are at least half there, a skip arc or two, and more start and
+    finish flags on top.  Most of them have a walk that outgrows the
+    graph."""
+    if draw(st.booleans()):
+        arcs = set(ladder_arcs(draw(st.integers(4, 9))))
+    else:
+        widths = draw(st.lists(st.integers(1, 3), min_size=4, max_size=9))
+        layers = [[f"n{i}_{j}" for j in range(w)] for i, w in enumerate(widths)]
+        arcs = set()
+        for upper, lower in zip(layers, layers[1:]):
+            pairs = [(a, b) for a in upper for b in lower]
+            arcs.update(set(pairs) - draw(st.sets(st.sampled_from(pairs),
+                                                  max_size=len(pairs) // 2)))
+            # every node keeps an arc into the next layer and one from the last
+            arcs.update((a, lower[0]) for a in upper if not any((a, b) in arcs for b in lower))
+            arcs.update((upper[0], b) for b in lower if not any((a, b) in arcs for a in upper))
+        for i in draw(st.lists(st.integers(0, len(layers) - 3), max_size=2)):
+            arcs.add((draw(st.sampled_from(layers[i])), draw(st.sampled_from(layers[i + 2]))))
+    g = arc_graph(arcs)
+    extra = st.sets(st.sampled_from(sorted(g.nodes)), max_size=3)
+    return model_from_graph(Dg(g.nodes, arcs, g.starts | draw(extra), g.finishes | draw(extra)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_states())
+def test_table_mode_fragments_equal_the_term_side(state):
+    # a walk that outgrows the graph goes on in table mode, and still
+    # spells the heads ht(pt(re, v), v) and the tails tt(pt(re, v), v)
+    g, re = state.dg, state.re
+    with pytest.MonkeyPatch.context() as mp:
+        tabled = count_calls(mp, graph, "_spell_tabled")
+        for v in g.nodes:
+            held = pt(re, (v,))
+            assert _trusted(graph._spell_from(g, v, True)) == ht(held, (v,))
+            assert _trusted(graph._spell_from(g, v, False)) == tt(held, (v,))
+    assume(tabled)
 
 
 @settings(max_examples=60, deadline=None)
@@ -564,7 +621,7 @@ def test_counting_calls_the_same_kernels(model):
 # The summed counts of a fixed set of seeded runs.  The counts are the cost
 # model of the term algebra, so a change that moves them must say so.  No
 # operator hashes a term: every word it adds is new by construction.
-PINNED_COUNTS = OpCounters(symbol_comparisons=38469, term_copies=6927,
+PINNED_COUNTS = OpCounters(symbol_comparisons=35022, term_copies=6927,
                            set_lookups=0)
 
 
@@ -676,6 +733,42 @@ def test_operators_on_a_deep_chain():
     node_out, node_entry = node_omit(state, names[mid])
     assert node_out.re == enumerate_paths(node_out.dg) == SopfRe([names[:mid], names[mid + 1:]])
     assert [step.terms_added for step in node_entry.sub] == [2, 2]
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_deep_chain_feeding_a_ladder(backward):
+    # forward from the chain's first node, the walk outgrows the graph in
+    # the ladder, with the whole chain on its trail; backward from the
+    # ladder's end, it goes on in table mode above the chain, which one
+    # table word then holds.  Neither raises a RecursionError.
+    chain = [f"c{k}" for k in range(10_000)]
+    # a ladder of 12 rungs whose first is one node, r0a, fed by the chain
+    rungs = [arc for arc in ladder_arcs(12) if arc[0] != "r0b"]
+    arcs = list(zip(chain, chain[1:])) + [(chain[-1], "r0a")] + rungs
+    g, ladder = arc_graph(arcs), arc_graph(rungs)
+    with pytest.MonkeyPatch.context() as mp:
+        tabled = count_calls(mp, graph, "_spell_tabled")
+        words = graph._spell_from(g, "r11a" if backward else chain[0], backward)
+    assert tabled
+    # every word is the chain, then a word of the ladder alone
+    spelled = "".join(map(_code, chain))
+    assert all(w.startswith(spelled) for w in words)
+    assert (sorted(w[len(chain):] for w in words)
+            == sorted(graph._spell_from(ladder, "r11a" if backward else "r0a", backward)))
+    assert len(words) == 2 ** (10 if backward else 11)
+
+
+def test_table_mode_work_is_linear_in_the_graph():
+    # the trie walk would visit each of the 2**17 - 1 prefixes of the
+    # heads; in table mode every node is expanded at most twice and every
+    # further entry splices a table
+    arcs = ladder_arcs(16) + [("r15a", "z"), ("r15b", "z")]
+    g = arc_graph(arcs)
+    counters = OpCounters()
+    heads = graph._spell_from(g, "z", True, counters)
+    assert len(heads) == len(set(heads)) == 2 ** 16
+    assert counters.term_copies == 2 ** 16
+    assert counters.symbol_comparisons <= 3 * (len(g.nodes) + len(arcs))
 
 
 def test_walk_work_on_a_chain_grows_linearly():
