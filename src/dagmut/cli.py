@@ -4,8 +4,8 @@ Subcommands: ``convert`` (graph file to expression), ``mutate`` (apply a
 script to a graph and report the resulting model), ``verify`` (randomized
 differential check against the brute-force reference) and ``bench``
 (empirical growth-rate trends).  Results go to stdout, diagnostics to
-stderr; exit status 0 = ok, 1 = input error, 2 = verification or bench
-failure.
+stderr; exit status 0 = ok, 1 = input error or exhausted memory, 2 =
+verification or bench failure.
 """
 from __future__ import annotations
 
@@ -146,6 +146,12 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # a path-explosive graph can have more words than memory holds
+        pass
+    # reported once the exception, and the frames holding those words, are gone
+    print("error: out of memory (too many terms to hold)", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -46,7 +46,9 @@ has, it goes on in table mode from the same stack: it expands a node at
 most twice and splices the words below it in at every later entry, one
 string concatenation per word, so its Python steps are O(V + E) plus
 one per word it splices.  A walk that never outgrows the graph, as every
-walk on a tree or a chain, stays a trie walk.
+walk on a tree or a chain, stays a trie walk.  Its counting twin,
+:func:`_count_from`, counts those paths without spelling them: one sum per
+node, memoised across the calls of one operator, O(V + E).
 """
 from __future__ import annotations
 
@@ -483,6 +485,41 @@ def _splice_words(out: list[Code], table: list[Code], above: list[Code],
         out.extend([word + prefix for word in table])
     else:
         out.extend([prefix + word for word in table])
+
+
+def _count_from(g: Dg, root: str, backward: bool, memo: dict[str, int],
+                counters: "OpCounters | None" = None) -> int:
+    """The number of words :func:`_spell_from` spells from ``root`` on
+    ``g``, counted without spelling one: backward, the paths from a start
+    to ``root``, forward, those from ``root`` to a finish.
+
+    The count of a node is its flag plus the counts of its neighbours on
+    that side.  ``memo`` maps each node already counted, in one direction
+    on ``g``, to its count, and gains every node this call counts, so the
+    calls of one operator share their work.  An explicit stack takes the
+    place of recursion; a node waits on it until its neighbours are
+    counted.  Tallies each node it enters as a term searched: the root,
+    and each neighbour of a node it counts; a counted node's entry goes
+    no deeper.
+    """
+    index, ends = (g._pred, g.starts) if backward else (g._succ, g.finishes)
+    entered = 1
+    stack = [root]
+    while stack:
+        v = stack[-1]
+        if v in memo:
+            stack.pop()
+            continue
+        below = index.get(v, ())
+        waiting = [w for w in below if w not in memo]
+        if waiting:
+            stack += waiting
+            continue
+        memo[v] = (v in ends) + sum([memo[w] for w in below])
+        entered += len(below)
+        stack.pop()
+    _tally(counters, searched=entered)
+    return memo[root]
 
 
 def _acyclic(g: Dg) -> None:

@@ -41,7 +41,10 @@ class OpCounters:
       ``index``) counts every term it is given.  The graph walk that
       spells an operator's fragments (``graph._spell_from``) counts each
       node it enters as one item searched; an entry that splices in a
-      node's table counts once, and the nodes below it none.
+      node's table counts once, and the nodes below it none.  So does
+      the count kernel (``graph._count_from``) that gives node
+      omission's arc steps their counts: an entry of a node already
+      counted counts once, and goes no deeper.
     - ``term_copies``: new terms built: each fragment cut or spelled by
       the graph walk (a word spliced in from a table counts as built,
       not visited; the table's own words are not counted) and each

@@ -41,15 +41,23 @@ Arc omission keeps the terms without its pair, one ``in`` per term, and
 appends unprobed the words of each endpoint that the edit newly flags:
 the heads of the source, the tails of the target.  No kept term holds
 such an endpoint, and no tail holds the source, which every head holds,
-so all of them are new terms.  Node omission splits the expression once
-by its node (:func:`~dagmut.sopf._split`) and keeps the terms without it
-whole.  Each inner step drops its pair from the terms holding
-the node and re-adds: at the last outgoing step, unless the node is a
-finish, its heads, spelled on the pre-state graph; at the last ingoing
-step, unless it is a start, its bare word; and the words of its
-neighbour if the final graph newly flags it.  No intermediate expression
-is built, as the inner log entries need only counts.  An omission result
-puts the words it re-adds behind the kept terms; printing sorts.
+so all of them are new terms.  Node omission keeps the terms without its
+node, one ``in`` per term, and appends the words of each neighbour that
+the final graph newly flags.  The terms holding the node are what its arc
+steps drop, and no inner step reads a term: each step's counts are path
+counts of the pre-state graph, where ``h`` is the number of heads of the
+node and ``t(x)`` the number of tails of ``x``.  An outgoing step
+``v -> x`` drops ``h * t(x)`` terms and re-adds the tails of ``x`` if it
+is newly flagged, and, at the last outgoing step, the ``h`` heads of the
+node unless it is a finish.  An ingoing step ``y -> v`` drops the heads
+of ``y`` and re-adds them if ``y`` is newly flagged, and, at the last
+ingoing step, the bare word unless the node is a start.  The counts come
+from the words already spelled, where a neighbour is newly flagged, from
+the count kernel :func:`~dagmut.graph._count_from` otherwise, and from
+arithmetic: ``h`` is the number of terms held divided by the number of
+tails of the node, and the last ingoing step drops the heads that the
+earlier ones left.  An omission result puts the words it re-adds behind
+the kept terms; printing sorts.
 
 Node insertion edits the graph once, with the whole operator (see
 :func:`~dagmut.graph.apply_dg_op`), which checks every arc before any term
@@ -68,7 +76,9 @@ Results and log entries are those of the composition of the public arc
 operators around the bare term.  Counters tally the work the operators
 do (see :class:`~dagmut.metrics.OpCounters`), which is less than that
 composition does: node omission searches every term once, not once per
-step, and neither node operator searches for its bare term.
+step, and neither node operator searches for its bare term.  A node
+omission's searches are its terms plus the nodes its walks and counts
+enter.
 
 Each operator and log entry is built once.  A public operator function
 builds and checks its operator and hands it to a private core, which
@@ -83,13 +93,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ModelError, OperationError, ScriptError
-from .graph import Dg, _spell_from, apply_dg_op, enumerate_paths
+from .graph import Dg, _count_from, _spell_from, apply_dg_op, enumerate_paths
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     Code,
     SopfRe,
     _code,
-    _split,
     _tally,
     _trusted,
     print_sopf,
@@ -313,39 +322,52 @@ def _node_omit(st: ModelState, op: NodeOmit,
     # an unknown node raises here, before any term is read
     dg = apply_dg_op(st.dg, op)
     g = st.dg
-    # the split searches every term once
-    _tally(counters, searched=len(st.re))
-    held, rest = _split(st.re._terms, _code(node))
-    # the arc steps drop only terms holding the node, and on a trim model
-    # only its bare term is left at the end, so exactly these are removed
-    removed = len(held)
+    terms = st.re._terms
+    code = _code(node)
+    # the one pass over the terms: the arc steps drop only terms holding
+    # the node, and on a trim model only its bare term is left at the end,
+    # so exactly these are removed
+    _tally(counters, searched=len(terms))
+    rest = tuple([t for t in terms if code not in t])
+    removed = len(terms) - len(rest)
     regained: list[Code] = []
-    sub: list[LogEntry] = []
     # a neighbour is flagged by its own step, and no later step changes
-    # what the walk from it reads, so the final graph spells its words
+    # what the walk from it reads, so the final graph spells its words.
+    # No step changes the paths on the far side of a neighbour either, so
+    # g counts them: a newly flagged neighbour's words are all of them
     below = g.successors(node)
-    for k, x in enumerate(below, 1):
-        left = _unjoined(held, node, x, counters)
-        # the last outgoing step flags the node finish unless it is one:
-        # its heads, which the final graph no longer holds, come back
-        own = (_spell_from(g, node, True, counters)
-               if k == len(below) and node not in g.finishes else ())
+    # per neighbour: the words re-added for it and its number of tails
+    outgoing: list[tuple[int, int]] = []
+    tails_of: dict[str, int] = {}
+    for x in below:
         theirs = _regained(g, dg, x, False, counters)
-        added = len(own) + len(theirs)
-        sub.append(_entry(_arc_op(ArcOmit, node, x), added, len(held) - len(left), added))
-        held = left + own
         regained += theirs
+        outgoing.append((len(theirs), len(theirs) or _count_from(g, x, False, tails_of, counters)))
+    # every term holding the node is one of its heads joined to one of its
+    # tails: its bare word if it is a finish, else through an outgoing arc
+    heads = removed // ((node in g.finishes) + sum([t for _, t in outgoing]))
+    # the last outgoing step flags the node finish unless it is one: its
+    # heads come back
+    own = 0 if node in g.finishes else heads
+    sub: list[LogEntry] = []
+    for k, (x, (new, t)) in enumerate(zip(below, outgoing), 1):
+        added = new + own if k == len(below) else new
+        sub.append(_entry(_arc_op(ArcOmit, node, x), added, heads * t, added))
+    # each ingoing step drops the heads of its neighbour joined to the bare
+    # word, and the last drops those that the others left
     above = g.predecessors(node)
+    left = heads - (node in g.starts)
+    heads_of: dict[str, int] = {}
     for k, y in enumerate(above, 1):
-        left = _unjoined(held, y, node, counters)
+        theirs = _regained(g, dg, y, True, counters)
+        regained += theirs
+        dropped = (left if k == len(above)
+                   else len(theirs) or _count_from(g, y, True, heads_of, counters))
+        left -= dropped
         # the last ingoing step flags the node start unless it is one: its
         # bare word comes back, and goes with the node
-        own = k == len(above) and node not in g.starts
-        theirs = _regained(g, dg, y, True, counters)
-        added = own + len(theirs)
-        sub.append(_entry(_arc_op(ArcOmit, y, node), added, len(held) - len(left), added))
-        held = left
-        regained += theirs
+        added = len(theirs) + (k == len(above) and node not in g.starts)
+        sub.append(_entry(_arc_op(ArcOmit, y, node), added, dropped, added))
     return (_state(dg, _trusted(rest + tuple(regained))),
             _entry(op, len(regained), removed, sub=tuple(sub)))
 

@@ -44,8 +44,9 @@ Every fragment holds the cut pattern, so none is empty and the fragments
 are deduplicated into :func:`_trusted`.  The mutation operators cut no
 term: they spell their fragments from the graph
 (:func:`dagmut.graph._spell_from`), in the same codes.  Node omission
-splits an expression once into the terms that hold its node and the
-others (:func:`_split`), and keeps the others whole.
+keeps the terms without its node, one ``in`` per term, and counts what
+each of its arc steps drops on the graph
+(:func:`dagmut.graph._count_from`) instead of searching a term again.
 
 A query (``in``, :func:`pt`, :func:`ht`, :func:`tt`,
 :func:`remove_term`) gives no symbol a code: it looks each one up, and
@@ -312,15 +313,6 @@ def _tally(counters: "OpCounters | None", searched: int = 0, built: int = 0,
 
 # --------------------------------------------------------------------------
 # selectors
-
-def _split(terms: tuple[Code, ...], sym: Code) -> tuple[tuple[Code, ...], tuple[Code, ...]]:
-    """The terms that hold ``sym`` and the others, each in ``terms``' order:
-    :func:`pt`'s selection and its complement: one loop, one ``in`` per term."""
-    held, rest = [], []
-    for t in terms:
-        (held if sym in t else rest).append(t)
-    return tuple(held), tuple(rest)
-
 
 def _pattern(pattern: Sequence[str]) -> Code:
     """The code string of a search pattern of one or two symbols."""

@@ -154,6 +154,18 @@ def test_convert_missing_file(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+def test_exhausted_memory_is_a_clean_exit(capsys, monkeypatch, graph_file):
+    # a chain of diamonds doubles its words per diamond; the words that do
+    # not fit end the run with a message, not a traceback
+    def exhausted(g, *, dotted=False):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "render_paths", exhausted)
+    code, out, err = run(capsys, "convert", graph_file)
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory (too many terms to hold)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("convert", "BAD"),
     ("mutate", "BAD", "--script", "(ab)o_a"),
@@ -466,10 +478,10 @@ op=node_insert size=8 cost=8 exponent=0.000 verdict=pass
 op=node_insert size=16 cost=8 exponent=0.000 verdict=pass
 op=node_insert size=32 cost=8 exponent=0.000 verdict=pass
 op=node_insert size=64 cost=8 exponent=0.000 verdict=pass
-op=node_omit size=8 cost=13 exponent=0.804 verdict=pass
-op=node_omit size=16 cost=21 exponent=0.804 verdict=pass
-op=node_omit size=32 cost=37 exponent=0.804 verdict=pass
-op=node_omit size=64 cost=69 exponent=0.804 verdict=pass
+op=node_omit size=8 cost=9 exponent=0.951 verdict=pass
+op=node_omit size=16 cost=17 exponent=0.951 verdict=pass
+op=node_omit size=32 cost=33 exponent=0.951 verdict=pass
+op=node_omit size=64 cost=65 exponent=0.951 verdict=pass
 """
 
 

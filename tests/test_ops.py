@@ -335,6 +335,49 @@ def test_table_mode_fragments_equal_the_term_side(state):
     assume(tabled)
 
 
+def assert_counts_equal_spelled_words(g):
+    # one memo per direction for all nodes, as an operator shares one
+    # across its steps, and a fresh one per node
+    for backward in (False, True):
+        memo = {}
+        for v in sorted(g.nodes):
+            words = len(graph._spell_from(g, v, backward))
+            assert graph._count_from(g, v, backward, memo) == words
+            assert graph._count_from(g, v, backward, {}) == words
+
+
+@settings(max_examples=100, deadline=None)
+@given(flagged_states())
+def test_path_counts_equal_the_spelled_words(model):
+    # sticky flags and extra ones: a start may have predecessors and a
+    # finish successors, and neither ends a path
+    for state in stepped(*model):
+        assert_counts_equal_spelled_words(state.dg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_states())
+def test_path_counts_equal_the_spelled_words_on_lattices(state):
+    assert_counts_equal_spelled_words(state.dg)
+
+
+def test_path_count_enters_each_node_once():
+    # a chain of 3000 nodes needs no recursion; a node already counted is
+    # entered once and its count read, and a lattice counts each node once
+    names = [f"c{k}" for k in range(3000)]
+    g = arc_graph(zip(names, names[1:]))
+    memo, counters = {}, OpCounters()
+    assert graph._count_from(g, names[0], False, memo, counters) == 1
+    assert counters.symbol_comparisons == 3000 and len(memo) == 3000
+    assert graph._count_from(g, names[1], False, memo, counters) == 1
+    assert counters.symbol_comparisons == 3001
+    g = arc_graph(ladder_arcs(12))
+    counters = OpCounters()
+    assert graph._count_from(g, "r0a", False, {}, counters) == 2 ** 11
+    # the root, and the two successors of r0a and of each node of rungs 1-10
+    assert counters == OpCounters(symbol_comparisons=1 + 2 * 21)
+
+
 @settings(max_examples=60, deadline=None)
 @given(flagged_states())
 def test_arc_insert_products_equal_no_term(model):
@@ -621,7 +664,7 @@ def test_counting_calls_the_same_kernels(model):
 # The summed counts of a fixed set of seeded runs.  The counts are the cost
 # model of the term algebra, so a change that moves them must say so.  No
 # operator hashes a term: every word it adds is new by construction.
-PINNED_COUNTS = OpCounters(symbol_comparisons=35022, term_copies=6927,
+PINNED_COUNTS = OpCounters(symbol_comparisons=22618, term_copies=6191,
                            set_lookups=0)
 
 
@@ -803,22 +846,74 @@ def test_node_omit_isolated():
     assert out.re == sopf("ab")
 
 
+@pytest.mark.parametrize("text, node, steps, counted, added, removed, result, work", [
+    # a is newly flagged start, so its tails give t(a); b keeps c, so the
+    # kernel counts t(b); the last ingoing step drops what h leaves
+    ("arc u v\narc v a\narc v b\narc c b\narc a f\narc b f", "v",
+     [("(va)o_a", 1, 1), ("(vb)o_a", 1, 1), ("(uv)o_a", 2, 1)],
+     [("b", False)], 2, 2, ("af", "u", "cbf"), (8, 2)),
+    # v is a start with predecessors: h counts its bare head, which no
+    # ingoing step drops; a keeps its arc to b, so the kernel counts pre(a)
+    ("arc a v\narc c v\narc v b\narc a b\nstart a\nstart c\nstart v\nfinish b", "v",
+     [("(vb)o_a", 3, 3), ("(av)o_a", 0, 1), ("(cv)o_a", 1, 1)],
+     [("b", False), ("a", True)], 1, 3, ("ab", "c"), (7, 1)),
+    # v is a finish with successors: its bare tail joins the heads, and
+    # the last outgoing step re-adds no head
+    ("arc a v\narc v b\nstart a\nfinish v\nfinish b", "v",
+     [("(vb)o_a", 1, 1), ("(av)o_a", 2, 1)], [], 2, 2, ("b", "a"), (4, 2)),
+    ("arc a b", "a", [("(ab)o_a", 2, 1)], [], 1, 1, ("b",), (2, 1)),
+    ("arc a b", "b", [("(ab)o_a", 2, 1)], [], 1, 1, ("a",), (2, 1)),
+    ("node v\narc a b", "v", [], [], 0, 1, ("ab",), (2, 0)),
+], ids=["merge_target", "start_with_predecessors", "finish_with_successors",
+        "chain_source", "chain_target", "isolated"])
+def test_node_omit_counts_each_step_from_its_source(monkeypatch, text, node, steps, counted,
+                                                    added, removed, result, work):
+    # each arc step's counts come from the words the operator re-adds, the
+    # count kernel or arithmetic, never from a term; the kernel runs only
+    # for a neighbour that keeps its flag.  The operator searches each
+    # term once and each node its walks and count passes enter, and
+    # builds only the words it re-adds
+    state = model_from_graph(parse_graph(text))
+    kernel = count_calls(monkeypatch, mutate_module, "_count_from")
+    counters = OpCounters()
+    out, entry = node_omit(state, node, counters)
+    assert counters == OpCounters(*work)
+    assert [(s.notation, s.terms_added, s.terms_removed) for s in entry.sub] == steps
+    assert [args[1:3] for args in kernel] == counted
+    assert (entry.terms_added, entry.terms_removed) == (added, removed)
+    assert out.re == sopf(*result)
+    check_against_composition(state, NodeOmit(node))
+
+
 def test_node_operators_select_their_node_once(monkeypatch, sample_state):
-    # node omission splits the expression once, by its node, and its inner
-    # arc steps search only the terms holding it; arc omission scans every
-    # term once for its pair; every operator reads its fragments off the
-    # graph, so none cuts or merges terms, and node insertion selects,
-    # splits and cuts no term
-    splits = count_calls(monkeypatch, mutate_module, "_split")
-    _, entry = node_omit(sample_state, "h", OpCounters())
+    # node omission reads every term once, by its node, and no inner arc
+    # step reads a term: their counts come from the graph; arc omission
+    # scans every term once for its pair; every operator reads its
+    # fragments off the graph, so none cuts or merges terms, and node
+    # insertion selects and cuts no term
+    reads = Counter()
+
+    class SpiedTerm(str):
+        """A term that records each search of it."""
+
+        def __contains__(self, sym):
+            reads[self] += 1
+            return str.__contains__(self, sym)
+
+    spied = ModelState(sample_state.dg, _trusted(tuple(map(SpiedTerm, sample_state.re._terms))))
+    unjoined = count_calls(monkeypatch, mutate_module, "_unjoined")
+    _, entry = node_omit(spied, "h", OpCounters())
     assert len(entry.sub) == 3
-    assert [args[1] for args in splits] == ["h"]
-    splits.clear()
+    assert sorted(reads) == sorted(sample_state.re._terms) and set(reads.values()) == {1}
+    assert not unjoined
+    calls = kernel_calls(sample_state, [NodeOmit("h")], OpCounters())
+    assert calls.keys() <= {"_code", "_tally", "_trusted"}
     calls = kernel_calls(sample_state, [ArcOmit("g", "h")], OpCounters())
-    assert not splits and not calls.keys() & {"_split", "ht", "tt", "set_union"}
+    assert [args[1:3] for args in unjoined] == [("g", "h")]
+    assert not calls.keys() & {"ht", "tt", "set_union"}
     op = NodeInsert("v", ("h", "i"), ("a", "c"))
     calls = kernel_calls(sample_state, [op], OpCounters())
-    assert not splits and not calls.keys() & {"pt", "ht", "tt", "_split"}
+    assert not calls.keys() & {"pt", "ht", "tt"}
     _, entry = node_insert(sample_state, op.node, op.outgoing, op.ingoing)
     assert len(entry.sub) == 4
 

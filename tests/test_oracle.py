@@ -356,3 +356,77 @@ def test_injected_fault_is_detected_and_located():
     bad = [f for f in report.failures if f.kind == "equivalence"]
     assert bad and bad[0].trial == 3 and bad[0].step == 1
     assert bad[0].script
+
+
+# --------------------------------------------------------------------------
+# arc steps of node operators, one at a time
+
+def reference_steps(ref: Dg, op) -> tuple[list[MutationOp], list[set]]:
+    """The arc steps of the node operator ``op`` on ``ref`` and the word
+    sets of the reference graphs before each step and after the last,
+    each graph edited from the one before by ``oracle._ref_edit``."""
+    arcs = ref.arcs
+    if isinstance(op, NodeOmit):
+        graphs = [ref]
+        steps = ([ArcOmit(op.node, b) for a, b in sorted(arcs) if a == op.node]
+                 + [ArcOmit(a, op.node) for a, b in sorted(arcs) if b == op.node])
+    else:
+        graphs = [oracle_module._ref_edit(ref, NodeInsert(op.node))]
+        steps = ([ArcInsert(op.node, x) for x in op.outgoing]
+                 + [ArcInsert(y, op.node) for y in op.ingoing])
+    for step in steps:
+        graphs.append(oracle_module._ref_edit(graphs[-1], step))
+    return steps, [set(naive_enumerate(g)) for g in graphs]
+
+
+def step_violations(entry, steps: list[MutationOp], word_sets: list[set]) -> list[str]:
+    """Each arc step of ``entry`` whose operator or counts differ from the
+    reference's step and the words it gained and lost."""
+    if len(entry.sub) != len(steps):
+        return [f"{entry.notation}: {len(entry.sub)} arc steps, reference {len(steps)}"]
+    problems = []
+    for k, (sub, step) in enumerate(zip(entry.sub, steps)):
+        before, after = word_sets[k], word_sets[k + 1]
+        counts = (sub.terms_added, sub.terms_removed)
+        if sub.op != step or counts != (len(after - before), len(before - after)):
+            problems.append(f"{entry.notation} step {k + 1}: {sub.notation} {counts}, reference "
+                            f"{step} {(len(after - before), len(before - after))}")
+    return problems
+
+
+def moved_removal(entry):
+    """``entry`` with one removed term moved from its second arc step to
+    its first: the steps' sum, and so the operator's net, stay put."""
+    first, second = entry.sub[0], entry.sub[1]
+    return replace(entry, sub=(replace(first, terms_removed=first.terms_removed + 1),
+                               replace(second, terms_removed=second.terms_removed - 1),
+                               *entry.sub[2:]))
+
+
+def test_every_arc_step_of_a_node_operator_states_its_own_counts():
+    # run_differential checks a node operator's arc steps only through
+    # their sum; here each step is checked against the reference graphs
+    # between the steps, and a removal moved between two steps is caught
+    checked = moved = 0
+    for seed in range(150):
+        cfg = GenConfig(node_count=MAX_GEN_NODES, arc_density=0.15 + 0.15 * (seed % 5),
+                        seed=seed, script_length=6)
+        g = random_model(cfg)
+        state, ref = model_from_graph(g), g
+        words = set(naive_enumerate(ref))
+        for op in random_script(cfg, g):
+            state, entry = mutate_module.apply_op(state, op)
+            edited = oracle_module._ref_edit(ref, op)
+            after = set(naive_enumerate(edited))
+            if isinstance(op, (NodeInsert, NodeOmit)):
+                steps, word_sets = reference_steps(ref, op)
+                assert step_violations(entry, steps, word_sets) == []
+                checked += len(steps)
+                if isinstance(op, NodeOmit) and len(steps) >= 2:
+                    faulty = moved_removal(entry)
+                    assert step_violations(faulty, steps, word_sets)
+                    # the sum check of run_differential does not see it
+                    assert not oracle_module._count_violations(faulty, words, after)
+                    moved += 1
+            ref, words = edited, after
+    assert checked > 1000 and moved > 100

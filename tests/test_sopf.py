@@ -548,15 +548,12 @@ def test_mixed_alphabet_operations_match_the_tuple_loops(order, xs, ys, s, t):
 
 
 @given(st.permutations(MIXED_NAMES), mixed_term_lists, mixed_symbols, mixed_symbols)
-def test_split_and_unjoined_match_the_tuple_definitions(order, xs, x, y):
+def test_unjoined_matches_the_tuple_definition(order, xs, x, y):
     # every draw also holds both symbols reversed and apart, and repeats
     xs = [*xs, (y, x), (x, "c", y), (y, "b", x, "xy"), (x, y, x, y)]
     with pytest.MonkeyPatch.context() as mp:
         fresh_alphabet(mp, order)
         codes = tuple(sopf_module._encode(t) for t in xs)
-        held = tuple(c for c, t in zip(codes, xs) if x in t)
-        rest = tuple(c for c, t in zip(codes, xs) if x not in t)
-        assert sopf_module._split(codes, sopf_module._code(x)) == (held, rest)
         joined = [(x, y) in zip(t, t[1:]) for t in xs]
         counters = OpCounters()
         kept = mutate_module._unjoined(codes, x, y, counters)
