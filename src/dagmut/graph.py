@@ -5,12 +5,28 @@ from a start-flagged node to a finish-flagged node.  Flags default to the
 degree rule (no ingoing arcs = start, no outgoing arcs = finish) and are
 sticky: mutation history only ever adds flags, never clears them.
 
-Cost model: a :class:`Dg` stores its arcs once, in an index by endpoint, so
+Cost model: a graph is a flat *root* or is *derived* from one.  A root
+(parsed, or built by the constructor) stores its arcs once, in an index
+by endpoint; the successor index is built with the graph, the
+predecessor index from it on its first read.  The constructor and
+``mutate.model_from_graph`` read it; a convert (parse, walk) never does.
+:func:`apply_dg_op` derives the child graph from its parent in one edit,
+node operators included, by path copying: the child shares the sets and
+indexes of its parent's root and holds its changes since that root, the
+neighbour tuples of the nodes the edits touched and the nodes and flags
+they added or dropped.  An operator costs O(touched) Python work plus a
+C-speed copy of its parent's changes, however large the graph.  Once the
+changes hold more entries than an eighth of the root's nodes, and more
+than a few dozen, the child is flattened into a new root, so that copy
+stays short and the O(V) copies of a flatten are amortised over V/8
+touched entries.  Nothing shared is ever written.  The
+operators' own readers (the adjacency queries, :func:`path_exists` and
+the walks below) read a graph's changes first, then its root:
 ``successors``/``predecessors``/degree queries cost O(deg) and
-:func:`path_exists` O(reachable).  The successor index is built with the
-graph; the predecessor index is built from it on its first read.  The
-constructor and ``mutate.model_from_graph`` read it; a convert (parse,
-walk) never does.  One Kahn loop over a plain list, :func:`_peel`, serves
+:func:`path_exists` O(reachable).  The readers of the whole graph read
+flat views, which a derived graph builds on their first read, as a root
+builds ``Dg.arcs``.
+One Kahn loop over a plain list, :func:`_peel`, serves
 :func:`topological_order` (in-degrees counted from the successor index:
 O(V + E)), :func:`validate_acyclic` and the path walk's dead-end discount.
 The path walk behind :func:`render_paths` and :func:`enumerate_paths` (on
@@ -30,18 +46,11 @@ strings stay short), any other graph by the shared-node walk labelled
 with the codes.  :func:`render_paths` runs the shared-node walk on the
 node names, so ``dagmut convert`` prints without coding or decoding a
 term.
-:func:`apply_dg_op` derives the child graph from its parent in one edit,
-node operators included, and rebuilds only the index entries the operator
-touches (O(touched) Python work).  It copies each index dict once, at C
-speed; it copies the node set only for a node operator and a flag set
-only when it adds a flag or drops the omitted node's, and it shares the
-other sets with the parent.  No operator builds an arc set: ``Dg.arcs``
-is derived from the index on its first read.  The fragments of every
-operator, the paths from a start to a node and from a node to a finish,
-are spelled by one walk over one side's index (:func:`_spell_from`).  It
-starts as a trie walk, which visits each prefix of those paths once:
-O(total path length) on a trim graph, where every trail the walk follows
-ends at a flagged node.  Once it has visited more nodes than the graph
+The fragments of every operator, the paths from a start to a node and
+from a node to a finish, are spelled by one walk over one side's index
+(:func:`_spell_from`).  It starts as a trie walk, which visits each
+prefix of those paths once: O(total path length) on a trim graph, where
+every trail the walk follows ends at a flagged node.  Once it has visited more nodes than the graph
 has, it goes on in table mode from the same stack: it expands a node at
 most twice and splices the words below it in at every later entry, one
 string concatenation per word, so its Python steps are O(V + E) plus
@@ -98,23 +107,42 @@ def _predecessor_index(succ: Adjacency) -> Adjacency:
     return _freeze(pred)
 
 
+#: the index changes of a root, which has none; never written
+_NO_CHANGES: dict[str, tuple[str, ...]] = {}
+#: a derived graph flattens into a root once its index changes hold more
+#: entries than its root's node count shifted right by _FLATTEN_SHIFT, and
+#: more than _FLATTEN_MIN: a few dozen changes cost less to copy and read
+#: through than a flatten costs, however small the graph
+_FLATTEN_SHIFT = 3
+_FLATTEN_MIN = 32
+
+
 class Dg:
     """A directed graph plus start/finish designation flags.
 
     Structural well-formedness (arc endpoints declared, no self-loops) is
     enforced at construction; acyclicity is not, see :func:`validate_acyclic`.
-    The arcs are stored once, in the successor index ``_succ``: ``arcs``
+    A graph is a flat *root*, or is *derived* from a root by operators
+    (:func:`apply_dg_op`, :class:`_Derived`).  A root holds its node and
+    flag sets and its arcs, once, in the successor index ``_succ``: ``arcs``
     is derived from it on its first read, as the predecessor index
-    ``_pred`` is.  Neither index takes part in ``repr``; equality compares
-    the successor index, which holds exactly the arcs.  Graphs assembled
-    without the constructor (:func:`parse_graph`) build the predecessor
-    half on its first read.  Instances are immutable.
+    ``_pred`` is.  Graphs assembled without the constructor
+    (:func:`parse_graph`) build the predecessor half on its first read.
+    A root has no changes: the class attributes below stand in for them,
+    so the operators read every graph alike, through its changes first,
+    then its root.  Neither index takes part in ``repr``; equality compares
+    the successor index, which holds exactly the arcs.  Instances are
+    immutable.
     """
 
     nodes: frozenset[str]
     starts: frozenset[str]
     finishes: frozenset[str]
     _succ: Adjacency
+    _size: int
+    _root: Dg | None = None
+    _dsucc = _dpred = _NO_CHANGES
+    _dstarts = _dfinishes = _inserted = _omitted = frozenset()
 
     def __init__(self, nodes: Iterable[str] = (), arcs: Iterable[Arc] = (),
                  starts: Iterable[str] = (), finishes: Iterable[str] = ()):
@@ -132,7 +160,7 @@ class Dg:
             if not flagged <= nodes:
                 raise ValueError("flag on an undeclared node")
         vars(self).update(nodes=nodes, starts=starts, finishes=finishes,
-                          _succ=_successor_index(arcs))
+                          _succ=_successor_index(arcs), _size=len(nodes))
         self._pred  # built now, so graphs made in code carry both halves
 
     @cached_property
@@ -151,7 +179,7 @@ class Dg:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is not Dg:
+        if not isinstance(other, Dg):
             return NotImplemented
         return (self.nodes == other.nodes and self.starts == other.starts
                 and self.finishes == other.finishes and self._succ == other._succ)
@@ -166,16 +194,63 @@ class Dg:
         return f"Dg({fields})"
 
     def successors(self, v: str) -> list[str]:
-        return list(self._succ.get(v, ()))
+        return list(self._dsucc.get(v, (self._root or self)._succ.get(v, ())))
 
     def predecessors(self, v: str) -> list[str]:
-        return list(self._pred.get(v, ()))
+        return list(self._dpred.get(v, (self._root or self)._pred.get(v, ())))
 
     def out_degree(self, v: str) -> int:
-        return len(self._succ.get(v, ()))
+        return len(self._dsucc.get(v, (self._root or self)._succ.get(v, ())))
 
     def in_degree(self, v: str) -> int:
-        return len(self._pred.get(v, ()))
+        return len(self._dpred.get(v, (self._root or self)._pred.get(v, ())))
+
+
+class _Derived(Dg):
+    """A :class:`Dg` derived from a root by operators (:func:`_derive`).
+
+    It shares the sets and indexes of its root ``_root`` and holds its
+    changes since that root: the neighbour tuples of each node whose
+    neighbours changed (``_dsucc``/``_dpred``; an empty tuple for none),
+    the flags added (``_dstarts``/``_dfinishes``), the nodes inserted that
+    the root lacks and the root nodes omitted (``_inserted``/``_omitted``),
+    and its node count ``_size``.  ``nodes``, ``starts``, ``finishes``,
+    ``arcs``, ``_succ`` and ``_pred`` are flat views, each built on its
+    first read for the readers of the whole graph; they share the root's
+    elements, and ``arcs`` is read off the root's arcs, not off ``_succ``.
+    Nothing it shares is ever written.  Roots are a class of their own:
+    hot loops read a root's sets and index, and an attribute that a class
+    also defines as a view is read about three times slower (CPython 3.11).
+    """
+
+    @cached_property
+    def nodes(self) -> frozenset[str]:
+        return _patched(self._root.nodes, self._omitted, self._inserted)
+
+    @cached_property
+    def starts(self) -> frozenset[str]:
+        return _patched(self._root.starts, self._omitted, self._dstarts)
+
+    @cached_property
+    def finishes(self) -> frozenset[str]:
+        return _patched(self._root.finishes, self._omitted, self._dfinishes)
+
+    @cached_property
+    def _succ(self) -> Adjacency:
+        return _merged(self._root._succ, self._dsucc)
+
+    @cached_property
+    def _pred(self) -> Adjacency:
+        return _merged(self._root._pred, self._dpred)
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        """The root's arcs, less those out of the nodes whose successors
+        changed, plus theirs now: the arcs the root holds are shared."""
+        root, changed = self._root, self._dsucc
+        gone = [(v, w) for v in changed for w in root._succ.get(v, ())]
+        new = [(v, w) for v, targets in changed.items() for w in targets]
+        return root.arcs.difference(gone).union(new)
 
 
 def _sorted_repr(items: frozenset) -> str:
@@ -183,17 +258,90 @@ def _sorted_repr(items: frozenset) -> str:
     return f"frozenset({{{', '.join(map(repr, sorted(items)))}}})" if items else "frozenset()"
 
 
-def _derive(g: Dg, succ: Adjacency, pred: Adjacency, **changes) -> Dg:
-    """A :class:`Dg` with ``g``'s node and flag sets, ``changes`` replacing
-    some of them, and the index ``succ``/``pred``.  Nothing is checked: the
-    caller validates what it adds, and the rest was validated when ``g`` was
-    built.  The sets are shared, not copied; ``g``'s derived ``arcs`` is not
-    carried over."""
-    child = object.__new__(Dg)
-    fields = vars(child)
-    fields.update(nodes=g.nodes, starts=g.starts, finishes=g.finishes)
-    fields.update(changes, _succ=succ, _pred=pred)
+def _patched(items: frozenset[str], less: frozenset[str], more: frozenset[str]) -> frozenset[str]:
+    """``items`` less ``less`` plus ``more``; ``items`` itself if both are
+    empty."""
+    if less:
+        items = items - less
+    return items | more if more else items
+
+
+def _merged(index: Adjacency, changes: Mapping[str, tuple[str, ...]]) -> Adjacency:
+    """The :data:`Adjacency` ``index`` with the entries of ``changes`` in
+    place of its own; an empty one drops the node's entry."""
+    merged = index.copy()
+    merged.update(changes)
+    for v, neighbours in changes.items():
+        if not neighbours:
+            del merged[v]
+    return merged
+
+
+def _present(g: Dg, v: str) -> bool:
+    """Whether ``v`` is a node of ``g``."""
+    return v in g._inserted or v in (g._root or g).nodes and v not in g._omitted
+
+
+def _flagged(g: Dg, v: str, finish: bool) -> bool:
+    """Whether ``v``, a node of ``g``, is flagged finish (``finish``) or
+    start."""
+    if finish:
+        return v in g._dfinishes or v in (g._root or g).finishes
+    return v in g._dstarts or v in (g._root or g).starts
+
+
+def _newly_flagged(g: Dg, child: Dg, v: str, finish: bool) -> bool:
+    """Whether ``child``, derived from ``g`` by one edit, flags ``v``, a
+    node of both, finish (``finish``) or start where ``g`` does not.  An
+    unflattened child holds ``g``'s root and added flags plus what the edit
+    added, so the small sets of added flags tell."""
+    if child._root is None:
+        return _flagged(child, v, finish) and not _flagged(g, v, finish)
+    if finish:
+        return v in child._dfinishes and v not in g._dfinishes
+    return v in child._dstarts and v not in g._dstarts
+
+
+def _derive(g: Dg, succ: dict[str, tuple[str, ...]], pred: dict[str, tuple[str, ...]],
+            **changes) -> Dg:
+    """The graph derived from ``g`` by an edit that gives the nodes in
+    ``succ``/``pred`` those neighbour tuples, ``changes`` replacing some of
+    ``g``'s node and flag changes and its ``_size``.  Nothing is checked:
+    the caller validates what it adds, and the rest was validated when
+    ``g`` was built.
+
+    The child copies ``g``'s index changes, which are small dicts, adds
+    ``succ`` and ``pred`` to them, and shares everything else: ``g``'s
+    root and its other changes.  Once its index changes hold more than an
+    eighth as many entries as its root has nodes, and more than
+    ``_FLATTEN_MIN``, it is flattened into a root of its own
+    (:func:`_flatten`).  So the copies of the changes stay short, and the
+    O(V) copies of a flatten come at most once per V/8 touched entries.
+    """
+    root = g._root or g
+    succ, pred = {**g._dsucc, **succ}, {**g._dpred, **pred}
+    child = object.__new__(_Derived)
+    vars(child).update({"_root": root, "_dsucc": succ, "_dpred": pred, "_size": g._size,
+                        "_inserted": g._inserted, "_omitted": g._omitted,
+                        "_dstarts": g._dstarts, "_dfinishes": g._dfinishes, **changes})
+    touched = len(succ) + len(pred)
+    if touched > _FLATTEN_MIN and touched > root._size >> _FLATTEN_SHIFT:
+        return _flatten(child)
     return child
+
+
+def _flatten(g: _Derived) -> Dg:
+    """A root equal to the derived graph ``g``: it holds ``g``'s flat
+    views, each built by one C-speed copy of its root's and a pass over
+    ``g``'s changes."""
+    root, omitted = g._root, g._omitted
+    flat = object.__new__(Dg)
+    vars(flat).update(nodes=_patched(root.nodes, omitted, g._inserted),
+                      starts=_patched(root.starts, omitted, g._dstarts),
+                      finishes=_patched(root.finishes, omitted, g._dfinishes),
+                      _succ=_merged(root._succ, g._dsucc), _pred=_merged(root._pred, g._dpred),
+                      _size=g._size)
+    return flat
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +414,7 @@ def parse_graph(text: str) -> Dg:
     # number, so the graph is assembled without repeating them; its
     # predecessor index is built on first read, and convert never reads it
     g = object.__new__(Dg)
-    vars(g).update(nodes=nodes, starts=starts, finishes=finishes, _succ=succ)
+    vars(g).update(nodes=nodes, starts=starts, finishes=finishes, _succ=succ, _size=len(nodes))
     return g
 
 
@@ -338,19 +486,21 @@ def validate_acyclic(g: Dg) -> tuple[str, ...] | None:
 def path_exists(g: Dg, src: str, dst: str) -> bool:
     """True iff a directed path (length >= 0) runs from ``src`` to ``dst``."""
     for v in (src, dst):
-        if v not in g.nodes:
+        if not _present(g, v):
             raise OperationError(f"unknown node {v!r}")
-    return dst in _reached(g, (src,))
+    return dst in _reached(g, (src,), dst)
 
 
-def _reached(g: Dg, roots) -> set[str]:
+def _reached(g: Dg, roots, goal: str | None = None) -> set[str]:
     """The nodes that a directed path (length >= 0) from one of ``roots``
-    reaches: one search, however many roots."""
-    succ = g._succ
+    reaches: one search, however many roots.  Once it has reached
+    ``goal``, it expands no further node and returns what it has seen."""
+    changed, succ = g._dsucc, (g._root or g)._succ
     seen = set(roots)
     frontier = list(seen)
-    while frontier:
-        for w in succ.get(frontier.pop(), ()):
+    while frontier and goal not in seen:
+        v = frontier.pop()
+        for w in changed[v] if v in changed else succ.get(v, ()):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -365,11 +515,12 @@ def _spell_from(g: Dg, root: str, backward: bool,
     forward, those from ``root`` to a finish (its tails).  A flag does not
     end a path, as a start may have predecessors.
 
-    One depth-first walk over that side's index with an explicit stack: a
-    trie walk, which visits each prefix of those paths once.  The trail is
-    a list of codes, joined once per path (and reversed, backward), and a
-    run of one-neighbour nodes takes no stack frame, so a chain costs
-    O(length) and no recursion.  Once the walk has visited more nodes than
+    One depth-first walk over that side's index, read through ``g``'s
+    changes first, then its root's, with an explicit stack: a trie walk,
+    which visits each prefix of those paths once.  The trail is a list of
+    codes, joined once per path (and reversed, backward), and a run of
+    one-neighbour nodes takes no stack frame, so a chain costs O(length)
+    and no recursion.  Once the walk has visited more nodes than
     ``g`` has, some node has been entered twice, and the walk goes on from
     the same stack in table mode (:func:`_spell_tabled`), where a node
     entered often is expanded at most twice.  A walk that never outgrows
@@ -377,12 +528,16 @@ def _spell_from(g: Dg, root: str, backward: bool,
     node entered as a term searched and each word returned as a term
     built.
     """
-    index, ends = (g._pred, g.starts) if backward else (g._succ, g.finishes)
+    base = g._root or g
+    if backward:
+        side = changed, index, added, ends = g._dpred, base._pred, g._dstarts, base.starts
+    else:
+        side = changed, index, added, ends = g._dsucc, base._succ, g._dfinishes, base.finishes
     codes = _CODES
     words: list[Code] = []
     trail: list[Code] = []
     visited = 0
-    limit = len(g.nodes)
+    limit = g._size
     # a frame: the nodes it enters, and the trail length at its node
     stack = [(iter((root,)), 0)]
     while stack:
@@ -392,17 +547,17 @@ def _spell_from(g: Dg, root: str, backward: bool,
             while True:
                 visited += 1
                 trail.append(codes[v])
-                if v in ends:
+                if v in added or v in ends:
                     word = "".join(trail)
                     words.append(word[::-1] if backward else word)
-                below = index.get(v)
-                if below is None or len(below) > 1:
+                below = changed[v] if v in changed else index.get(v, ())
+                if len(below) != 1:
                     break
                 v = below[0]
             if below:
                 stack.append((iter(below), len(trail)))
                 if visited > limit:
-                    visited += _spell_tabled(index, ends, backward, stack, trail, words)
+                    visited += _spell_tabled(side, backward, stack, trail, words)
                 break
         else:
             stack.pop()
@@ -410,9 +565,10 @@ def _spell_from(g: Dg, root: str, backward: bool,
     return tuple(words)
 
 
-def _spell_tabled(index: Adjacency, ends: frozenset[str], backward: bool,
-                  stack: list, trail: list[Code], words: list[Code]) -> int:
-    """Finish the walk of :func:`_spell_from` from its ``stack`` and
+def _spell_tabled(side: tuple, backward: bool, stack: list, trail: list[Code],
+                  words: list[Code]) -> int:
+    """Finish the walk of :func:`_spell_from` over ``side``, its changed
+    entries, root index, added flags and root flags, from its ``stack`` and
     ``trail``, adding the rest of its words to ``words``, in table mode;
     returns the nodes it entered.  Empties ``stack``.
 
@@ -428,6 +584,7 @@ def _spell_tabled(index: Adjacency, ends: frozenset[str], backward: bool,
     reversed, as they are returned, and a splice appends the reversed
     prefix.
     """
+    changed, index, added, ends = side
     codes = _CODES
     # a frame: the nodes it enters, the trail length at its node, its
     # table, where in ``trail`` the words of that table start and, for a
@@ -449,18 +606,19 @@ def _spell_tabled(index: Adjacency, ends: frozenset[str], backward: bool,
                     continue
                 # acyclic: no entry reaches v again before its table is
                 # complete
-                table = tables[v] = [codes[v]] if v in ends else []
-                frames.append((iter(index.get(v, ())), depth + 1, table, depth, (out, base)))
+                table = tables[v] = [codes[v]] if v in added or v in ends else []
+                below = changed[v] if v in changed else index.get(v, ())
+                frames.append((iter(below), depth + 1, table, depth, (out, base)))
                 trail.append(codes[v])
                 break
             tables[v] = None
             while True:
                 trail.append(codes[v])
-                if v in ends:
+                if v in added or v in ends:
                     word = "".join(trail[base:])
                     out.append(word[::-1] if backward else word)
-                below = index.get(v)
-                if below is None or len(below) > 1:
+                below = changed[v] if v in changed else index.get(v, ())
+                if len(below) != 1:
                     break
                 v = below[0]
                 visited += 1
@@ -502,7 +660,11 @@ def _count_from(g: Dg, root: str, backward: bool, memo: dict[str, int],
     and each neighbour of a node it counts; a counted node's entry goes
     no deeper.
     """
-    index, ends = (g._pred, g.starts) if backward else (g._succ, g.finishes)
+    base = g._root or g
+    if backward:
+        changed, index, added, ends = g._dpred, base._pred, g._dstarts, base.starts
+    else:
+        changed, index, added, ends = g._dsucc, base._succ, g._dfinishes, base.finishes
     entered = 1
     stack = [root]
     while stack:
@@ -510,12 +672,12 @@ def _count_from(g: Dg, root: str, backward: bool, memo: dict[str, int],
         if v in memo:
             stack.pop()
             continue
-        below = index.get(v, ())
+        below = changed[v] if v in changed else index.get(v, ())
         waiting = [w for w in below if w not in memo]
         if waiting:
             stack += waiting
             continue
-        memo[v] = (v in ends) + sum([memo[w] for w in below])
+        memo[v] = (v in added or v in ends) + sum([memo[w] for w in below])
         entered += len(below)
         stack.pop()
     _tally(counters, searched=entered)
@@ -722,39 +884,42 @@ def apply_dg_op(g: Dg, op: MutationOp) -> Dg:
     arcs, then its ingoing ones; node omission: its outgoing arcs, then its
     ingoing ones, then the bare node), applied as one edit: it raises what
     the first failing step would raise, and returns what the last returns.
+
+    The child is derived from ``g`` (:func:`_derive`): the edit reads
+    ``g`` through its changes and writes the neighbour tuples of the nodes
+    it touches, so it costs O(touched) plus a copy of ``g``'s changes.
     """
+    root = g._root or g
+    # the neighbours of a node of g: its changed entry, else its root's
+    dsucc, dpred, rsucc, rpred = g._dsucc, g._dpred, root._succ, root._pred
     if isinstance(op, ArcInsert):
         src, dst = op.src, op.dst
         for v in (src, dst):
-            if v not in g.nodes:
+            if not _present(g, v):
                 raise OperationError(f"unknown node {v!r}")
-        targets = g._succ.get(src, ())
+        targets = dsucc[src] if src in dsucc else rsucc.get(src, ())
         if dst in targets:
             raise OperationError(f"arc {src} -> {dst} already present")
-        if path_exists(g, dst, src):
+        if src in _reached(g, (dst,), src):
             raise InsertionCycleError(f"inserting arc {src} -> {dst} would create a cycle")
-        succ, pred = g._succ.copy(), g._pred.copy()
-        succ[src] = _with(targets, dst)
-        pred[dst] = _with(pred.get(dst, ()), src)
-        return _derive(g, succ, pred)
+        sources = dpred[dst] if dst in dpred else rpred.get(dst, ())
+        return _derive(g, {src: _with(targets, dst)}, {dst: _with(sources, src)})
 
     if isinstance(op, ArcOmit):
         src, dst = op.src, op.dst
-        if dst not in g._succ.get(src, ()):
+        targets = dsucc[src] if src in dsucc else rsucc.get(src, ())
+        if dst not in targets:
             raise OperationError(f"arc {src} -> {dst} not present")
-        succ, pred = g._succ.copy(), g._pred.copy()
-        _drop(succ, src, dst)
-        _drop(pred, dst, src)
-        ends = (src, dst)
-        return _derive(g, succ, pred, starts=_stranded(g.starts, ends, pred),
-                       finishes=_stranded(g.finishes, ends, succ))
+        sources = dpred[dst] if dst in dpred else rpred.get(dst, ())
+        succ, pred = {src: _less(targets, dst)}, {dst: _less(sources, src)}
+        return _derive(g, succ, pred, **_stranded(g, (src, dst), succ, pred))
 
     if isinstance(op, NodeInsert):
         v, outgoing, ingoing = op.node, op.outgoing, op.ingoing
-        if v in g.nodes:
+        if _present(g, v):
             raise OperationError(f"node {v!r} already present")
         for x in outgoing:
-            if x not in g.nodes:
+            if not _present(g, x):
                 raise OperationError(f"unknown node {x!r}")
         # a NodeInsert names no neighbour twice and never v itself, so no
         # arc is inserted twice; an outgoing arc closes no cycle, as v has
@@ -762,40 +927,46 @@ def apply_dg_op(g: Dg, op: MutationOp) -> Dg:
         # iff an outgoing target reaches y: one search serves them all
         below = _reached(g, outgoing) if outgoing and ingoing else ()
         for y in ingoing:
-            if y not in g.nodes:
+            if not _present(g, y):
                 raise OperationError(f"unknown node {y!r}")
             if y in below:
                 raise InsertionCycleError(f"inserting arc {y} -> {v} would create a cycle")
-        succ, pred = g._succ.copy(), g._pred.copy()
-        if outgoing:
-            succ[v] = tuple(sorted(outgoing))
-        if ingoing:
-            pred[v] = tuple(sorted(ingoing))
+        succ = {v: tuple(sorted(outgoing))}
+        pred = {v: tuple(sorted(ingoing))}
         for x in outgoing:
-            pred[x] = _with(pred.get(x, ()), v)
+            pred[x] = _with(dpred[x] if x in dpred else rpred.get(x, ()), v)
         for y in ingoing:
-            succ[y] = _with(succ.get(y, ()), v)
+            succ[y] = _with(dsucc[y] if y in dsucc else rsucc.get(y, ()), v)
         new = {v}
-        return _derive(g, succ, pred, nodes=g.nodes | new,
-                       starts=g.starts | new, finishes=g.finishes | new)
+        if v in g._omitted:
+            nodes = {"_omitted": g._omitted - new}
+        else:
+            nodes = {"_inserted": g._inserted | new}
+        return _derive(g, succ, pred, _size=g._size + 1, _dstarts=g._dstarts | new,
+                       _dfinishes=g._dfinishes | new, **nodes)
 
     if isinstance(op, NodeOmit):
         v = op.node
-        if v not in g.nodes:
+        if not _present(g, v):
             raise OperationError(f"unknown node {v!r}")
-        succ, pred = g._succ.copy(), g._pred.copy()
-        below, above = succ.pop(v, ()), pred.pop(v, ())
+        below = dsucc[v] if v in dsucc else rsucc.get(v, ())
+        above = dpred[v] if v in dpred else rpred.get(v, ())
+        succ, pred = {v: ()}, {v: ()}
         for x in below:
-            _drop(pred, x, v)
+            pred[x] = _less(dpred[x] if x in dpred else rpred[x], v)
         for y in above:
-            _drop(succ, y, v)
+            succ[y] = _less(dsucc[y] if y in dsucc else rsucc[y], v)
         # each neighbour is flagged as its last arc omission would flag it,
         # and after that step its arcs no longer change: read them off the
-        # final index
-        ends = {*below, *above}
-        return _derive(g, succ, pred, nodes=g.nodes - {v},
-                       starts=_without(_stranded(g.starts, ends, pred), v),
-                       finishes=_without(_stranded(g.finishes, ends, succ), v))
+        # final entries
+        flags = _stranded(g, {*below, *above}, succ, pred)
+        gone = {v}
+        if v in g._inserted:
+            nodes = {"_inserted": g._inserted - gone}
+        else:
+            nodes = {"_omitted": g._omitted | gone}
+        return _derive(g, succ, pred, _size=g._size - 1, _dstarts=_without(flags["_dstarts"], v),
+                       _dfinishes=_without(flags["_dfinishes"], v), **nodes)
 
     raise TypeError(f"not a mutation operator: {op!r}")
 
@@ -805,21 +976,28 @@ def _with(neighbours: tuple[str, ...], v: str) -> tuple[str, ...]:
     return tuple(sorted((*neighbours, v)))
 
 
-def _drop(index: dict[str, tuple[str, ...]], u: str, v: str) -> None:
-    """Remove ``v`` from the entry of ``u`` in ``index``, in place; an
-    entry left empty is dropped."""
-    rest = tuple(w for w in index[u] if w != v)
-    if rest:
-        index[u] = rest
-    else:
-        del index[u]
+def _less(neighbours: tuple[str, ...], v: str) -> tuple[str, ...]:
+    """``neighbours`` without ``v``."""
+    return tuple([w for w in neighbours if w != v])
 
 
-def _stranded(flags: frozenset[str], ends, index: Adjacency) -> frozenset[str]:
-    """``flags`` plus each node of ``ends`` without an entry in ``index``;
-    ``flags`` itself if that adds none."""
-    new = [v for v in ends if v not in index and v not in flags]
-    return flags.union(new) if new else flags
+def _stranded(g: Dg, ends, succ: Mapping[str, tuple[str, ...]],
+              pred: Mapping[str, tuple[str, ...]]) -> dict[str, frozenset[str]]:
+    """``g``'s added starts and finishes (``_dstarts``, ``_dfinishes``),
+    each with the nodes of ``ends`` that the edit writing the entries
+    ``succ``/``pred`` leaves with no neighbour on that side and that ``g``
+    does not flag so; a set of ``g``'s itself where that adds none."""
+    root = g._root or g
+    dsucc, dpred, rsucc, rpred = g._dsucc, g._dpred, root._succ, root._pred
+    dstarts, dfinishes = g._dstarts, g._dfinishes
+    starts = [v for v in ends
+              if not (pred[v] if v in pred else dpred[v] if v in dpred else v in rpred)
+              and v not in dstarts and v not in root.starts]
+    finishes = [v for v in ends
+                if not (succ[v] if v in succ else dsucc[v] if v in dsucc else v in rsucc)
+                and v not in dfinishes and v not in root.finishes]
+    return {"_dstarts": dstarts.union(starts) if starts else dstarts,
+            "_dfinishes": dfinishes.union(finishes) if finishes else dfinishes}
 
 
 def _without(flags: frozenset[str], v: str) -> frozenset[str]:

@@ -93,7 +93,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ModelError, OperationError, ScriptError
-from .graph import Dg, _count_from, _spell_from, apply_dg_op, enumerate_paths
+from .graph import (Dg, _count_from, _flagged, _newly_flagged, _spell_from, apply_dg_op,
+                    enumerate_paths)
 from .ops import ArcInsert, ArcOmit, MutationOp, NodeInsert, NodeOmit, format_op
 from .sopf import (
     Code,
@@ -246,8 +247,8 @@ def _regained(g: Dg, dg: Dg, end: str, backward: bool,
     """The words re-added for ``end``, an endpoint of an arc omitted by the
     edit ``g`` -> ``dg``: spelled on ``dg``, its heads if ``dg`` newly
     flags it finish (``backward``), its tails if it newly flags it start."""
-    before, after = (g.finishes, dg.finishes) if backward else (g.starts, dg.starts)
-    return _spell_from(dg, end, backward, counters) if end in after and end not in before else ()
+    newly = _newly_flagged(g, dg, end, backward)
+    return _spell_from(dg, end, backward, counters) if newly else ()
 
 
 def arc_omit(st: ModelState, src: str, dst: str,
@@ -345,10 +346,11 @@ def _node_omit(st: ModelState, op: NodeOmit,
         outgoing.append((len(theirs), len(theirs) or _count_from(g, x, False, tails_of, counters)))
     # every term holding the node is one of its heads joined to one of its
     # tails: its bare word if it is a finish, else through an outgoing arc
-    heads = removed // ((node in g.finishes) + sum([t for _, t in outgoing]))
+    finish, start = _flagged(g, node, True), _flagged(g, node, False)
+    heads = removed // (finish + sum([t for _, t in outgoing]))
     # the last outgoing step flags the node finish unless it is one: its
     # heads come back
-    own = 0 if node in g.finishes else heads
+    own = 0 if finish else heads
     sub: list[LogEntry] = []
     for k, (x, (new, t)) in enumerate(zip(below, outgoing), 1):
         added = new + own if k == len(below) else new
@@ -356,7 +358,7 @@ def _node_omit(st: ModelState, op: NodeOmit,
     # each ingoing step drops the heads of its neighbour joined to the bare
     # word, and the last drops those that the others left
     above = g.predecessors(node)
-    left = heads - (node in g.starts)
+    left = heads - start
     heads_of: dict[str, int] = {}
     for k, y in enumerate(above, 1):
         theirs = _regained(g, dg, y, True, counters)
@@ -366,7 +368,7 @@ def _node_omit(st: ModelState, op: NodeOmit,
         left -= dropped
         # the last ingoing step flags the node start unless it is one: its
         # bare word comes back, and goes with the node
-        added = len(theirs) + (k == len(above) and node not in g.starts)
+        added = len(theirs) + (k == len(above) and not start)
         sub.append(_entry(_arc_op(ArcOmit, y, node), added, dropped, added))
     return (_state(dg, _trusted(rest + tuple(regained))),
             _entry(op, len(regained), removed, sub=tuple(sub)))

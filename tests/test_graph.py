@@ -1,10 +1,16 @@
 """Graph parsing, validation, path enumeration and graph-side operators."""
+import itertools
+import pickle
+import random
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagmut import graph
 from dagmut import (
     ArcInsert,
     ArcOmit,
@@ -25,6 +31,7 @@ from dagmut.graph import (
     topological_order,
     validate_acyclic,
 )
+from dagmut.mutate import ModelState, apply_op, model_from_graph
 from dagmut.oracle import (
     MAX_GEN_NODES,
     GenConfig,
@@ -432,20 +439,31 @@ def test_node_operators_equal_the_fold_of_their_arc_steps(g, data):
         assert_index_matches_arcs(out, expected.arcs)
 
 
+#: what a graph holds once it is flat: a root's sets and indexes, and the
+#: views a derived graph builds on their first read
+FLAT_VIEWS = {"nodes", "starts", "finishes", "arcs", "_succ", "_pred"}
+
+
 @settings(max_examples=60, deadline=None)
 @given(scripted_models())
 def test_operators_copy_only_what_they_change(model):
-    # a set the operator leaves as it was is the parent's own object, and a
-    # child never inherits the arc set its parent derived
+    # a derived child shares its parent's root and every change set the
+    # operator leaves as it was, and holds no flat view; a child flattened
+    # by an arc operator shares its root's node set unless nodes changed
+    # since that root; no child inherits the arc set its parent derived
     g, script = model
     for op in script:
         g.arcs
         child = apply_dg_op(g, op)
-        if isinstance(op, (ArcInsert, ArcOmit)):
-            assert child.nodes is g.nodes
-        for name in ("nodes", "starts", "finishes"):
-            if getattr(child, name) == getattr(g, name):
-                assert getattr(child, name) is getattr(g, name)
+        if child._root is None:
+            if isinstance(op, (ArcInsert, ArcOmit)) and not (g._inserted or g._omitted):
+                assert child.nodes is (g._root or g).nodes
+        else:
+            assert child._root is (g._root or g)
+            assert not FLAT_VIEWS & vars(child).keys()
+            for name in ("_inserted", "_omitted", "_dstarts", "_dfinishes"):
+                if getattr(child, name) == getattr(g, name):
+                    assert getattr(child, name) is getattr(g, name)
         assert child.arcs == frozenset((v, w) for v, ws in child._succ.items() for w in ws)
         g = child
 
@@ -578,3 +596,195 @@ def test_enumerated_terms_come_out_in_canonical_order(g):
     assert terms == sorted(terms, key=term_key)
     naive = naive_enumerate(g)
     assert len(terms) == len(naive) and set(terms) == set(naive)
+
+
+# --------------------------------------------------------------------------
+# derived graphs: a root's sets and indexes shared, the changes since it held
+
+def tree_model(n, seed):
+    """The model of a random tree on ``n`` nodes named ``t0``.. with root
+    ``t0``, flagged by the degree rule."""
+    rng = random.Random(seed)
+    text = "".join(f"arc t{rng.randrange(k)} t{k}\n" for k in range(1, n))
+    return model_from_graph(parse_graph(text))
+
+
+def random_ops(g, length, seed):
+    """A script of ``length`` operators of every kind, each valid where it
+    applies on ``g``; a third of the way through it omits a node, and two
+    thirds of the way through it inserts that name again.  Built on a copy
+    of ``g``, so that the graphs its steps derive stay unread."""
+    rng = random.Random(seed)
+    cur = pickle.loads(pickle.dumps(g))
+    fresh = (f"f{k}" for k in itertools.count())
+    script, gone = [], None
+    for step in range(length):
+        nodes = sorted(cur.nodes)
+        if step == length // 3:
+            gone = rng.choice(nodes)
+            op = NodeOmit(gone)
+        else:
+            kind = "node_insert" if step == 2 * length // 3 else rng.choice(
+                ["arc_insert", "arc_insert", "arc_omit", "node_insert", "node_insert", "node_omit"])
+            op = None
+            if kind == "arc_insert":
+                for _ in range(20):
+                    u, v = rng.sample(nodes, 2)
+                    if v not in cur.successors(u) and not path_exists(cur, v, u):
+                        op = ArcInsert(u, v)
+                        break
+            elif kind == "arc_omit" and cur.arcs:
+                op = ArcOmit(*rng.choice(sorted(cur.arcs)))
+            elif kind == "node_omit" and len(nodes) > 2:
+                op = NodeOmit(rng.choice(nodes))
+            if op is None:
+                # a node insertion, always valid: ingoing neighbours from
+                # the front of a topological order, outgoing from the back
+                name = gone if step == 2 * length // 3 else next(fresh)
+                order = topological_order(cur)
+                pivot = rng.randint(0, len(order))
+                ingoing = rng.sample(order[:pivot], min(pivot, rng.randint(0, 2)))
+                outgoing = rng.sample(order[pivot:], min(len(order) - pivot, rng.randint(0, 2)))
+                op = NodeInsert(name, tuple(outgoing), tuple(ingoing))
+        cur = apply_dg_op(cur, op)
+        script.append(op)
+    return script
+
+
+def count_flattens(monkeypatch):
+    """Count the calls of the flatten helper for the test; returns the
+    list of the derived graphs it flattens."""
+    flattened = []
+    flatten = graph._flatten
+    monkeypatch.setattr(graph, "_flatten", lambda g: flattened.append(g) or flatten(g))
+    return flattened
+
+
+def outgrown(g):
+    """Whether the flatten rule fires on the changes of the derived ``g``."""
+    touched = len(g._dsucc) + len(g._dpred)
+    return touched > graph._FLATTEN_MIN and touched > g._root._size >> graph._FLATTEN_SHIFT
+
+
+def assert_derived_as_the_rule_says(g, flattened, before):
+    """``g``, just derived, is a root iff the flatten helper ran once for
+    it, on changes that the rule says outgrew its root; otherwise it holds
+    no flat view and its changes have not outgrown the root."""
+    if len(flattened) > before:
+        assert len(flattened) == before + 1 and outgrown(flattened[-1])
+        assert g._root is None and FLAT_VIEWS - {"arcs"} <= vars(g).keys()
+    else:
+        assert g._root is not None and not outgrown(g)
+        assert not FLAT_VIEWS & vars(g).keys()
+
+
+def assert_same_graph(g, ref):
+    """``g`` is the graph ``ref`` in every reading: value, hash, text, its
+    neighbours node by node, topological order, and after a pickle round
+    trip.  ``g``'s changes are read before any of its flat views."""
+    succ, pred = {}, {}
+    for u, v in sorted(ref.arcs):
+        succ.setdefault(u, []).append(v)
+        pred.setdefault(v, []).append(u)
+    copy = pickle.loads(pickle.dumps(g))
+    for v in ref.nodes | {"absent"}:
+        for h in (g, copy):
+            assert h.successors(v) == succ.get(v, []) and h.out_degree(v) == len(succ.get(v, ()))
+            assert h.predecessors(v) == pred.get(v, []) and h.in_degree(v) == len(pred.get(v, ()))
+    for h in (g, copy):
+        assert h == ref and hash(h) == hash(ref) and repr(h) == repr(ref)
+        assert render_graph(h) == render_graph(ref)
+        assert topological_order(h) == topological_order(ref)
+
+
+@pytest.mark.parametrize("size, length, seed", [(12, 90, 1), (12, 90, 2), (240, 70, 3)])
+def test_derived_graphs_equal_rebuilt_ones(monkeypatch, size, length, seed):
+    # a chain long enough to cross the flatten point: each graph is the
+    # reference edit's, and equals its own rebuild; an operator on it gives
+    # the state and log entry it gives on the rebuilt graph
+    flattened = count_flattens(monkeypatch)
+    if size == 12:
+        first = random_model(GenConfig(node_count=12, arc_density=0.2, seed=seed))
+        st_ = model_from_graph(first)
+    else:
+        st_ = tree_model(size, seed)
+    script = random_ops(st_.dg, length, seed)
+    ref = st_.dg
+    roots = derived = 0
+    for op in script:
+        before = len(flattened)
+        rebuilt = ModelState(Dg(st_.dg.nodes, st_.dg.arcs, st_.dg.starts, st_.dg.finishes), st_.re)
+        nxt, entry = apply_op(st_, op)
+        assert_derived_as_the_rule_says(nxt.dg, flattened, before)
+        roots += nxt.dg._root is None
+        derived += nxt.dg._root is not None
+        ref = _ref_edit(ref, op)
+        assert_same_graph(nxt.dg, ref)
+        g = nxt.dg
+        assert g == Dg(g.nodes, g.arcs, g.starts, g.finishes)
+        assert apply_op(rebuilt, op) == (nxt, entry)
+        st_ = nxt
+    assert roots and derived
+
+
+def test_operators_pay_no_copy_of_the_graph(monkeypatch):
+    # on a tree of 10^4 nodes, no operator builds a flat set or index: each
+    # derived graph holds its changes and its root's references only
+    flattened = count_flattens(monkeypatch)
+    st_ = tree_model(10_000, 5)
+    script = random_ops(st_.dg, 50, 5)
+    assert {type(op) for op in script} == {ArcInsert, ArcOmit, NodeInsert, NodeOmit}
+    for op in script:
+        before = len(flattened)
+        st_, _ = apply_op(st_, op)
+        assert_derived_as_the_rule_says(st_.dg, flattened, before)
+    assert not flattened
+    assert st_.dg._root._size == 10_000
+
+
+def test_threads_share_states_and_derived_graphs():
+    # more threads than cores apply their scripts from one state and read
+    # the flat views of graphs derived from it, all built while they run;
+    # they see what one thread sees
+    base = tree_model(200, 7)
+    shared = []
+    g = base.dg
+    for op in random_ops(base.dg, 12, 70):
+        g = apply_dg_op(g, op)
+        shared.append(g)
+    scripts = [random_ops(base.dg, 10, 71 + k) for k in range(8)]
+
+    def work(state, graphs, script):
+        readings = [(hash(h), repr(h), sorted(h._pred.items()), topological_order(h))
+                    for h in graphs]
+        entries = []
+        for op in script:
+            state, entry = apply_op(state, op)
+            entries.append(entry)
+        return readings, render_graph(state.dg), print_sopf(state.re), entries
+
+    # the sequential run reads copies, so the threads meet unbuilt views
+    expected = [work(*pickle.loads(pickle.dumps((base, shared))), script) for script in scripts]
+    results: dict[int, object] = {}
+
+    def run(k):
+        try:
+            results[k] = work(base, shared[k % 3:] + shared[:k % 3], scripts[k])
+        except Exception as exc:  # reported below, with the thread's number
+            results[k] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(scripts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, want in enumerate(expected):
+        readings, *rest = want
+        k_readings = readings[k % 3:] + readings[:k % 3]
+        assert results[k] == (k_readings, *rest)
