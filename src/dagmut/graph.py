@@ -50,12 +50,13 @@ The fragments of every operator, the paths from a start to a node and
 from a node to a finish, are spelled by one walk over one side's index
 (:func:`_spell_from`).  It starts as a trie walk, which visits each
 prefix of those paths once: O(total path length) on a trim graph, where
-every trail the walk follows ends at a flagged node.  Once it has visited more nodes than the graph
-has, it goes on in table mode from the same stack: it expands a node at
-most twice and splices the words below it in at every later entry, one
-string concatenation per word, so its Python steps are O(V + E) plus
-one per word it splices.  A walk that never outgrows the graph, as every
-walk on a tree or a chain, stays a trie walk.  Its counting twin,
+every trail the walk follows ends at a flagged node.  Once it has
+visited more nodes than the graph has, the same loop goes on in table
+mode, from the same stack: it expands a node at most twice and splices
+the words below it in at every later entry, one string concatenation
+per word, so its Python steps are O(V + E) plus one per word it
+splices.  A walk that never outgrows the graph, as every walk on a tree
+or a chain, stays a trie walk.  Its counting twin,
 :func:`_count_from`, counts those paths without spelling them: one sum per
 node, memoised across the calls of one operator, O(V + E).
 """
@@ -292,14 +293,8 @@ def _flagged(g: Dg, v: str, finish: bool) -> bool:
 
 def _newly_flagged(g: Dg, child: Dg, v: str, finish: bool) -> bool:
     """Whether ``child``, derived from ``g`` by one edit, flags ``v``, a
-    node of both, finish (``finish``) or start where ``g`` does not.  An
-    unflattened child holds ``g``'s root and added flags plus what the edit
-    added, so the small sets of added flags tell."""
-    if child._root is None:
-        return _flagged(child, v, finish) and not _flagged(g, v, finish)
-    if finish:
-        return v in child._dfinishes and v not in g._dfinishes
-    return v in child._dstarts and v not in g._dstarts
+    node of both, finish (``finish``) or start where ``g`` does not."""
+    return _flagged(child, v, finish) and not _flagged(g, v, finish)
 
 
 def _derive(g: Dg, succ: dict[str, tuple[str, ...]], pred: dict[str, tuple[str, ...]],
@@ -334,13 +329,9 @@ def _flatten(g: _Derived) -> Dg:
     """A root equal to the derived graph ``g``: it holds ``g``'s flat
     views, each built by one C-speed copy of its root's and a pass over
     ``g``'s changes."""
-    root, omitted = g._root, g._omitted
     flat = object.__new__(Dg)
-    vars(flat).update(nodes=_patched(root.nodes, omitted, g._inserted),
-                      starts=_patched(root.starts, omitted, g._dstarts),
-                      finishes=_patched(root.finishes, omitted, g._dfinishes),
-                      _succ=_merged(root._succ, g._dsucc), _pred=_merged(root._pred, g._dpred),
-                      _size=g._size)
+    vars(flat).update(nodes=g.nodes, starts=g.starts, finishes=g.finishes, _succ=g._succ,
+                      _pred=g._pred, _size=g._size)
     return flat
 
 
@@ -507,6 +498,16 @@ def _reached(g: Dg, roots, goal: str | None = None) -> set[str]:
     return seen
 
 
+def _side(g: Dg, backward: bool) -> tuple:
+    """One side of ``g`` as the walks read it: its changed entries, its
+    root's index, its added flags and its root's flags; backward, the
+    predecessors and starts, forward, the successors and finishes."""
+    root = g._root or g
+    if backward:
+        return g._dpred, root._pred, g._dstarts, root.starts
+    return g._dsucc, root._succ, g._dfinishes, root.finishes
+
+
 def _spell_from(g: Dg, root: str, backward: bool,
                 counters: "OpCounters | None" = None) -> tuple[Code, ...]:
     """The paths between ``root`` and the flagged nodes on one side of it,
@@ -516,121 +517,81 @@ def _spell_from(g: Dg, root: str, backward: bool,
     end a path, as a start may have predecessors.
 
     One depth-first walk over that side's index, read through ``g``'s
-    changes first, then its root's, with an explicit stack: a trie walk,
-    which visits each prefix of those paths once.  The trail is a list of
-    codes, joined once per path (and reversed, backward), and a run of
-    one-neighbour nodes takes no stack frame, so a chain costs O(length)
-    and no recursion.  Once the walk has visited more nodes than
-    ``g`` has, some node has been entered twice, and the walk goes on from
-    the same stack in table mode (:func:`_spell_tabled`), where a node
-    entered often is expanded at most twice.  A walk that never outgrows
-    the graph, as on a tree, costs what the trie walk costs.  Tallies each
-    node entered as a term searched and each word returned as a term
-    built.
+    changes first, then its root's, with an explicit stack.  The trail is
+    a list of codes, joined once per path (and reversed, backward), and a
+    run of one-neighbour nodes takes no stack frame, so a chain costs
+    O(length) and no recursion.  It starts as a trie walk, which visits
+    each prefix of those paths once.  Once it has visited more nodes than
+    ``g`` has, some node has been entered twice, and it goes on from the
+    same stack in table mode: a node reached through a frame is marked on
+    its first entry and expanded as the trie walk expands it; its second
+    entry spells the words below it, starting at the node, into a table of
+    its own; that entry and every later one splice the table in, one
+    ``prefix + word`` string per word.  A node inside a run of
+    one-neighbour nodes is followed unmarked, so the table of a node above
+    a chain holds each word through the chain once, and the chain's nodes
+    hold no table each, which would copy the chain once per node.
+    Backward, every table holds its words reversed, as they are returned,
+    and a splice appends the reversed prefix.  A walk that never outgrows
+    the graph, as on a tree or a chain, costs what the trie walk costs.
+    Tallies each node entered as a term searched and each word returned
+    as a term built.
     """
-    base = g._root or g
-    if backward:
-        side = changed, index, added, ends = g._dpred, base._pred, g._dstarts, base.starts
-    else:
-        side = changed, index, added, ends = g._dsucc, base._succ, g._dfinishes, base.finishes
+    changed, index, added, ends = _side(g, backward)
     codes = _CODES
     words: list[Code] = []
     trail: list[Code] = []
     visited = 0
     limit = g._size
-    # a frame: the nodes it enters, and the trail length at its node
-    stack = [(iter((root,)), 0)]
+    # None in trie mode; in table mode, node -> None once marked, then its
+    # table
+    tables: dict[str, list[Code] | None] | None = None
+    # a frame: the nodes it enters, the trail length at its node, its
+    # table, where in ``trail`` the words of that table start and, for a
+    # shared node's table, the table and start of the entry that opened it
+    stack = [(iter((root,)), 0, words, 0, None)]
     while stack:
-        entering, depth = stack[-1]
+        entering, depth, out, base, opener = stack[-1]
         for v in entering:
             del trail[depth:]
+            if tables is not None:
+                if v in tables:
+                    visited += 1
+                    table = tables[v]
+                    if table is not None:
+                        _splice_words(out, table, trail[base:], backward)
+                        continue
+                    # acyclic: no entry reaches v again before its table
+                    # is complete
+                    table = tables[v] = [codes[v]] if v in added or v in ends else []
+                    below = changed[v] if v in changed else index.get(v, ())
+                    stack.append((iter(below), depth + 1, table, depth, (out, base)))
+                    trail.append(codes[v])
+                    break
+                tables[v] = None
             while True:
                 visited += 1
                 trail.append(codes[v])
                 if v in added or v in ends:
-                    word = "".join(trail)
-                    words.append(word[::-1] if backward else word)
-                below = changed[v] if v in changed else index.get(v, ())
-                if len(below) != 1:
-                    break
-                v = below[0]
-            if below:
-                stack.append((iter(below), len(trail)))
-                if visited > limit:
-                    visited += _spell_tabled(side, backward, stack, trail, words)
-                break
-        else:
-            stack.pop()
-    _tally(counters, searched=visited, built=len(words))
-    return tuple(words)
-
-
-def _spell_tabled(side: tuple, backward: bool, stack: list, trail: list[Code],
-                  words: list[Code]) -> int:
-    """Finish the walk of :func:`_spell_from` over ``side``, its changed
-    entries, root index, added flags and root flags, from its ``stack`` and
-    ``trail``, adding the rest of its words to ``words``, in table mode;
-    returns the nodes it entered.  Empties ``stack``.
-
-    A node reached through a frame is marked on its first entry and
-    expanded in its entry's table, as the trie walk expands it.  Its
-    second entry spells the words below it, starting at the node, into a
-    table of its own; that entry and every later one splice the table in,
-    one ``prefix + word`` string per word.  A node inside a run of
-    one-neighbour nodes is followed as the trie walk follows it, unmarked,
-    so the table of a node above a chain holds each word through the
-    chain once, and the chain's nodes hold no table each, which would copy
-    the chain once per node.  Backward, every table holds its words
-    reversed, as they are returned, and a splice appends the reversed
-    prefix.
-    """
-    changed, index, added, ends = side
-    codes = _CODES
-    # a frame: the nodes it enters, the trail length at its node, its
-    # table, where in ``trail`` the words of that table start and, for a
-    # shared node's table, the table and start of the entry that opened it
-    frames = [(entering, depth, words, 0, None) for entering, depth in stack]
-    stack.clear()
-    # node -> None once marked, then its table
-    tables: dict[str, list[Code] | None] = {}
-    visited = 0
-    while frames:
-        entering, depth, out, base, opener = frames[-1]
-        for v in entering:
-            del trail[depth:]
-            visited += 1
-            if v in tables:
-                table = tables[v]
-                if table is not None:
-                    _splice_words(out, table, trail[base:], backward)
-                    continue
-                # acyclic: no entry reaches v again before its table is
-                # complete
-                table = tables[v] = [codes[v]] if v in added or v in ends else []
-                below = changed[v] if v in changed else index.get(v, ())
-                frames.append((iter(below), depth + 1, table, depth, (out, base)))
-                trail.append(codes[v])
-                break
-            tables[v] = None
-            while True:
-                trail.append(codes[v])
-                if v in added or v in ends:
-                    word = "".join(trail[base:])
+                    # a trie-mode word is the whole trail: no slice copy
+                    word = "".join(trail[base:]) if base else "".join(trail)
                     out.append(word[::-1] if backward else word)
                 below = changed[v] if v in changed else index.get(v, ())
                 if len(below) != 1:
                     break
                 v = below[0]
-                visited += 1
             if below:
-                frames.append((iter(below), len(trail), out, base, None))
+                stack.append((iter(below), len(trail), out, base, None))
+                if tables is None and visited > limit:
+                    tables = {}
                 break
         else:
-            frames.pop()
+            stack.pop()
             if opener is not None:
                 into, into_base = opener
                 _splice_words(into, out, trail[into_base:base], backward)
-    return visited
+    _tally(counters, searched=visited, built=len(words))
+    return tuple(words)
 
 
 def _splice_words(out: list[Code], table: list[Code], above: list[Code],
@@ -660,11 +621,7 @@ def _count_from(g: Dg, root: str, backward: bool, memo: dict[str, int],
     and each neighbour of a node it counts; a counted node's entry goes
     no deeper.
     """
-    base = g._root or g
-    if backward:
-        changed, index, added, ends = g._dpred, base._pred, g._dstarts, base.starts
-    else:
-        changed, index, added, ends = g._dsucc, base._succ, g._dfinishes, base.finishes
+    changed, index, added, ends = _side(g, backward)
     entered = 1
     stack = [root]
     while stack:

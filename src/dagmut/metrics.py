@@ -40,8 +40,10 @@ class OpCounters:
       A pass that may stop at its first hit (``any``, a tuple ``in`` or
       ``index``) counts every term it is given.  The graph walk that
       spells an operator's fragments (``graph._spell_from``) counts each
-      node it enters as one item searched; an entry that splices in a
-      node's table counts once, and the nodes below it none.  So does
+      node it enters as one item searched; in table mode, which it enters
+      once it has entered more nodes than the graph has, an entry that
+      splices in a node's table counts once, and the nodes below it none.
+      So does
       the count kernel (``graph._count_from``) that gives node
       omission's arc steps their counts: an entry of a node already
       counted counts once, and goes no deeper.

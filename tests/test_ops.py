@@ -327,7 +327,7 @@ def test_table_mode_fragments_equal_the_term_side(state):
     # spells the heads ht(pt(re, v), v) and the tails tt(pt(re, v), v)
     g, re = state.dg, state.re
     with pytest.MonkeyPatch.context() as mp:
-        tabled = count_calls(mp, graph, "_spell_tabled")
+        tabled = count_calls(mp, graph, "_splice_words")
         for v in g.nodes:
             held = pt(re, (v,))
             assert _trusted(graph._spell_from(g, v, True)) == ht(held, (v,))
@@ -790,7 +790,7 @@ def test_deep_chain_feeding_a_ladder(backward):
     arcs = list(zip(chain, chain[1:])) + [(chain[-1], "r0a")] + rungs
     g, ladder = arc_graph(arcs), arc_graph(rungs)
     with pytest.MonkeyPatch.context() as mp:
-        tabled = count_calls(mp, graph, "_spell_tabled")
+        tabled = count_calls(mp, graph, "_splice_words")
         words = graph._spell_from(g, "r11a" if backward else chain[0], backward)
     assert tabled
     # every word is the chain, then a word of the ladder alone
@@ -799,6 +799,24 @@ def test_deep_chain_feeding_a_ladder(backward):
     assert (sorted(w[len(chain):] for w in words)
             == sorted(graph._spell_from(ladder, "r11a" if backward else "r0a", backward)))
     assert len(words) == 2 ** (10 if backward else 11)
+
+
+def test_walks_that_never_outgrow_the_graph_stay_trie_walks():
+    # no walk on a tree or a chain enters more nodes than the graph has,
+    # so none goes on in table mode and none splices a table; nor does a
+    # walk across a three-rung ladder beside a chain, which enters two
+    # rung nodes twice but no more nodes than the graph has
+    tree = arc_graph([(f"t{k // 2}", f"t{k}") for k in range(2, 256)])
+    chain = arc_graph([(f"c{k}", f"c{k + 1}") for k in range(4999)])
+    ladder = arc_graph(ladder_arcs(3) + [(f"c{k}", f"c{k + 1}") for k in range(9)])
+    walks = ([(tree, v) for v in sorted(tree.nodes)] + [(chain, v) for v in ("c0", "c2500", "c4999")]
+             + [(ladder, "r0a"), (ladder, "r2b")])
+    with pytest.MonkeyPatch.context() as mp:
+        spliced = count_calls(mp, graph, "_splice_words")
+        for g, v in walks:
+            for backward in (False, True):
+                assert graph._spell_from(g, v, backward)
+    assert not spliced
 
 
 def test_table_mode_work_is_linear_in_the_graph():
