@@ -164,31 +164,32 @@ class LogEntry:
     """Term accounting for one operator application.
 
     ``terms_added``/``terms_removed`` are net set differences against the
-    pre-state, as the operator measures them.  An arc operator's
-    ``added_bound`` is its head-count x tail-count product (insertion) or
-    re-added word count (omission): on a model every word an operator adds
-    is new, so it equals ``terms_added``; the benchmark reads it.  Node
-    operators carry their inner arc steps in ``sub`` instead.
+    pre-state, as the operator measures them.  Node operators carry their
+    inner arc steps in ``sub``.  An arc operator's ``added_bound``, its
+    head-count x tail-count product (insertion) or re-added word count
+    (omission), is ``terms_added``: on a model every word an operator adds
+    is new.  Its only reader is the benchmark tracer (``insert_yield``).
     """
 
     op: MutationOp
     terms_added: int
     terms_removed: int
-    added_bound: int | None = None
     sub: tuple["LogEntry", ...] = ()
 
     @property
     def notation(self) -> str:
         return format_op(self.op)
 
+    @property
+    def added_bound(self) -> int | None:
+        return self.terms_added if isinstance(self.op, (ArcInsert, ArcOmit)) else None
 
-def _entry(op: MutationOp, added: int, removed: int, bound: int | None = None,
-           sub: tuple[LogEntry, ...] = ()) -> LogEntry:
-    """``LogEntry(op, added, removed, bound, sub)``, built without the
-    frozen dataclass constructor."""
+
+def _entry(op: MutationOp, added: int, removed: int, sub: tuple[LogEntry, ...] = ()) -> LogEntry:
+    """``LogEntry(op, added, removed, sub)``, built without the frozen
+    dataclass constructor."""
     entry = object.__new__(LogEntry)
-    vars(entry).update(op=op, terms_added=added, terms_removed=removed, added_bound=bound,
-                       sub=sub)
+    vars(entry).update(op=op, terms_added=added, terms_removed=removed, sub=sub)
     return entry
 
 
@@ -230,7 +231,7 @@ def _insert(heads: Sequence[Code], tails: Sequence[Code], op: ArcInsert,
     them are new terms."""
     products = tuple([h + t for h in heads for t in tails])
     _tally(counters, built=len(products))
-    return products, _entry(op, len(products), 0, len(products))
+    return products, _entry(op, len(products), 0)
 
 
 def _unjoined(terms: tuple[Code, ...], src: str, dst: str,
@@ -266,7 +267,7 @@ def _arc_omit(st: ModelState, op: ArcOmit,
     # spells what g would
     added = _regained(g, dg, src, True, counters) + _regained(g, dg, dst, False, counters)
     return (_state(dg, _trusted(kept + added)),
-            _entry(op, len(added), len(st.re) - len(kept), len(added)))
+            _entry(op, len(added), len(st.re) - len(kept)))
 
 
 def node_insert(st: ModelState, node: str,
@@ -354,7 +355,7 @@ def _node_omit(st: ModelState, op: NodeOmit,
     sub: list[LogEntry] = []
     for k, (x, (new, t)) in enumerate(zip(below, outgoing), 1):
         added = new + own if k == len(below) else new
-        sub.append(_entry(_arc_op(ArcOmit, node, x), added, heads * t, added))
+        sub.append(_entry(_arc_op(ArcOmit, node, x), added, heads * t))
     # each ingoing step drops the heads of its neighbour joined to the bare
     # word, and the last drops those that the others left
     above = g.predecessors(node)
@@ -369,7 +370,7 @@ def _node_omit(st: ModelState, op: NodeOmit,
         # the last ingoing step flags the node start unless it is one: its
         # bare word comes back, and goes with the node
         added = len(theirs) + (k == len(above) and not start)
-        sub.append(_entry(_arc_op(ArcOmit, y, node), added, dropped, added))
+        sub.append(_entry(_arc_op(ArcOmit, y, node), added, dropped))
     return (_state(dg, _trusted(rest + tuple(regained))),
             _entry(op, len(regained), removed, sub=tuple(sub)))
 

@@ -1,12 +1,27 @@
 """Mutation operator descriptions and their textual notation.
 
 Four operator kinds exist: arc insertion ``i_a``, arc omission ``o_a``,
-node insertion ``i_n`` and node omission ``o_n``.  An application is
-written ``(<args>)<mnemonic>``, e.g. ``(cd)o_a`` or ``(v,{(v,b),(a,v)})i_n``;
-a script is a whitespace-separated sequence of applications.
+node insertion ``i_n`` and node omission ``o_n``.  A script is a sequence
+of applications ``(<args>)<mnemonic>`` in this grammar:
+
+- an id is one or more characters, none of them whitespace or one of
+  ``(){},+.#``, and not ``EMPTY`` (:func:`sopf.validate_symbol`);
+- an arc operator takes two ids, side by side if both are single
+  characters (``(cd)o_a``), else comma-separated (``(n1,n2)i_a``);
+- node omission takes one id (``(n)o_n``);
+- node insertion takes the new id, a comma and braces around a
+  comma-separated list of arc pairs, each with the new id at one end
+  (``(v,{(v,b),(a,v)})i_n``; ``(v,{})i_n`` inserts an isolated node);
+- whitespace may stand around applications, which may also abut, and
+  around every id, comma, pair and brace in one (``( v , { ( v , b ) } )i_n``),
+  but not inside an id, between compact ids or before a mnemonic.
+
+Ids hold no bracket, so brackets nest to a fixed depth: the notation is a
+regular language, read by one pattern and one reader per operator kind.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -14,8 +29,27 @@ from .errors import ParseError
 from .sopf import validate_symbol
 
 
+#: one application: its group, parentheses three deep (one more than a pair
+#: needs, so a stray group in a pair reaches its reader), the text inside,
+#: three characters for the mnemonic, one more unless whitespace or a '('
+_APP = re.compile(r"(\(((?:[^()]|\((?:[^()]|\([^()]*\))*\))*)\))(.{0,3})([^\s(]?)\s*", re.S)
+#: one comma-ended part of a list: a comma ends it only where a count of
+#: open brackets, of either kind alike, is zero
+_PART = re.compile(r"((?:[^(){},]"
+                   r"|[({](?:[^(){}]|[({][^(){}]*[)}])*[)}]"  # a group, two deep
+                   r"|[)}](?:[^(){}]|[)}][^(){}]*[({])*[({])*"  # one closing first
+                   r"(?:[(){}].*)?),", re.S)  # from a bracket in no group: the rest
+
+
+def _split(text: str) -> list[str]:
+    """``text``'s comma-separated parts, stripped; commas in brackets stay."""
+    return [part.strip() for part in _PART.findall(text + ",")]
+
+
 @dataclass(frozen=True)
-class ArcInsert:
+class _ArcOp:
+    """The fields, checks and notation that both arc operators share."""
+
     src: str
     dst: str
 
@@ -23,15 +57,32 @@ class ArcInsert:
         validate_symbol(self.src)
         validate_symbol(self.dst)
 
+    @classmethod
+    def _read(cls, args: str) -> _ArcOp:
+        if "," in args:
+            ends = _split(args)
+            if len(ends) != 2:
+                raise ValueError("expected exactly two node ids")
+            return cls(*ends)
+        args = args.strip()
+        if len(args) != 2:
+            raise ValueError("compact form needs exactly two single-character ids")
+        return cls(*args)
+
+    def _args(self) -> str:
+        if len(self.src) == len(self.dst) == 1:
+            return self.src + self.dst
+        return f"{self.src},{self.dst}"
+
 
 @dataclass(frozen=True)
-class ArcOmit:
-    src: str
-    dst: str
+class ArcInsert(_ArcOp):
+    """Arc insertion ``(ij)i_a``."""
 
-    def __post_init__(self):
-        validate_symbol(self.src)
-        validate_symbol(self.dst)
+
+@dataclass(frozen=True)
+class ArcOmit(_ArcOp):
+    """Arc omission ``(ij)o_a``."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +103,36 @@ class NodeInsert:
         if self.node in self.outgoing or self.node in self.ingoing:
             raise ValueError("node insertion may not loop on the new node")
 
+    @classmethod
+    def _read(cls, args: str) -> NodeInsert:
+        parts = _split(args)
+        if len(parts) != 2:
+            raise ValueError("node insertion needs '<id>,{...}'")
+        node, body = parts
+        if not (body.startswith("{") and body.endswith("}")):
+            raise ValueError("expected a brace-enclosed arc list")
+        outgoing: list[str] = []
+        ingoing: list[str] = []
+        for pair in _split(body[1:-1]) if body[1:-1].strip() else ():
+            if not (pair.startswith("(") and pair.endswith(")")):
+                raise ValueError(f"malformed arc pair {pair!r}")
+            ends = _split(pair[1:-1])
+            if len(ends) != 2:
+                raise ValueError("arc pair needs two node ids")
+            a, b = ends
+            if a == node:
+                outgoing.append(b)
+            elif b == node:
+                ingoing.append(a)
+            else:
+                raise ValueError(f"arc pair ({a},{b}) does not involve the new node")
+        return cls(node, tuple(outgoing), tuple(ingoing))
+
+    def _args(self) -> str:
+        pairs = [f"({self.node},{x})" for x in self.outgoing]
+        pairs += [f"({y},{self.node})" for y in self.ingoing]
+        return f"{self.node},{{{','.join(pairs)}}}"
+
 
 @dataclass(frozen=True)
 class NodeOmit:
@@ -60,137 +141,53 @@ class NodeOmit:
     def __post_init__(self):
         validate_symbol(self.node)
 
+    @classmethod
+    def _read(cls, args: str) -> NodeOmit:
+        if "," in args:
+            raise ValueError("node omission takes a single id")
+        return cls(args.strip())
+
+    def _args(self) -> str:
+        return self.node
+
 
 MutationOp = Union[ArcInsert, ArcOmit, NodeInsert, NodeOmit]
 
-_ARC_MNEMONICS = {"i_a": ArcInsert, "o_a": ArcOmit}
-_MNEMONICS = {"i_a", "o_a", "i_n", "o_n"}
+#: operator kind -> mnemonic and mnemonic -> operator kind
+_KINDS: dict = {ArcInsert: "i_a", ArcOmit: "o_a", NodeInsert: "i_n", NodeOmit: "o_n"}
+_KINDS.update({mnemonic: kind for kind, mnemonic in _KINDS.items()})
 
 
 def format_op(op: MutationOp) -> str:
     """Render one operator application in script notation."""
-    if isinstance(op, (ArcInsert, ArcOmit)):
-        mnemonic = "i_a" if isinstance(op, ArcInsert) else "o_a"
-        if len(op.src) == 1 and len(op.dst) == 1:
-            return f"({op.src}{op.dst}){mnemonic}"
-        return f"({op.src},{op.dst}){mnemonic}"
-    if isinstance(op, NodeOmit):
-        return f"({op.node})o_n"
-    pairs = [f"({op.node},{x})" for x in op.outgoing]
-    pairs += [f"({y},{op.node})" for y in op.ingoing]
-    return f"({op.node},{{{','.join(pairs)}}})i_n"
+    return f"({op._args()}){_KINDS[type(op)]}"
 
 
 def format_script(ops: Iterable[MutationOp]) -> str:
     return " ".join(format_op(op) for op in ops)
 
 
-def _split_top(text: str) -> list[str]:
-    """Split on commas not nested inside parentheses or braces."""
-    parts: list[str] = []
-    cur: list[str] = []
-    depth = 0
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _arc_args(inner: str, notation: str) -> tuple[str, str]:
-    inner = inner.strip()
-    if "," in inner:
-        parts = _split_top(inner)
-        if len(parts) != 2:
-            raise ParseError(f"{notation}: expected exactly two node ids")
-        return parts[0].strip(), parts[1].strip()
-    if len(inner) != 2:
-        raise ParseError(
-            f"{notation}: compact form needs exactly two single-character ids")
-    return inner[0], inner[1]
-
-
-def _node_insert_args(inner: str, notation: str) -> NodeInsert:
-    parts = _split_top(inner)
-    if len(parts) != 2:
-        raise ParseError(f"{notation}: node insertion needs '<id>,{{...}}'")
-    name = parts[0].strip()
-    body = parts[1].strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ParseError(f"{notation}: expected a brace-enclosed arc list")
-    outgoing: list[str] = []
-    ingoing: list[str] = []
-    pair_text = body[1:-1].strip()
-    if pair_text:
-        for chunk in _split_top(pair_text):
-            chunk = chunk.strip()
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ParseError(f"{notation}: malformed arc pair {chunk!r}")
-            ends = _split_top(chunk[1:-1])
-            if len(ends) != 2:
-                raise ParseError(f"{notation}: arc pair needs two node ids")
-            a, b = (e.strip() for e in ends)
-            if a == name:
-                outgoing.append(b)
-            elif b == name:
-                ingoing.append(a)
-            else:
-                raise ParseError(
-                    f"{notation}: arc pair ({a},{b}) does not involve the new node")
-    return NodeInsert(name, tuple(outgoing), tuple(ingoing))
-
-
 def parse_script(text: str) -> tuple[MutationOp, ...]:
-    """Parse a whitespace-separated sequence of operator applications."""
+    """Parse a sequence of operator applications (grammar: module docstring)."""
     ops: list[MutationOp] = []
-    pos, n = 0, len(text)
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        if text[pos] != "(":
-            raise ParseError(f"expected '(' at position {pos}, found {text[pos]!r}")
-        start = pos
-        depth = 0
-        while pos < n:
-            if text[pos] == "(":
-                depth += 1
-            elif text[pos] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            pos += 1
-        if depth != 0:
+    pos = len(text) - len(text.lstrip())
+    while pos < len(text):
+        app = _APP.match(text, pos)
+        if app is None:
+            if text[pos] != "(":
+                raise ParseError(f"expected '(' at position {pos}, found {text[pos]!r}")
             raise ParseError("unbalanced parentheses in script")
-        inner = text[start + 1:pos]
-        pos += 1
-        mnemonic = text[pos:pos + 3]
-        notation = text[start:pos] + mnemonic
+        group, args, mnemonic, stray = app.groups()
         if len(mnemonic) < 3 or mnemonic[1] != "_":
-            raise ParseError(f"missing operator mnemonic after {text[start:pos]!r}")
-        if mnemonic not in _MNEMONICS:
+            raise ParseError(f"missing operator mnemonic after {group!r}")
+        if mnemonic not in _KINDS:
             raise ParseError(f"unknown operator mnemonic {mnemonic!r}")
-        pos += 3
-        if pos < n and not text[pos].isspace() and text[pos] != "(":
-            raise ParseError(f"unexpected text after {notation!r}")
-        # each constructor checks its node ids
+        if stray:
+            raise ParseError(f"unexpected text after {group + mnemonic!r}")
+        # the reader checks the layout, the constructor the node ids
         try:
-            if mnemonic in _ARC_MNEMONICS:
-                ops.append(_ARC_MNEMONICS[mnemonic](*_arc_args(inner, notation)))
-            elif mnemonic == "o_n":
-                if "," in inner:
-                    raise ParseError(f"{notation}: node omission takes a single id")
-                ops.append(NodeOmit(inner.strip()))
-            else:
-                ops.append(_node_insert_args(inner, notation))
+            ops.append(_KINDS[mnemonic]._read(args))
         except ValueError as exc:
-            raise ParseError(f"{notation}: {exc}") from exc
+            raise ParseError(f"{group}{mnemonic}: {exc}") from exc
+        pos = app.end()
     return tuple(ops)

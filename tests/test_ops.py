@@ -1,6 +1,8 @@
 """Script notation and the synchronized mutation operators."""
 import inspect
+import re
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
@@ -65,23 +67,34 @@ def test_parse_script_comma_forms():
     assert parse_script("(n1,n2)i_a") == (ArcInsert("n1", "n2"),)
 
 
-def test_parse_script_errors():
-    with pytest.raises(ParseError, match="unknown operator mnemonic"):
-        parse_script("(x y)q_z")
-    with pytest.raises(ParseError):
-        parse_script("(abc)i_a")                 # compact form needs 2 chars
-    with pytest.raises(ParseError):
-        parse_script("(a,b,c)i_a")               # arity
-    with pytest.raises(ParseError):
-        parse_script("(v,{(a,b)})i_n")           # pair misses the new node
-    with pytest.raises(ParseError):
-        parse_script("(v,{(v,v)})i_n")           # self-loop pair
-    with pytest.raises(ParseError):
-        parse_script("(a,b)")                    # missing mnemonic
-    with pytest.raises(ParseError):
-        parse_script("(a,b")                     # unbalanced
-    with pytest.raises(ParseError):
-        parse_script("a b i_a")                  # no parentheses
+@pytest.mark.parametrize("script, message", [
+    ("a b i_a", "expected '(' at position 0, found 'a'"),
+    ("(a,b", "unbalanced parentheses in script"),
+    ("(a,b)", "missing operator mnemonic after '(a,b)'"),
+    ("(x y)q_z", "unknown operator mnemonic 'q_z'"),
+    ("(ab)i_ax", "unexpected text after '(ab)i_a'"),
+    ("(a,b,c)i_a", "(a,b,c)i_a: expected exactly two node ids"),
+    ("(abc)i_a", "(abc)i_a: compact form needs exactly two single-character ids"),
+    ("(a,b)o_n", "(a,b)o_n: node omission takes a single id"),
+    ("(v)i_n", "(v)i_n: node insertion needs '<id>,{...}'"),
+    ("(v,(v,b))i_n", "(v,(v,b))i_n: expected a brace-enclosed arc list"),
+    # a list splits where a count of open brackets is zero, brackets of either
+    # kind counting alike, so a closing one may come first
+    ("(v}{(v,b),(a,v)})i_n", "(v}{(v,b),(a,v)})i_n: expected a brace-enclosed arc list"),
+    ("(v,{v,b})i_n", "(v,{v,b})i_n: malformed arc pair 'v'"),
+    ("(v,{(v)})i_n", "(v,{(v)})i_n: arc pair needs two node ids"),
+    ("(v,{(v,b)(a,v)})i_n", "(v,{(v,b)(a,v)})i_n: arc pair needs two node ids"),
+    ("(v,{(a,b)})i_n", "(v,{(a,b)})i_n: arc pair (a,b) does not involve the new node"),
+    ("(v,{(v,v)})i_n", "(v,{(v,v)})i_n: node insertion may not loop on the new node"),
+    ("(a,EMPTY)i_a", "(a,EMPTY)i_a: 'EMPTY' is reserved for the empty expression"),
+], ids=["no-paren", "unbalanced", "no-mnemonic", "unknown-mnemonic", "trailing-text",
+        "arc-arity", "compact", "omission-arity", "insertion-layout", "no-braces",
+        "no-braces-counted", "pair-layout", "pair-arity", "pair-arity-counted",
+        "pair-misses-node", "constructor", "constructor-symbol"])
+def test_parse_script_error_messages(script, message):
+    with pytest.raises(ParseError) as err:
+        parse_script(script)
+    assert str(err.value) == message
 
 
 def test_format_op_spellings():
@@ -91,7 +104,11 @@ def test_format_op_spellings():
     assert format_op(NodeInsert("v", ("b",), ("a",))) == "(v,{(v,b),(a,v)})i_n"
 
 
-ids = st.text(alphabet="abcdxyz", min_size=1, max_size=2)
+#: every kind of symbol character: letters, a non-ASCII letter, digits,
+#: the underscore and the punctuation that ids may hold
+ids = st.text(alphabet="abxyé09_-'!$%&*/:;<=>?@[]^|~", min_size=1, max_size=3)
+#: the whitespace the notation allows around ids, commas, pairs and braces
+blanks = st.text(alphabet=" \t\n", max_size=2)
 
 
 @st.composite
@@ -110,9 +127,18 @@ def operators(draw):
     return NodeInsert(node, tuple(neighbors[:cut]), tuple(neighbors[cut:]))
 
 
-@given(st.lists(operators(), max_size=5))
-def test_notation_round_trip(ops):
+@given(st.lists(operators(), max_size=5), st.data())
+def test_notation_round_trip(ops, data):
     assert parse_script(format_script(ops)) == tuple(ops)
+    # the same applications with whitespace before every bracket, comma and
+    # id (so inside a compact ``( ab )`` too) and none before a mnemonic;
+    # applications may abut
+    spaced = []
+    for op in ops:
+        text = format_op(op)
+        tokens = [t for t in re.split(r"([(){},])", text[:-3]) if t]
+        spaced.append("".join(data.draw(blanks) + t for t in tokens) + text[-3:])
+    assert parse_script("".join(spaced) + data.draw(blanks)) == tuple(ops)
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +196,14 @@ def test_operator_states_and_logs_stay_exact(model):
         after = set(state.re)
         assert (entry.terms_added, entry.terms_removed) == (len(after - before),
                                                             len(before - after))
+        for step in (entry, *entry.sub):
+            arc = isinstance(step.op, (ArcInsert, ArcOmit))
+            assert step.added_bound == (step.terms_added if arc else None)
+
+
+def test_added_bound_is_no_stored_field():
+    # it is derived from terms_added, for the benchmark tracer to read
+    assert "added_bound" not in {f.name for f in fields(LogEntry)}
 
 
 @st.composite
