@@ -23,6 +23,16 @@ from .oracle import run_differential
 from .sopf import print_sopf
 
 
+def _error(message: object) -> None:
+    """Print ``message`` on stderr as an ``error:`` line.  Messages quote
+    names in full, and a name may be megabytes long: a message past 480
+    characters keeps its first and last 200 around a count of the rest."""
+    text = str(message)
+    if len(text) > 480:
+        text = f"{text[:200]} [... {len(text) - 400} characters left out ...] {text[-200:]}"
+    print(f"error: {text}", file=sys.stderr)
+
+
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
@@ -65,7 +75,7 @@ def _run_verify(args) -> int:
         report = run_differential(trials=args.trials, base_seed=args.seed,
                                   max_nodes=args.max_nodes)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     if args.format == "machine":
         print(f"trials={report.trials} ok={report.passed_trials()} "
@@ -85,7 +95,7 @@ def _run_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         reports = [trend(kind, sizes, seed=args.seed) for kind in BOUND_EXPONENTS]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     for report in reports:
         if args.format == "machine":
@@ -144,13 +154,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     except MemoryError:
         # a path-explosive graph can have more words than memory holds
         pass
     # reported once the exception, and the frames holding those words, are gone
-    print("error: out of memory (too many terms to hold)", file=sys.stderr)
+    _error("out of memory (too many terms to hold)")
     return 1
 
 

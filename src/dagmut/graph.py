@@ -20,10 +20,10 @@ changes hold more entries than an eighth of the root's nodes, and more
 than a few dozen, the child is flattened into a new root, so that copy
 stays short and the O(V) copies of a flatten are amortised over V/8
 touched entries.  Nothing shared is ever written.  The
-operators' own readers (the adjacency queries, :func:`path_exists` and
-the walks below) read a graph's changes first, then its root:
-``successors``/``predecessors``/degree queries cost O(deg) and
-:func:`path_exists` O(reachable).  The readers of the whole graph read
+operators' own readers (the adjacency queries, the reachability search
+:func:`_reached` and the walks below) read a graph's changes first, then
+its root: ``successors``/``predecessors``/degree queries cost O(deg) and
+:func:`_reached` O(reachable).  The readers of the whole graph read
 flat views, which a derived graph builds on their first read, as a root
 builds ``Dg.arcs``.
 One Kahn loop over a plain list, :func:`_peel`, serves
@@ -472,14 +472,6 @@ def validate_acyclic(g: Dg) -> tuple[str, ...] | None:
             return (chain[k], *reversed(chain[k + 1:]), chain[k])
         positions[nxt] = len(chain)
         chain.append(nxt)
-
-
-def path_exists(g: Dg, src: str, dst: str) -> bool:
-    """True iff a directed path (length >= 0) runs from ``src`` to ``dst``."""
-    for v in (src, dst):
-        if not _present(g, v):
-            raise OperationError(f"unknown node {v!r}")
-    return dst in _reached(g, (src,), dst)
 
 
 def _reached(g: Dg, roots, goal: str | None = None) -> set[str]:

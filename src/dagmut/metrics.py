@@ -17,7 +17,8 @@ from statistics import linear_regression
 from typing import Callable, Sequence
 
 from .graph import Dg
-from .mutate import ModelState, arc_insert, arc_omit, model_from_graph, node_insert, node_omit
+from .mutate import ModelState, apply_op, model_from_graph
+from .ops import ArcInsert, ArcOmit, NodeInsert, NodeOmit
 from .sopf import SopfRe, ht, pt, set_concat, set_difference, set_union, tt
 
 #: Fitted exponents may exceed the bound by at most this much (small-size
@@ -142,28 +143,14 @@ _KINDS: dict[str, tuple[float, Callable, Callable]] = {
     "pt": (2.0, pt, _planted(2)),
     "ht": (2.0, ht, _planted(1)),
     "tt": (2.0, tt, _planted(1)),
-    "arc_insert": (2.0, _state_only(arc_insert), _layered("in0", "out0")),
-    "arc_omit": (2.0, _state_only(arc_omit), _layered("m0", "out0")),
-    "node_insert": (2.0, _state_only(node_insert), _layered("v0", ("out0",), ("in0",))),
-    "node_omit": (2.0, _state_only(node_omit), _layered("m0")),
+    "arc_insert": (2.0, _state_only(apply_op), _layered(ArcInsert("in0", "out0"))),
+    "arc_omit": (2.0, _state_only(apply_op), _layered(ArcOmit("m0", "out0"))),
+    "node_insert": (2.0, _state_only(apply_op), _layered(NodeInsert("v0", ("out0",), ("in0",)))),
+    "node_omit": (2.0, _state_only(apply_op), _layered(NodeOmit("m0"))),
 }
 
 #: Worst-case growth exponent of each bench kind (see ``_KINDS``).
 BOUND_EXPONENTS: dict[str, float] = {kind: bound for kind, (bound, _, _) in _KINDS.items()}
-
-
-def measure(kind: str, *inputs):
-    """Run one operation with counting enabled.
-
-    Returns ``(result, counters)``; the result is identical to an
-    uncounted run.
-    """
-    try:
-        _, operation, _ = _KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown operation kind {kind!r}") from None
-    counters = OpCounters()
-    return operation(*inputs, counters), counters
 
 
 def fit_exponent(series: Sequence[tuple[int, int]]) -> float:

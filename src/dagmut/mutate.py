@@ -72,20 +72,13 @@ before the first ingoing step.  The bare term is appended without a
 probe: every symbol of a model is a node, so no term of the pre-state
 equals the bare term of a new node.
 
-Results and log entries are those of the composition of the public arc
+Results and log entries are those of the composition of the arc
 operators around the bare term.  Counters tally the work the operators
 do (see :class:`~dagmut.metrics.OpCounters`), which is less than that
 composition does: node omission searches every term once, not once per
 step, and neither node operator searches for its bare term.  A node
 omission's searches are its terms plus the nodes its walks and counts
 enter.
-
-Each operator and log entry is built once.  A public operator function
-builds and checks its operator and hands it to a private core, which
-:func:`apply_op` calls with the operator it was given.  The inner arc
-steps of a node operator and every log entry are built without the
-dataclass constructors: the names they hold were checked by the
-enclosing operator or are nodes of the graph.
 """
 from __future__ import annotations
 
@@ -206,12 +199,6 @@ def model_from_graph(g: Dg) -> ModelState:
     return state
 
 
-def arc_insert(st: ModelState, src: str, dst: str,
-               counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
-    """Insert arc ``src -> dst`` and extend the expression accordingly."""
-    return _arc_insert(st, ArcInsert(src, dst), counters)
-
-
 def _arc_insert(st: ModelState, op: ArcInsert,
                 counters: "OpCounters | None") -> tuple[ModelState, LogEntry]:
     dg = apply_dg_op(st.dg, op)
@@ -252,12 +239,6 @@ def _regained(g: Dg, dg: Dg, end: str, backward: bool,
     return _spell_from(dg, end, backward, counters) if newly else ()
 
 
-def arc_omit(st: ModelState, src: str, dst: str,
-             counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
-    """Omit arc ``src -> dst`` and shrink the expression accordingly."""
-    return _arc_omit(st, ArcOmit(src, dst), counters)
-
-
 def _arc_omit(st: ModelState, op: ArcOmit,
               counters: "OpCounters | None") -> tuple[ModelState, LogEntry]:
     g, src, dst = st.dg, op.src, op.dst
@@ -268,16 +249,6 @@ def _arc_omit(st: ModelState, op: ArcOmit,
     added = _regained(g, dg, src, True, counters) + _regained(g, dg, dst, False, counters)
     return (_state(dg, _trusted(kept + added)),
             _entry(op, len(added), len(st.re) - len(kept)))
-
-
-def node_insert(st: ModelState, node: str,
-                outgoing: Sequence[str] = (), ingoing: Sequence[str] = (),
-                counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
-    """Insert ``node`` with its arcs: the bare term first, then outgoing
-    arcs, then ingoing arcs (each an arc insertion on the term side, the
-    graph being edited once for all of them).  The bare term stays, as the
-    node is flagged start and finish."""
-    return _node_insert(st, NodeInsert(node, tuple(outgoing), tuple(ingoing)), counters)
 
 
 def _node_insert(st: ModelState, op: NodeInsert,
@@ -308,14 +279,6 @@ def _node_insert(st: ModelState, op: NodeInsert,
         sub.append(step)
     # the insertions keep every term of st.re and add only new ones
     return _state(dg, _trusted(st.re._terms + added)), _entry(op, len(added), 0, sub=tuple(sub))
-
-
-def node_omit(st: ModelState, node: str,
-              counters: "OpCounters | None" = None) -> tuple[ModelState, LogEntry]:
-    """Omit ``node``: its outgoing arcs first, then its ingoing arcs (each
-    an arc omission on the term side, the graph being edited once for all
-    of them), then the bare term and the node itself are dropped."""
-    return _node_omit(st, NodeOmit(node), counters)
 
 
 def _node_omit(st: ModelState, op: NodeOmit,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Union
 
 from .errors import ParseError
@@ -176,6 +177,10 @@ def parse_script(text: str) -> tuple[MutationOp, ...]:
         if app is None:
             if text[pos] != "(":
                 raise ParseError(f"expected '(' at position {pos}, found {text[pos]!r}")
+            depths = list(accumulate((ch == "(") - (ch == ")") for ch in text[pos:]))
+            if 0 in depths:  # the group closes, so it nests deeper than _APP reads
+                raise ParseError(f"'(' at position {pos + depths.index(4)} nests four deep: "
+                                 "ids may not contain '('")
             raise ParseError("unbalanced parentheses in script")
         group, args, mnemonic, stray = app.groups()
         if len(mnemonic) < 3 or mnemonic[1] != "_":

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ModelError, OperationError
 from .graph import (Arc, Dg, apply_dg_op, enumerate_paths, parse_graph, render_graph,
@@ -53,11 +53,6 @@ class NaiveLang:
     """A finite language as an unordered, unindexed list of words."""
 
     words: list[Word] = field(default_factory=list)
-
-
-def equivalent(a: SopfRe, b: NaiveLang) -> bool:
-    """True iff the canonical expression and the naive language agree."""
-    return set(a.terms) == {tuple(w) for w in b.words}
 
 
 # --------------------------------------------------------------------------
@@ -354,10 +349,7 @@ def _graph_difference(dg: Dg, ref: Dg) -> str:
     return "; ".join(parts)
 
 
-def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
-                     max_script: int = 6, *,
-                     corrupt: Callable[[int, int, SopfRe], SopfRe] | None = None,
-                     ) -> VerifyReport:
+def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10) -> VerifyReport:
     """Seeded random models and scripts, applied through the efficient
     implementation and the naive reference side by side.
 
@@ -369,16 +361,13 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
     :func:`_count_violations`), and keep the model's invariants
     (``invariant``); a failed precondition on either side is an
     ``error``.  Each step's word set is built once, for both checks.
-    ``corrupt`` is a test-only hook that perturbs the implementation's
-    expression before comparison.  Raises :class:`ValueError`, before any
-    trial, on a negative ``trials`` or ``max_script`` or a ``max_nodes``
-    outside ``0..MAX_GEN_NODES``."""
+    Each trial draws a script of at most six operators.  Raises
+    :class:`ValueError`, before any trial, on a negative ``trials`` or a
+    ``max_nodes`` outside ``0..MAX_GEN_NODES``."""
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not 0 <= max_nodes <= MAX_GEN_NODES:
         raise ValueError(f"max_nodes must be in 0..{MAX_GEN_NODES}, got {max_nodes}")
-    if max_script < 0:
-        raise ValueError(f"max_script must be nonnegative, got {max_script}")
     failures: list[TrialFailure] = []
     steps = 0
     for trial in range(trials):
@@ -387,7 +376,7 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
         cfg = GenConfig(node_count=rng.randint(0, max_nodes),
                         arc_density=rng.uniform(0.15, 0.9),
                         seed=seed,
-                        script_length=rng.randint(0, max_script))
+                        script_length=rng.randint(0, 6))
         g = random_model(cfg)
         script = random_script(cfg, g)
         script_text = format_script(script)
@@ -414,13 +403,10 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10,
             if state.dg != ref:
                 fail(step, "graph", _graph_difference(state.dg, ref))
                 break
-            shown = state.re
-            if corrupt is not None:
-                shown = corrupt(trial, step, shown)
             before, words = words, set(naive_enumerate(ref))
-            if set(shown.terms) != words:
+            if set(state.re.terms) != words:
                 fail(step, "equivalence",
-                     f"implementation {print_sopf(shown)} vs reference "
+                     f"implementation {print_sopf(state.re)} vs reference "
                      f"{print_sopf(SopfRe(tuple(words)))}")
                 break
             for problem in _count_violations(entry, before, words):

@@ -29,9 +29,9 @@ those decoded terms.
 
 The public constructor drops repeated terms, which hashes every term it is
 given.  Results that are duplicate-free by construction skip that step
-through the private :func:`_trusted`: the filters :func:`pt`,
-:func:`set_difference` and :func:`remove_term`, :func:`add_term` (after
-its one search) and :func:`dagmut.graph.enumerate_paths` (distinct trails).
+through the private :func:`_trusted`: the filters :func:`pt` and
+:func:`set_difference` and :func:`dagmut.graph.enumerate_paths`
+(distinct trails).
 :func:`set_union` hashes its two operands and appends the new terms of
 the second.  The mutation operators call none of those operations: on a
 model every term they add is new by construction (see
@@ -48,10 +48,10 @@ keeps the terms without its node, one ``in`` per term, and counts what
 each of its arc steps drops on the graph
 (:func:`dagmut.graph._count_from`) instead of searching a term again.
 
-A query (``in``, :func:`pt`, :func:`ht`, :func:`tt`,
-:func:`remove_term`) gives no symbol a code: it looks each one up, and
-one the alphabet has never seen stands for ``_UNHELD``, a surrogate code
-point that the alphabet never hands out and so no term holds.
+A query (``in``, :func:`pt`, :func:`ht`, :func:`tt`) gives no symbol a
+code: it looks each one up, and one the alphabet has never seen stands
+for ``_UNHELD``, a surrogate code point that the alphabet never hands out
+and so no term holds.
 
 Every operation optionally threads an :class:`~dagmut.metrics.OpCounters`
 instance through which it tallies the work it does: the terms it hands
@@ -96,10 +96,6 @@ def validate_symbol(sym: str) -> str:
         if ch.isspace() or ch in RESERVED_CHARS:
             raise ValueError(f"symbol {sym!r} contains reserved character {ch!r}")
     return sym
-
-
-def term_key(term: Term) -> tuple[int, Term]:
-    return (len(term), term)
 
 
 # --------------------------------------------------------------------------
@@ -193,9 +189,9 @@ def _canonical_order(terms: tuple[Code, ...]) -> tuple[tuple[Code, ...], tuple[T
     """``terms`` in canonical order, and their symbols in that order when
     the sort had to decode them (``None`` if it did not)."""
     if all(map(str.isascii, terms)):
-        # a lexicographic sort, then a stable sort by length: the order of
-        # term_key without a Python-level key call per term, when every
-        # code is its symbol
+        # a lexicographic sort, then a stable sort by length: canonical
+        # order without a Python-level key call per term, when every code
+        # is its symbol
         return tuple(sorted(sorted(terms), key=len)), None
     # each term decoded once, for the sort and for the result: positions
     # sorted by decoded term, then stably by length
@@ -388,25 +384,6 @@ def set_concat(a: SopfRe, b: SopfRe, counters: "OpCounters | None" = None) -> So
     _tally(counters, built=len(joined), hashed=len(joined))
     # both factors are nonempty, so no product is
     return _trusted(tuple(dict.fromkeys(joined)))
-
-
-def add_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
-    t = _encode(term)
-    if not t:
-        raise ValueError("product terms must be nonempty")
-    held = t in r._terms
-    _tally(counters, searched=len(r), built=not held)
-    return r if held else _trusted(r._terms + (t,))
-
-
-def remove_term(r: SopfRe, term: Sequence[str], counters: "OpCounters | None" = None) -> SopfRe:
-    _tally(counters, searched=len(r))
-    terms = r._terms
-    try:
-        k = terms.index(_lookup(term))
-    except ValueError:
-        return r
-    return _trusted(terms[:k] + terms[k + 1:])
 
 
 # --------------------------------------------------------------------------

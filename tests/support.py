@@ -3,7 +3,7 @@ and random models with scripts."""
 from hypothesis import strategies as st
 
 from dagmut.graph import Dg, apply_dg_op
-from dagmut.oracle import GenConfig, random_model, random_script
+from dagmut.oracle import GenConfig, NaiveLang, random_model, random_script
 from dagmut.sopf import SopfRe
 from dagmut.oracle import MAX_GEN_NODES
 from dagmut.sopf import _decode
@@ -41,6 +41,30 @@ MUTATED_TERMS = (
     "acefghjklmpq",
     "opq",
 )
+
+
+def term_key(term: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """The sort key of canonical order: shortest first, then lexicographic
+    by symbol sequence."""
+    return (len(term), term)
+
+
+def equivalent(re: SopfRe, lang: NaiveLang) -> bool:
+    """True iff the expression and the naive language hold the same words."""
+    return set(re.terms) == {tuple(w) for w in lang.words}
+
+
+def reaches(g: Dg, src: str, dst: str) -> bool:
+    """True iff a directed path (length >= 0) leads from ``src`` to ``dst``
+    in ``g``: a search over ``Dg.successors``, apart from the graph
+    module's own."""
+    seen, frontier = {src}, [src]
+    while frontier:
+        for w in g.successors(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return dst in seen
 
 
 def sopf(*words: str) -> SopfRe:

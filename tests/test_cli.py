@@ -12,9 +12,9 @@ from dagmut.cli import main
 from dagmut.graph import enumerate_paths, render_graph, render_paths, validate_acyclic
 from dagmut.metrics import BOUND_EXPONENTS, MAX_TREND_SIZE
 from dagmut.oracle import MAX_GEN_NODES, naive_enumerate
-from dagmut.sopf import term_key
 
-from support import MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, count_calls, flagged_models
+from support import (MUTATED_TERMS, SAMPLE_GRAPH_TEXT, SAMPLE_TERMS, count_calls, flagged_models,
+                     term_key)
 
 
 @pytest.fixture
@@ -335,6 +335,46 @@ def test_mutate_rejects_a_graph_that_is_not_trim(capsys, tmp_path, text, script)
     assert (code, out) == (1, "")
     assert err == "error: node 'b' lies on no start-to-finish path (model not trim)\n"
     assert run(capsys, "convert", path) == (0, "a\n", "")
+
+
+HUGE = "n" * 10**6
+
+
+@pytest.mark.parametrize("command, text, script, head, tail", [
+    ("convert", f"arc {HUGE}( b\n", None, "line 1: symbol 'nnn",
+     "nnn(' contains reserved character '('"),
+    ("convert", f"arc {HUGE} {HUGE}\n", None, "line 1: self-loop arc on 'nnn", "nnn'"),
+    ("convert", f"arc {HUGE} b\narc {HUGE} b\n", None, "line 2: duplicate arc nnn", "nnn -> b"),
+    ("convert", f"arc a b\nstart {HUGE}\n", None, "line 2: flag references unknown node 'nnn",
+     "nnn'"),
+    ("mutate", f"arc a b\nnode {HUGE}\nstart a\nfinish b\n", "", "node 'nnn",
+     "nnn' lies on no start-to-finish path (model not trim)"),
+    ("convert", f"arc a {HUGE}\narc {HUGE} a\n", None, "cycle detected: a -> nnn", "nnn -> a"),
+    ("mutate", "arc a b\n", f"(v,{{(v,{HUGE}(b))}})i_n", "(v,{(v,nnn",
+     "nnn(b)' contains reserved character '('"),
+], ids=["reserved", "self-loop", "duplicate-arc", "unknown-flag", "not-trim", "cycle",
+        "script"])
+def test_diagnostics_quoting_a_huge_name_keep_its_head_and_tail(capsys, tmp_path, command,
+                                                                 text, script, head, tail):
+    # each message quotes the 10^6-character name in full (the script's
+    # twice); its error line keeps 200 characters at each end
+    path = tmp_path / "huge.dg"
+    path.write_text(text)
+    options = ["--script", script] if script is not None else []
+    code, out, err = run(capsys, command, path, *options)
+    assert (code, out) == (1, "") and err.endswith("\n") and err.count("\n") == 1
+    line = err.rstrip("\n")
+    assert len(line) <= 500
+    assert line.startswith(f"error: {head}") and line.endswith(tail)
+    assert " characters left out ...] " in line
+
+
+def test_error_lines_cut_only_long_messages(capsys):
+    cli._error("x" * 480)
+    assert capsys.readouterr().err == f"error: {'x' * 480}\n"
+    cli._error("h" * 200 + "x" * 81 + "t" * 200)
+    assert capsys.readouterr().err == (f"error: {'h' * 200} [... 81 characters left out ...] "
+                                       f"{'t' * 200}\n")
 
 
 def test_mutate_machine_format_round_trips(capsys, graph_file):

@@ -25,7 +25,6 @@ from dagmut.graph import (
     Dg,
     apply_dg_op,
     enumerate_paths,
-    path_exists,
     render_graph,
     render_paths,
     topological_order,
@@ -41,9 +40,9 @@ from dagmut.oracle import (
     random_model,
     random_script,
 )
-from dagmut.sopf import print_sopf, term_key
+from dagmut.sopf import print_sopf
 
-from support import SAMPLE_TERMS, built, flagged_models, scripted_models, spell
+from support import SAMPLE_TERMS, built, flagged_models, reaches, scripted_models, spell, term_key
 
 
 # --------------------------------------------------------------------------
@@ -279,14 +278,13 @@ def test_longer_cycle_witness_is_closed():
 # reachability
 
 def test_path_exists_examples(sample_graph):
-    assert path_exists(sample_graph, "a", "q")
-    assert not path_exists(sample_graph, "q", "a")
-    assert path_exists(sample_graph, "g", "g")
-
-
-def test_path_exists_unknown_node(sample_graph):
-    with pytest.raises(OperationError):
-        path_exists(sample_graph, "a", "zz")
+    # the search behind arc and node insertion's cycle checks
+    assert "q" in graph._reached(sample_graph, ("a",))
+    assert "a" not in graph._reached(sample_graph, ("q",))
+    assert "g" in graph._reached(sample_graph, ("g",))
+    # it stops once it has reached its goal, and from every root at once
+    assert "q" not in graph._reached(sample_graph, ("a",), "b")
+    assert graph._reached(sample_graph, ("o", "m")) == set("opqm")
 
 
 # --------------------------------------------------------------------------
@@ -547,10 +545,12 @@ def test_path_exists_is_transitive_over_arcs(g, i, j):
     if not nodes:
         return
     u, v = nodes[i % len(nodes)], nodes[j % len(nodes)]
-    assert path_exists(g, u, u)
-    if path_exists(g, u, v):
+    below = graph._reached(g, (u,))
+    assert u in below
+    if v in below:
         for w in g.successors(v):
-            assert path_exists(g, u, w)
+            assert w in below
+    assert (v in graph._reached(g, (u,), v)) == (v in below) == reaches(g, u, v)
 
 
 def assert_index_matches_arcs(g, arcs=None):
@@ -630,7 +630,7 @@ def random_ops(g, length, seed):
             if kind == "arc_insert":
                 for _ in range(20):
                     u, v = rng.sample(nodes, 2)
-                    if v not in cur.successors(u) and not path_exists(cur, v, u):
+                    if v not in cur.successors(u) and not reaches(cur, v, u):
                         op = ArcInsert(u, v)
                         break
             elif kind == "arc_omit" and cur.arcs:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dagmut import model_from_graph, parse_graph
-from dagmut.metrics import SLACK, OpCounters, measure, trend
+from dagmut import ArcOmit, model_from_graph, parse_graph
+from dagmut.metrics import SLACK, OpCounters, trend
+from dagmut.mutate import apply_op
 from dagmut.sopf import SopfRe, parse_sopf
 from dagmut.sopf import set_concat, set_union
 
@@ -12,10 +13,11 @@ from support import SAMPLE_GRAPH_TEXT, sopf
 
 
 # --------------------------------------------------------------------------
-# measure
+# counted operations
 
 def test_union_baseline_fixture():
-    result, counters = measure("set_union", parse_sopf("a"), parse_sopf("b"))
+    counters = OpCounters()
+    result = set_union(parse_sopf("a"), parse_sopf("b"), counters)
     assert result == sopf("a", "b")
     # frozen regression values for this exact input: a union hashes both
     # terms, and searches and builds none
@@ -25,7 +27,8 @@ def test_union_baseline_fixture():
 
 
 def test_concat_annihilator_does_no_work():
-    result, counters = measure("set_concat", SopfRe(), sopf("ab", "c"))
+    counters = OpCounters()
+    result = set_concat(SopfRe(), sopf("ab", "c"), counters)
     assert result == SopfRe()
     assert counters.term_copies == 0
     assert counters.cost() == 0
@@ -33,18 +36,13 @@ def test_concat_annihilator_does_no_work():
 
 def test_arc_omit_fixture():
     state = model_from_graph(parse_graph(SAMPLE_GRAPH_TEXT))
-    result, counters = measure("arc_omit", state, "c", "d")
+    counters = OpCounters()
+    result, _ = apply_op(state, ArcOmit("c", "d"), counters)
     assert len(result.re) == 6
     # frozen regression values for this exact input: the pair search reads
     # all 9 terms; the edit flags neither c nor d, so no word is spelled
     assert (counters.symbol_comparisons, counters.term_copies,
             counters.set_lookups) == (9, 0, 0)
-
-
-def test_measure_unknown_kind():
-    for kind in ("sort", "add_term"):
-        with pytest.raises(ValueError, match="unknown operation kind"):
-            measure(kind, SopfRe())
 
 
 def test_counters_never_decrease_across_calls():
@@ -76,10 +74,9 @@ def test_counted_runs_match_uncounted_runs(a, b):
 
 
 def test_counted_mutation_matches_uncounted(sample_state):
-    from dagmut.mutate import arc_omit
     counters = OpCounters()
-    counted, _ = arc_omit(sample_state, "c", "d", counters)
-    plain, _ = arc_omit(sample_state, "c", "d")
+    counted, _ = apply_op(sample_state, ArcOmit("c", "d"), counters)
+    plain, _ = apply_op(sample_state, ArcOmit("c", "d"))
     assert counted == plain
     assert counters.cost() > 0
 

@@ -29,21 +29,13 @@ from dagmut import (
 )
 from dagmut.graph import Dg, apply_dg_op, enumerate_paths
 from dagmut.metrics import OpCounters
-from dagmut.mutate import (
-    LogEntry,
-    ModelState,
-    apply_op,
-    arc_insert,
-    arc_omit,
-    node_insert,
-    node_omit,
-)
+from dagmut.mutate import LogEntry, ModelState, apply_op
 from dagmut.ops import format_op, format_script
-from dagmut.oracle import GenConfig, NaiveLang, equivalent, random_model, random_script, ref_apply
-from dagmut.sopf import (SopfRe, _code, _codes, _trusted, add_term, ht, pt, remove_term, term_key,
-                         tt)
+from dagmut.oracle import GenConfig, NaiveLang, random_model, random_script, ref_apply
+from dagmut.sopf import SopfRe, _code, _codes, _trusted, ht, pt, tt
 
-from support import MUTATED_TERMS, built, count_calls, scripted_models, spell, sopf
+from support import (MUTATED_TERMS, built, count_calls, equivalent, reaches, scripted_models, spell,
+                     sopf, term_key)
 
 
 # --------------------------------------------------------------------------
@@ -70,6 +62,11 @@ def test_parse_script_comma_forms():
 @pytest.mark.parametrize("script, message", [
     ("a b i_a", "expected '(' at position 0, found 'a'"),
     ("(a,b", "unbalanced parentheses in script"),
+    ("((ab)i_a", "unbalanced parentheses in script"),
+    # a group that closes but nests deeper than any application can
+    ("(v,{(v,b(()))})i_n", "'(' at position 9 nests four deep: ids may not contain '('"),
+    ("(ab)i_a (a(b(c(d))))o_n", "'(' at position 14 nests four deep: ids may not contain '('"),
+    ("(v,{(v,b(c))})i_n", "(v,{(v,b(c))})i_n: symbol 'b(c)' contains reserved character '('"),
     ("(a,b)", "missing operator mnemonic after '(a,b)'"),
     ("(x y)q_z", "unknown operator mnemonic 'q_z'"),
     ("(ab)i_ax", "unexpected text after '(ab)i_a'"),
@@ -87,7 +84,8 @@ def test_parse_script_comma_forms():
     ("(v,{(a,b)})i_n", "(v,{(a,b)})i_n: arc pair (a,b) does not involve the new node"),
     ("(v,{(v,v)})i_n", "(v,{(v,v)})i_n: node insertion may not loop on the new node"),
     ("(a,EMPTY)i_a", "(a,EMPTY)i_a: 'EMPTY' is reserved for the empty expression"),
-], ids=["no-paren", "unbalanced", "no-mnemonic", "unknown-mnemonic", "trailing-text",
+], ids=["no-paren", "unbalanced", "unbalanced-nested", "four-deep", "four-deep-later",
+        "three-deep", "no-mnemonic", "unknown-mnemonic", "trailing-text",
         "arc-arity", "compact", "omission-arity", "insertion-layout", "no-braces",
         "no-braces-counted", "pair-layout", "pair-arity", "pair-arity-counted",
         "pair-misses-node", "constructor", "constructor-symbol"])
@@ -240,7 +238,7 @@ def test_operators_keep_the_graph_language_under_explicit_flags(model):
 
 def test_arc_insert_shortcut():
     st_ = model_from_graph(parse_graph("arc a b\narc b c"))
-    out, entry = arc_insert(st_, "a", "c")
+    out, entry = apply_op(st_, ArcInsert("a", "c"))
     assert out.re == sopf("abc", "ac")
     assert ("a", "c") in out.dg.arcs
     assert entry.terms_added == 1 and entry.terms_removed == 0
@@ -250,7 +248,7 @@ def test_arc_insert_shortcut():
 def test_arc_insert_cycle_rejected():
     st_ = model_from_graph(parse_graph("arc a b\narc b c"))
     with pytest.raises(OperationError, match="cycle"):
-        arc_insert(st_, "c", "a")
+        apply_op(st_, ArcInsert("c", "a"))
 
 
 def test_arc_insert_reachability_is_authoritative():
@@ -264,13 +262,13 @@ def test_arc_insert_reachability_is_authoritative():
     st_ = model_from_graph(parse_graph(text + "start j\nfinish i\n"))
     assert "jxi" in spell(st_.re)
     with pytest.raises(InsertionCycleError) as err:
-        arc_insert(st_, "i", "j")
+        apply_op(st_, ArcInsert("i", "j"))
     assert str(err.value) == "inserting arc i -> j would create a cycle"
 
 
 def test_arc_insert_between_isolated_nodes_keeps_old_terms():
     st_ = model_from_graph(parse_graph("node a\nnode b"))
-    out, entry = arc_insert(st_, "a", "b")
+    out, entry = apply_op(st_, ArcInsert("a", "b"))
     assert out.re == sopf("a", "b", "ab")
     assert entry.terms_added == 1
 
@@ -278,7 +276,7 @@ def test_arc_insert_between_isolated_nodes_keeps_old_terms():
 def test_arc_insert_duplicate_arc():
     st_ = model_from_graph(parse_graph("arc a b"))
     with pytest.raises(OperationError, match="already present"):
-        arc_insert(st_, "a", "b")
+        apply_op(st_, ArcInsert("a", "b"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,8 +421,8 @@ def test_arc_insert_products_equal_no_term(model):
         terms = set(state.re._terms)
         for src, dst in [(u, w) for u in sorted(g.nodes) for w in sorted(g.nodes)
                          if u != w and w not in g._succ.get(u, ())
-                         and not graph.path_exists(g, w, u)]:
-            out, entry = arc_insert(state, src, dst)
+                         and not reaches(g, w, u)]:
+            out, entry = apply_op(state, ArcInsert(src, dst))
             products = out.re._terms[len(state.re):]
             assert out.re._terms[:len(state.re)] == state.re._terms
             assert not terms.intersection(products)
@@ -442,7 +440,7 @@ def test_arc_insert_product_equal_to_a_hand_built_term(text, expected):
     # b, fewer hold b, or as many: it is appended behind the terms it
     # cannot equal, and the expression equals the hand-built terms
     st_ = model_from_graph(parse_graph(text))
-    out, entry = arc_insert(st_, "a", "b")
+    out, entry = apply_op(st_, ArcInsert("a", "b"))
     assert out.re._terms[:len(st_.re)] == st_.re._terms
     assert out.re == rebuilt(out.re) == sopf(*expected)
     assert entry.terms_added == entry.added_bound == 1 and entry.terms_removed == 0
@@ -453,14 +451,14 @@ def test_arc_insert_product_equal_to_a_hand_built_term(text, expected):
 
 def test_arc_omit_splits_the_single_path():
     st_ = model_from_graph(parse_graph("arc a b\narc b c"))
-    out, entry = arc_omit(st_, "b", "c")
+    out, entry = apply_op(st_, ArcOmit("b", "c"))
     assert out.re == sopf("ab", "c")
     assert entry.terms_removed == 1
     assert entry.terms_added == 2 and entry.added_bound == 2
 
 
 def test_arc_omit_with_alternative_routes(sample_state):
-    out, entry = arc_omit(sample_state, "c", "d")
+    out, entry = apply_op(sample_state, ArcOmit("c", "d"))
     assert spell(out.re) == {
         "abdghilmpq", "abdghjklmpq", "abdghjknopq",
         "acefghilmpq", "acefghjklmpq", "acefghjknopq"}
@@ -469,13 +467,13 @@ def test_arc_omit_with_alternative_routes(sample_state):
 
 
 def test_arc_omit_two_node_path():
-    out, _ = arc_omit(model_from_graph(parse_graph("arc a b")), "a", "b")
+    out, _ = apply_op(model_from_graph(parse_graph("arc a b")), ArcOmit("a", "b"))
     assert out.re == sopf("a", "b")
 
 
 def test_arc_omit_missing_arc(sample_state):
     with pytest.raises(OperationError, match="not present"):
-        arc_omit(sample_state, "a", "q")
+        apply_op(sample_state, ArcOmit("a", "q"))
 
 
 def rebuilt(re: SopfRe) -> SopfRe:
@@ -499,7 +497,7 @@ def test_arc_omit_adds_the_words_of_each_newly_flagged_endpoint(text, flagged, e
     # tails of a flagged b come back, spelled by the graph and appended
     # behind the kept terms, which hold neither
     st_ = model_from_graph(parse_graph(text))
-    out, entry = arc_omit(st_, "a", "b")
+    out, entry = apply_op(st_, ArcOmit("a", "b"))
     assert ("a" in out.dg.finishes - st_.dg.finishes,
             "b" in out.dg.starts - st_.dg.starts) == flagged
     assert out.re == rebuilt(out.re) == sopf(*expected) == enumerate_paths(out.dg)
@@ -512,7 +510,7 @@ def test_arc_omit_finds_the_last_holder_of_its_target():
     # the graph's paths, in an order that enumeration does not give)
     st_ = ModelState(parse_graph("arc a b\narc c b\nnode d"), sopf("ab", "d", "cb"))
     expected = ref_apply(NaiveLang(built(st_.re)), ArcOmit("a", "b"), st_.dg)
-    out, entry = arc_omit(st_, "a", "b")
+    out, entry = apply_op(st_, ArcOmit("a", "b"))
     assert out.re == rebuilt(out.re) == sopf("a", "d", "cb")
     assert equivalent(out.re, expected)
     # the head "a" comes back, no tail does
@@ -556,13 +554,13 @@ def test_operator_results_are_distinct_and_match_the_reference(model):
 
 def composed_node_insert(state, op):
     work = mutate_module._state(apply_dg_op(state.dg, NodeInsert(op.node)),
-                                add_term(state.re, (op.node,)))
+                                SopfRe([*state.re.terms, (op.node,)]))
     sub = []
     for x in op.outgoing:
-        work, step = arc_insert(work, op.node, x)
+        work, step = apply_op(work, ArcInsert(op.node, x))
         sub.append(step)
     for y in op.ingoing:
-        work, step = arc_insert(work, y, op.node)
+        work, step = apply_op(work, ArcInsert(y, op.node))
         sub.append(step)
     return work, sub
 
@@ -571,12 +569,13 @@ def composed_node_omit(state, op):
     work = state
     sub = []
     for x in state.dg.successors(op.node):
-        work, step = arc_omit(work, op.node, x)
+        work, step = apply_op(work, ArcOmit(op.node, x))
         sub.append(step)
     for y in state.dg.predecessors(op.node):
-        work, step = arc_omit(work, y, op.node)
+        work, step = apply_op(work, ArcOmit(y, op.node))
         sub.append(step)
-    return mutate_module._state(apply_dg_op(work.dg, op), remove_term(work.re, (op.node,))), sub
+    rest = SopfRe([t for t in work.re.terms if t != (op.node,)])
+    return mutate_module._state(apply_dg_op(work.dg, op), rest), sub
 
 
 def check_against_composition(state, op):
@@ -621,7 +620,7 @@ def test_node_omit_sees_a_fragment_left_by_an_earlier_step():
     state = model_from_graph(parse_graph("arc v a\narc v b\narc a b"))
     assert state.re == sopf("vab", "vb")
     expected = ref_apply(NaiveLang(built(state.re)), NodeOmit("v"), state.dg)
-    out, entry = node_omit(state, "v")
+    out, entry = apply_op(state, NodeOmit("v"))
     assert [step.notation for step in entry.sub] == ["(va)o_a", "(vb)o_a"]
     assert [step.terms_added for step in entry.sub] == [1, 1]
     assert out.re == rebuilt(out.re) == sopf("ab")
@@ -722,7 +721,7 @@ def test_node_insert_with_both_directions():
     # v is flagged start and finish, and keeps both flags with its arcs, so
     # its bare term stays
     st_ = model_from_graph(parse_graph("arc a b"))
-    out, entry = node_insert(st_, "v", outgoing=("b",), ingoing=("a",))
+    out, entry = apply_op(st_, NodeInsert("v", outgoing=("b",), ingoing=("a",)))
     assert out.re == sopf("ab", "v", "vb", "av", "avb") == enumerate_paths(out.dg)
     assert ("v", "b") in out.dg.arcs and ("a", "v") in out.dg.arcs
     assert len(entry.sub) == 2
@@ -730,27 +729,27 @@ def test_node_insert_with_both_directions():
 
 def test_node_insert_isolated():
     st_ = model_from_graph(parse_graph("arc a b"))
-    out, entry = node_insert(st_, "v")
+    out, entry = apply_op(st_, NodeInsert("v"))
     assert out.re == sopf("ab", "v")
     assert entry.terms_added == 1 and not entry.sub
 
 
 def test_node_insert_only_outgoing():
     st_ = model_from_graph(parse_graph("arc a b"))
-    out, _ = node_insert(st_, "v", outgoing=("a",))
+    out, _ = apply_op(st_, NodeInsert("v", outgoing=("a",)))
     assert out.re == sopf("ab", "v", "vab") == enumerate_paths(out.dg)
 
 
 def test_node_insert_errors():
     st_ = model_from_graph(parse_graph("arc a b"))
     with pytest.raises(OperationError, match="already present"):
-        node_insert(st_, "a")
+        apply_op(st_, NodeInsert("a"))
     with pytest.raises(OperationError, match="unknown node"):
-        node_insert(st_, "v", outgoing=("zz",))
+        apply_op(st_, NodeInsert("v", outgoing=("zz",)))
     with pytest.raises(OperationError, match="cycle"):
-        node_insert(st_, "v", outgoing=("a",), ingoing=("b",))
+        apply_op(st_, NodeInsert("v", outgoing=("a",), ingoing=("b",)))
     with pytest.raises(ValueError):
-        node_insert(st_, "v", outgoing=("v",))
+        apply_op(st_, NodeInsert("v", outgoing=("v",)))
     # j -> x -> i lies on no start-to-finish path: no model, so no cycle
     # through v that no term witnesses
     with pytest.raises(ModelError, match="node 'i' lies on no start-to-finish path"):
@@ -759,22 +758,19 @@ def test_node_insert_errors():
 
 def test_insertions_check_reachability_once(monkeypatch):
     # arc insertion runs one search from the target that stops at the
-    # source, and asks path_exists nothing, which would check both
-    # endpoints again; node insertion runs one search from its outgoing
-    # targets, which serves every ingoing arc
-    asked = count_calls(monkeypatch, graph, "path_exists")
+    # source; node insertion runs one search from its outgoing targets,
+    # which serves every ingoing arc
     searches = count_calls(monkeypatch, graph, "_reached")
     st_ = model_from_graph(parse_graph("arc a b\narc b c\narc x b"))
-    arc_insert(st_, "a", "c")
-    assert not asked and [args[1:] for args in searches] == [(("c",), "a")]
-    asked.clear()
+    apply_op(st_, ArcInsert("a", "c"))
+    assert [args[1:] for args in searches] == [(("c",), "a")]
     searches.clear()
-    node_insert(st_, "v", outgoing=("b", "c"), ingoing=("a", "x"))
-    assert not asked and [args[1] for args in searches] == [("b", "c")]
+    apply_op(st_, NodeInsert("v", outgoing=("b", "c"), ingoing=("a", "x")))
+    assert [args[1] for args in searches] == [("b", "c")]
     searches.clear()
     with pytest.raises(OperationError, match="inserting arc c -> w would create a cycle"):
-        node_insert(st_, "w", outgoing=("b",), ingoing=("a", "c", "x"))
-    assert not asked and len(searches) == 1
+        apply_op(st_, NodeInsert("w", outgoing=("b",), ingoing=("a", "c", "x")))
+    assert len(searches) == 1
 
 
 def chain_state(n):
@@ -787,8 +783,8 @@ def chain_state(n):
 def insert_across_the_middle(state, names, counters=None):
     """An arc and a node insertion that each bypass the middle node."""
     mid = len(names) // 2
-    return (arc_insert(state, names[mid - 1], names[mid + 1], counters),
-            node_insert(state, "v", (names[mid + 1],), (names[mid - 1],), counters))
+    return (apply_op(state, ArcInsert(names[mid - 1], names[mid + 1]), counters),
+            apply_op(state, NodeInsert("v", (names[mid + 1],), (names[mid - 1],)), counters))
 
 
 def test_operators_on_a_deep_chain():
@@ -804,10 +800,10 @@ def test_operators_on_a_deep_chain():
     assert [step.terms_added for step in node_entry.sub] == [1, 2]
     # omitting an arc or a node of the middle cuts the chain's one term in
     # two, each re-added as the walk spells it
-    arc_out, arc_entry = arc_omit(state, names[mid - 1], names[mid])
+    arc_out, arc_entry = apply_op(state, ArcOmit(names[mid - 1], names[mid]))
     assert arc_out.re == enumerate_paths(arc_out.dg) == SopfRe([names[:mid], names[mid:]])
     assert (arc_entry.terms_added, arc_entry.terms_removed) == (2, 1)
-    node_out, node_entry = node_omit(state, names[mid])
+    node_out, node_entry = apply_op(state, NodeOmit(names[mid]))
     assert node_out.re == enumerate_paths(node_out.dg) == SopfRe([names[:mid], names[mid + 1:]])
     assert [step.terms_added for step in node_entry.sub] == [2, 2]
 
@@ -884,9 +880,9 @@ def test_node_omit_merges_fragments():
     # of the graph; omitting b joins ab, vb and avb, and brings no
     # fragment back that is not a term already
     st0 = model_from_graph(parse_graph("arc a b"))
-    st_, _ = node_insert(st0, "v", outgoing=("b",), ingoing=("a",))
+    st_, _ = apply_op(st0, NodeInsert("v", outgoing=("b",), ingoing=("a",)))
     assert st_.re == sopf("ab", "v", "vb", "av", "avb")
-    out, entry = node_omit(st_, "b")
+    out, entry = apply_op(st_, NodeOmit("b"))
     assert out.re == sopf("v", "av") == enumerate_paths(out.dg)
     assert "b" not in out.dg.nodes
     assert len(entry.sub) == 2
@@ -894,7 +890,7 @@ def test_node_omit_merges_fragments():
 
 def test_node_omit_isolated():
     st_ = model_from_graph(parse_graph("node v\narc a b"))
-    out, _ = node_omit(st_, "v")
+    out, _ = apply_op(st_, NodeOmit("v"))
     assert out.re == sopf("ab")
 
 
@@ -928,7 +924,7 @@ def test_node_omit_counts_each_step_from_its_source(monkeypatch, text, node, ste
     state = model_from_graph(parse_graph(text))
     kernel = count_calls(monkeypatch, mutate_module, "_count_from")
     counters = OpCounters()
-    out, entry = node_omit(state, node, counters)
+    out, entry = apply_op(state, NodeOmit(node), counters)
     assert counters == OpCounters(*work)
     assert [(s.notation, s.terms_added, s.terms_removed) for s in entry.sub] == steps
     assert [args[1:3] for args in kernel] == counted
@@ -954,7 +950,7 @@ def test_node_operators_select_their_node_once(monkeypatch, sample_state):
 
     spied = ModelState(sample_state.dg, _trusted(tuple(map(SpiedTerm, sample_state.re._terms))))
     unjoined = count_calls(monkeypatch, mutate_module, "_unjoined")
-    _, entry = node_omit(spied, "h", OpCounters())
+    _, entry = apply_op(spied, NodeOmit("h"), OpCounters())
     assert len(entry.sub) == 3
     assert sorted(reads) == sorted(sample_state.re._terms) and set(reads.values()) == {1}
     assert not unjoined
@@ -966,7 +962,7 @@ def test_node_operators_select_their_node_once(monkeypatch, sample_state):
     op = NodeInsert("v", ("h", "i"), ("a", "c"))
     calls = kernel_calls(sample_state, [op], OpCounters())
     assert not calls.keys() & {"pt", "ht", "tt"}
-    _, entry = node_insert(sample_state, op.node, op.outgoing, op.ingoing)
+    _, entry = apply_op(sample_state, op)
     assert len(entry.sub) == 4
 
 
@@ -993,11 +989,11 @@ def test_uncounted_operators_run_no_pair_loop_and_reverse_no_term(sample_state):
 
 def test_node_omit_unknown(sample_state):
     with pytest.raises(OperationError, match="unknown node"):
-        node_omit(sample_state, "zz")
+        apply_op(sample_state, NodeOmit("zz"))
 
 
 def test_node_omit_matches_graph_side_operator(sample_state):
-    out, _ = node_omit(sample_state, "k")
+    out, _ = apply_op(sample_state, NodeOmit("k"))
     assert out.dg == apply_dg_op(sample_state.dg, NodeOmit("k"))
 
 
@@ -1064,20 +1060,19 @@ def test_failed_script_returns_no_partial_state(sample_state):
 @settings(max_examples=50)
 @given(st.integers(0, 10_000))
 def test_insert_then_omit_restores_fresh_states(seed):
-    from dagmut.graph import path_exists
     from dagmut.oracle import GenConfig, random_model
     from dagmut.sopf import pt
     g = random_model(GenConfig(node_count=6, arc_density=0.5, seed=seed))
     st_ = model_from_graph(g)
     nodes = sorted(g.nodes)
     candidates = [(u, v) for u in nodes for v in nodes
-                  if u != v and (u, v) not in g.arcs and not path_exists(g, v, u)]
+                  if u != v and (u, v) not in g.arcs and not reaches(g, v, u)]
     if not candidates:
         return
     u, v = candidates[seed % len(candidates)]
-    inserted, _ = arc_insert(st_, u, v)
+    inserted, _ = apply_op(st_, ArcInsert(u, v))
     joined = pt(inserted.re, (u, v))
     if pt(inserted.re, (u,)) == joined or pt(inserted.re, (v,)) == joined:
         return
-    restored, _ = arc_omit(inserted, u, v)
+    restored, _ = apply_op(inserted, ArcOmit(u, v))
     assert restored == st_

@@ -22,7 +22,6 @@ from dagmut.graph import (
     Dg,
     apply_dg_op,
     enumerate_paths,
-    path_exists,
     topological_order,
     validate_acyclic,
 )
@@ -30,7 +29,6 @@ from dagmut.oracle import (
     MAX_GEN_NODES,
     GenConfig,
     NaiveLang,
-    equivalent,
     random_model,
     random_script,
     ref_apply,
@@ -45,7 +43,7 @@ from dagmut.oracle import (
     naive_enumerate,
 )
 
-from support import count_calls, scripted_models, sopf
+from support import count_calls, equivalent, reaches, scripted_models, sopf
 
 
 def words(*ws: str) -> NaiveLang:
@@ -96,15 +94,6 @@ def test_ref_mirrors_preconditions():
         ref_apply(words("ab"), NodeInsert("a"), g)
     with pytest.raises(OperationError):
         ref_apply(words("ab"), NodeInsert("v", ("b",), ("u",)), g)
-
-
-# --------------------------------------------------------------------------
-# equivalence predicate
-
-def test_equivalent_is_order_insensitive():
-    assert equivalent(sopf("ab", "c"), words("c", "ab"))
-    assert not equivalent(sopf("ab"), words("ab", "c"))
-    assert equivalent(SopfRe(), NaiveLang())
 
 
 # --------------------------------------------------------------------------
@@ -181,6 +170,7 @@ def test_random_script_is_deterministic_and_applicable():
 @settings(max_examples=80, deadline=None)
 @given(scripted_models())
 def test_reach_rows_match_path_exists(model):
+    # each row bit says whether a path exists, by a search of its own
     g, script = model
     for op in script:
         g = apply_dg_op(g, op)
@@ -189,13 +179,13 @@ def test_reach_rows_match_path_exists(model):
     assert rows.keys() == g.nodes
     for v in nodes:
         assert [bool(rows[v] >> k & 1) for k in range(len(nodes))] == \
-            [path_exists(g, v, u) for u in nodes]
+            [reaches(g, v, u) for u in nodes]
         assert rows[v] >> len(nodes) == 0
 
 
 def _path_search_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
-    """``random_script`` as it was defined with one ``path_exists`` search
-    per candidate arc; the scripts of the bit-row version must not differ."""
+    """``random_script`` as it was defined with one path search per
+    candidate arc; the scripts of the bit-row version must not differ."""
     rng = random.Random(cfg.seed ^ 0x5EED)
     cur = g
     fresh = [c for c in _NAMES if c not in g.nodes]
@@ -206,7 +196,7 @@ def _path_search_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
         arcs = sorted(cur.arcs)
         insertable = [(u, v) for u in nodes for v in nodes
                       if u != v and (u, v) not in cur.arcs
-                      and not path_exists(cur, v, u)]
+                      and not reaches(cur, v, u)]
         if insertable:
             kinds.append("arc_insert")
         if arcs:
@@ -255,7 +245,7 @@ def test_gen_config_bounds():
 # differential harness
 
 def test_small_differential_run_passes():
-    report = run_differential(trials=40, base_seed=123, max_nodes=8, max_script=5)
+    report = run_differential(trials=40, base_seed=123, max_nodes=8)
     assert report.ok
     assert report.passed_trials() == 40
     assert report.steps_checked > 0
@@ -267,8 +257,7 @@ def test_differential_arguments_are_checked_before_any_trial(monkeypatch):
             ({"trials": -3}, "trials must be nonnegative, got -3"),
             ({"max_nodes": MAX_GEN_NODES + 1},
              f"max_nodes must be in 0..{MAX_GEN_NODES}, got {MAX_GEN_NODES + 1}"),
-            ({"max_nodes": -1}, f"max_nodes must be in 0..{MAX_GEN_NODES}, got -1"),
-            ({"max_script": -1}, "max_script must be nonnegative, got -1")]:
+            ({"max_nodes": -1}, f"max_nodes must be in 0..{MAX_GEN_NODES}, got -1")]:
         with pytest.raises(ValueError) as exc:
             run_differential(**{"trials": 50, **kwargs})
         assert str(exc.value) == message
@@ -282,7 +271,7 @@ def test_timing_probes_see_every_conversion_and_step(monkeypatch):
     # the verify benchmark times convert_s and op_ms by patching these names
     converted = count_calls(monkeypatch, oracle_module, "model_from_graph")
     applied = count_calls(monkeypatch, oracle_module, "apply_op")
-    report = run_differential(trials=40, base_seed=123, max_nodes=8, max_script=5)
+    report = run_differential(trials=40, base_seed=123, max_nodes=8)
     assert report.ok
     assert len(converted) == 40
     assert len(applied) == report.steps_checked > 0
@@ -345,17 +334,29 @@ def test_log_fault_is_reported_as_a_counts_failure(monkeypatch):
         assert {f.kind for f in report.failures} == {"counts"}, faulty
 
 
-def test_injected_fault_is_detected_and_located():
-    def corrupt(trial, step, re):
-        if trial == 3 and step == 1:
-            return SopfRe(re.terms + (("x", "x", "x"),)) if re.terms else sopf("zzz")
-        return re
+def test_injected_fault_is_detected_and_located(monkeypatch):
+    # the first step of trial 3 returns an expression with one word too
+    # many; each trial converts its model once, then applies its steps
+    convert, apply_op = oracle_module.model_from_graph, oracle_module.apply_op
+    steps: list[int] = []  # per trial converted so far, its steps applied
 
-    report = run_differential(trials=6, base_seed=0, max_nodes=6, max_script=4,
-                              corrupt=corrupt)
-    bad = [f for f in report.failures if f.kind == "equivalence"]
-    assert bad and bad[0].trial == 3 and bad[0].step == 1
-    assert bad[0].script
+    def counting(g):
+        steps.append(0)
+        return convert(g)
+
+    def corrupting(st, op):
+        out, entry = apply_op(st, op)
+        steps[-1] += 1
+        if (len(steps) - 1, steps[-1]) == (3, 1):
+            out = _state(out.dg, SopfRe(out.re.terms + (("x", "x", "x"),)))
+        return out, entry
+
+    monkeypatch.setattr(oracle_module, "model_from_graph", counting)
+    monkeypatch.setattr(oracle_module, "apply_op", corrupting)
+    report = run_differential(trials=6, base_seed=0, max_nodes=6)
+    assert len(steps) == 6 and steps[3] == 1
+    assert [(f.trial, f.step, f.kind) for f in report.failures] == [(3, 1, "equivalence")]
+    assert report.failures[0].script
 
 
 # --------------------------------------------------------------------------

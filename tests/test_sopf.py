@@ -17,20 +17,17 @@ from dagmut import sopf as sopf_module
 from dagmut.metrics import OpCounters
 from dagmut.sopf import (
     SopfRe,
-    add_term,
     ht,
     parse_sopf,
     pt,
-    remove_term,
     set_concat,
     set_difference,
     set_union,
-    term_key,
     tt,
     validate_symbol,
 )
 
-from support import built, count_calls, sopf, spell
+from support import built, count_calls, sopf, spell, term_key
 
 
 # --------------------------------------------------------------------------
@@ -160,13 +157,6 @@ def test_concat_examples():
     assert set_concat(sopf("a"), sopf("c")) == sopf("ac")
     assert set_concat(sopf("ab", "a"), sopf("c", "bc")) == sopf("abc", "abbc", "ac")
     assert set_concat(SopfRe(), SAMPLE) == SopfRe()
-
-
-def test_add_remove_term():
-    assert add_term(sopf("ab"), ("a", "b")) == sopf("ab")
-    assert add_term(SopfRe(), ("v",)) == sopf("v")
-    assert remove_term(sopf("ab", "v"), ("v",)) == sopf("ab")
-    assert remove_term(sopf("ab"), ("zz",)) == sopf("ab")
 
 
 # --------------------------------------------------------------------------
@@ -474,9 +464,7 @@ def test_kernel_results_do_not_depend_on_term_order(xs, ys, s, rnd):
     pairs = [(p1, p2), (ht(p1, s), ht(p2, s)), (tt(p1, s), tt(p2, s)),
              (set_union(a1, b1), set_union(a2, b2)),
              (set_difference(a1, b1), set_difference(a2, b2)),
-             (set_concat(a1, b1), set_concat(a2, b2)),
-             (add_term(a1, ("c",)), add_term(a2, ("c",))),
-             (remove_term(a1, ("a",)), remove_term(a2, ("a",)))]
+             (set_concat(a1, b1), set_concat(a2, b2))]
     for x, y in pairs:
         order = built(x)  # construction order, until the first read of terms
         assert len(set(order)) == len(order)
@@ -533,8 +521,6 @@ def test_mixed_alphabet_operations_match_the_tuple_loops(order, xs, ys, s, t):
         same_run(set_union, ref_union, a, b)
         same_run(set_difference, ref_difference, a, b)
         same_run(set_concat, ref_concat, a, b)
-        assert add_term(a, t) == SopfRe([*xs, t])
-        assert remove_term(a, t) == SopfRe([x for x in xs if x != t])
         # the public view is in symbol names, in their canonical order
         assert a.terms == tuple(sorted(set(xs), key=term_key))
         assert list(a) == list(a.terms)
@@ -585,13 +571,13 @@ def test_queries_do_not_grow_the_alphabet():
     size = len(sopf_module._CODES)
     assert ("zz1",) not in r
     assert pt(r, ("zz2",)) == pt(r, ("a", "zz2")) == SopfRe()
-    assert remove_term(r, ("zz3",)) is r
+    assert ("n1", "zz3") not in r
     assert ht(SopfRe(), ("zz4",)) == tt(SopfRe(), ("zz4",)) == SopfRe()
     with pytest.raises(ValueError, match="does not contain the pattern"):
         tt(r, ("zz5",))
     assert len(sopf_module._CODES) == size
     # a term adds its names
-    add_term(r, ("zz6",))
+    SopfRe([*r.terms, ("zz6",)])
     assert len(sopf_module._CODES) == size + 1
 
 
@@ -601,7 +587,7 @@ def test_terms_with_illegal_symbols_are_refused_unregistered(term):
     with pytest.raises(ValueError):
         SopfRe([term])
     with pytest.raises(ValueError):
-        add_term(SopfRe(), term)
+        SopfRe([("a",), term])
     assert len(sopf_module._CODES) == size
 
 
@@ -610,7 +596,7 @@ def test_alphabet_skips_surrogates_and_refuses_past_the_last_code(monkeypatch):
     monkeypatch.setattr(sopf_module, "_next_code", 0xD800)
     assert SopfRe([("surrogate_probe",)])._terms == ("\ue000",)
     monkeypatch.setattr(sopf_module, "_next_code", 0x10FFFF)
-    assert add_term(SopfRe(), ("last_code_probe",))._terms == ("\U0010ffff",)
+    assert SopfRe([("last_code_probe",)])._terms == ("\U0010ffff",)
     with pytest.raises(ModelError, match="alphabet full: no code point left for symbol 'full_probe'"):
         SopfRe([("a", "full_probe")])
     # a name that already has a code still works
