@@ -6,10 +6,11 @@ degree rule (no ingoing arcs = start, no outgoing arcs = finish) and are
 sticky: mutation history only ever adds flags, never clears them.
 
 Cost model: a graph is a flat *root* or is *derived* from one.  A root
-(parsed, or built by the constructor) stores its arcs once, in an index
-by endpoint; the successor index is built with the graph, the
-predecessor index from it on its first read.  The constructor and
-``mutate.model_from_graph`` read it; a convert (parse, walk) never does.
+(parsed, or built by the constructor) stores its arcs in an index by
+endpoint, and a constructed one also keeps the arc set it checked; the
+successor index is built with the graph, the predecessor index from it
+on its first read.  The constructor and ``mutate.model_from_graph`` read
+it; a convert (parse, walk) never does.
 :func:`apply_dg_op` derives the child graph from its parent in one edit,
 node operators included, by path copying: the child shares the sets and
 indexes of its parent's root and holds its changes since that root, the
@@ -108,6 +109,16 @@ def _predecessor_index(succ: Adjacency) -> Adjacency:
     return _freeze(pred)
 
 
+def _pair(arc) -> Arc:
+    """``arc`` as a tuple, if it is a tuple or list of two strings; else a
+    ``ValueError`` that names it."""
+    if isinstance(arc, (tuple, list)) and len(arc) == 2 and all(isinstance(v, str) for v in arc):
+        return tuple(arc)
+    raise ValueError(f"arc {arc!r} is not a pair of node ids")
+
+
+#: the arc type the constructor takes as it is
+_TUPLES = frozenset([tuple])
 #: the index changes of a root, which has none; never written
 _NO_CHANGES: dict[str, tuple[str, ...]] = {}
 #: a derived graph flattens into a root once its index changes hold more
@@ -125,10 +136,10 @@ class Dg:
     enforced at construction; acyclicity is not, see :func:`validate_acyclic`.
     A graph is a flat *root*, or is *derived* from a root by operators
     (:func:`apply_dg_op`, :class:`_Derived`).  A root holds its node and
-    flag sets and its arcs, once, in the successor index ``_succ``: ``arcs``
-    is derived from it on its first read, as the predecessor index
-    ``_pred`` is.  Graphs assembled without the constructor
-    (:func:`parse_graph`) build the predecessor half on its first read.
+    flag sets and its arcs in the successor index ``_succ``.  The
+    constructor also keeps the arc set it checked, as ``arcs``, and builds
+    the predecessor index ``_pred``; graphs assembled without it
+    (:func:`parse_graph`, :func:`_flatten`) derive each on its first read.
     A root has no changes: the class attributes below stand in for them,
     so the operators read every graph alike, through its changes first,
     then its root.  Neither index takes part in ``repr``; equality compares
@@ -148,25 +159,47 @@ class Dg:
     def __init__(self, nodes: Iterable[str] = (), arcs: Iterable[Arc] = (),
                  starts: Iterable[str] = (), finishes: Iterable[str] = ()):
         nodes = frozenset(nodes)
-        arcs = frozenset(tuple(a) for a in arcs)
-        for sym in nodes:
-            validate_symbol(sym)
-        for src, dst in arcs:
-            if src not in nodes or dst not in nodes:
-                raise ValueError(f"arc ({src!r}, {dst!r}) references an undeclared node")
-            if src == dst:
-                raise ValueError(f"self-loop on {src!r}")
+        try:
+            # one pass at C speed: an identifier other than EMPTY is legal
+            named = EMPTY_TOKEN not in nodes and all(map(str.isidentifier, nodes))
+        except TypeError:  # a name that is not a string
+            named = False
+        if not named:
+            for sym in nodes:
+                validate_symbol(sym)
+        if not isinstance(arcs, (set, frozenset, list, tuple)):
+            arcs = list(arcs)
+        try:
+            # every arc a tuple: the set holds them as given, and building
+            # the index fails on one that is not two sortable endpoints
+            if not _TUPLES.issuperset(map(type, arcs)):
+                raise TypeError
+            arcs = frozenset(arcs)
+            succ = _successor_index(arcs)
+        except (TypeError, ValueError):
+            # a list pair is copied to a tuple; anything else is named
+            arcs = frozenset(map(_pair, arcs))
+            succ = _successor_index(arcs)
+        # both indexes built now, so graphs made in code carry both halves
+        pred = _predecessor_index(succ)
+        if not (succ.keys() <= nodes and pred.keys() <= nodes
+                and arcs.isdisjoint(zip(nodes, nodes))):
+            for src, dst in map(_pair, arcs):
+                if src not in nodes or dst not in nodes:
+                    raise ValueError(f"arc ({src!r}, {dst!r}) references an undeclared node")
+                if src == dst:
+                    raise ValueError(f"self-loop on {src!r}")
         starts, finishes = frozenset(starts), frozenset(finishes)
         for flagged in (starts, finishes):
             if not flagged <= nodes:
                 raise ValueError("flag on an undeclared node")
-        vars(self).update(nodes=nodes, starts=starts, finishes=finishes,
-                          _succ=_successor_index(arcs), _size=len(nodes))
-        self._pred  # built now, so graphs made in code carry both halves
+        vars(self).update(nodes=nodes, arcs=arcs, starts=starts, finishes=finishes,
+                          _succ=succ, _pred=pred, _size=len(nodes))
 
     @cached_property
     def arcs(self) -> frozenset[Arc]:
-        """The arcs, read off the successor index."""
+        """The arcs, read off the successor index; the constructor stores
+        the set it checked instead."""
         return frozenset([(v, w) for v, targets in self._succ.items() for w in targets])
 
     @cached_property
@@ -347,6 +380,7 @@ def parse_graph(text: str) -> Dg:
     """
     nodes: set[str] = set()
     arcs: set[Arc] = set()
+    targets: defaultdict[str, list[str]] = defaultdict(list)
     start_lines: list[tuple[int, str]] = []
     finish_lines: list[tuple[int, str]] = []
     # one validated string object per distinct name, shared by every
@@ -361,8 +395,10 @@ def parse_graph(text: str) -> Dg:
             raise ParseError(str(exc), line=lineno) from exc
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.partition("#")[0].split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    for lineno, tokens in enumerate(map(str.split, lines), 1):
         if not tokens:
             continue
         keyword = tokens[0]
@@ -373,10 +409,11 @@ def parse_graph(text: str) -> Dg:
             dst = names.get(tokens[2]) or symbol(tokens[2], lineno)
             if src == dst:
                 raise ParseError(f"self-loop arc on {src!r}", line=lineno)
-            arc = (src, dst)
-            if arc in arcs:
+            size = len(arcs)
+            arcs.add((src, dst))
+            if len(arcs) == size:
                 raise ParseError(f"duplicate arc {src} -> {dst}", line=lineno)
-            arcs.add(arc)
+            targets[src].append(dst)
         elif keyword == "node":
             if len(tokens) != 2:
                 raise ParseError("'node' takes one id", line=lineno)
@@ -389,7 +426,7 @@ def parse_graph(text: str) -> Dg:
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=lineno)
 
-    succ = _successor_index(arcs)
+    succ = _freeze(targets)
     with_pred = set().union(*succ.values())
     nodes.update(succ, with_pred)
     for lineno, sym in (*start_lines, *finish_lines):
@@ -432,12 +469,17 @@ def topological_order(g: Dg) -> list[str]:
     """Kahn's topological order, first ready first out from the sorted
     sources, successors in sorted order.  On a cyclic graph it stops short:
     it omits every node on or behind a cycle."""
-    succ = g._succ
+    return _kahn(g.nodes, g._succ)
+
+
+def _kahn(nodes: set[str] | frozenset[str], succ: Adjacency) -> list[str]:
+    """:func:`topological_order` of the graph on ``nodes`` whose arcs the
+    successor :data:`Adjacency` ``succ`` holds."""
     indeg: dict[str, int] = {}
     for targets in succ.values():
         for w in targets:
             indeg[w] = indeg.get(w, 0) + 1
-    return _peel(succ, indeg, sorted(g.nodes.difference(indeg)))
+    return _peel(succ, indeg, sorted(nodes.difference(indeg)))
 
 
 def _peel(succ: Adjacency, counts: dict[str, int], peeled: list[str]) -> list[str]:

@@ -5,12 +5,12 @@ one step and returns a fresh :class:`ModelState` plus a :class:`LogEntry`
 with term accounting; inputs are never modified, and a failed operator
 leaves no partial result.
 
-Arc insertion concatenates every distinct head fragment reaching the arc's
-source (prefixes cut at its first occurrence) with every distinct tail
-fragment leaving the arc's target (suffixes cut at its last occurrence) and
-adds the products.  Arc omission drops every term containing the two nodes
-adjacently and, when that removal exhausts all terms containing the source
-(target), re-adds the head (tail) fragments as terms of their own.  Node
+Arc insertion concatenates every head of the arc's source, a path from a
+start to it, with every tail of the arc's target, a path from it to a
+finish, and adds the products.  Arc omission drops every term that runs
+through the arc and, when the graph edit newly flags the source finish
+(the target start), as it flags an endpoint left without outgoing
+(ingoing) arcs, re-adds its heads (tails) as terms of their own.  Node
 insertion adds the bare one-symbol term, then the node's arcs, and keeps
 it: flags are sticky, so the node is a start and a finish node.  Node
 omission omits the node's arcs, then the bare term.

@@ -3,17 +3,21 @@
 The spec of a model is that its expression is the start-to-finish path
 language of its graph.  The reference checks exactly that: it re-applies
 each operator to its own copy of the graph (:func:`_ref_edit`, plain node,
-arc and flag sets with linear scans) and enumerates that graph's paths
-naively (:func:`naive_enumerate`).  It shares no term algebra and no graph
-operator with the efficient implementation, so the two can disagree when
-one is wrong.
+arc and flag sets, each check one O(V + E) pass over the arcs) and
+enumerates that graph's paths naively (:func:`naive_enumerate`).  It
+shares no term algebra and no graph operator with the efficient
+implementation, so the two can disagree when one is wrong.
 
-The generators keep one graph helper of their own, the degree-rule flags
-of :func:`random_model`; :func:`random_script` takes its order from
+The generators keep graph helpers of their own: the degree-rule flags of
+:func:`random_model`, and :func:`random_script`'s copy of the graph, a
+node set and a successor index of sorted tuples that each operator it
+draws edits in place (:func:`_set_arc`); it builds no graph and applies no
+graph operator.  It takes its order from the Kahn loop behind
 :func:`~dagmut.graph.topological_order`, which fixes the node insertions
 it draws.  Each script step finds its insertable arcs from one row of
 reachability bits per node, built in one backward pass over that order:
-O(V + E) big-int ORs, then one bit test per node pair.
+O(V + E) big-int ORs, then one bit test per node pair.  It lists the
+arcs only for an arc omission it has drawn.
 
 :func:`run_differential` converts each trial's graph once, with
 :func:`~dagmut.mutate.model_from_graph`, and checks that expression
@@ -31,8 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ModelError, OperationError
-from .graph import (Arc, Dg, apply_dg_op, enumerate_paths, parse_graph, render_graph,
-                    topological_order)
+from .graph import Adjacency, Arc, Dg, _kahn, enumerate_paths, parse_graph, render_graph
 from .mutate import LogEntry, ModelState, _require_trim, apply_op, model_from_graph
 from .ops import (
     ArcInsert,
@@ -59,12 +62,15 @@ class NaiveLang:
 # reference semantics: the path language of the edited graph
 
 def _reachable(arcs: set[Arc], src: str, dst: str) -> bool:
-    """True iff a path of length >= 0 leads from ``src`` to ``dst``."""
+    """True iff a path of length >= 0 leads from ``src`` to ``dst``: a
+    search over successor lists built from ``arcs`` once per call."""
+    succ: dict[str, list[str]] = {}
+    for a, b in arcs:
+        succ.setdefault(a, []).append(b)
     seen, frontier = {src}, [src]
     while frontier:
-        v = frontier.pop()
-        for a, b in arcs:
-            if a == v and b not in seen:
+        for b in succ.get(frontier.pop(), ()):
+            if b not in seen:
                 seen.add(b)
                 frontier.append(b)
     return dst in seen
@@ -95,10 +101,11 @@ def _ref_edit(g: Dg, op: MutationOp) -> Dg:
         if (src, dst) not in arcs:
             raise OperationError("arc not present")
         arcs.remove((src, dst))
+        sources, targets = {a for a, _ in arcs}, {b for _, b in arcs}
         for v in (src, dst):
-            if all(a != v for a, _ in arcs):
+            if v not in sources:
                 finishes.add(v)
-            if all(b != v for _, b in arcs):
+            if v not in targets:
                 starts.add(v)
 
     if isinstance(op, ArcInsert):
@@ -147,15 +154,18 @@ def naive_enumerate(g: Dg) -> list[Word]:
     # smallest first
     for a, b in sorted(g.arcs, reverse=True):
         succ.setdefault(a, []).append(b)
+    finishes = g.finishes
     words: list[Word] = []
     # a stack of trails, not recursion, so long chains cannot exhaust the
     # interpreter's recursion limit
     stack = [(s,) for s in sorted(g.starts, reverse=True)]
     while stack:
         trail = stack.pop()
-        if trail[-1] in g.finishes:
+        last = trail[-1]
+        if last in finishes:
             words.append(trail)
-        stack.extend(trail + (b,) for b in succ.get(trail[-1], ()))
+        if last in succ:
+            stack.extend([trail + (b,) for b in succ[last]])
     return words
 
 
@@ -209,13 +219,13 @@ def random_model(cfg: GenConfig) -> Dg:
     return Dg(nodes, frozenset(arcs), starts, finishes)
 
 
-def _reach_rows(g: Dg, order: Sequence[str], nodes: Sequence[str]) -> dict[str, int]:
-    """For each node ``v`` of the acyclic ``g``, the set of nodes a path
-    (length >= 0) from ``v`` reaches, as an int whose bit ``k`` stands for
-    ``nodes[k]``.  ``order`` is a topological order of ``g``; the rows are
-    built in one pass over it backwards, each the OR of its successors'."""
+def _reach_rows(succ: Adjacency, order: Sequence[str], nodes: Sequence[str]) -> dict[str, int]:
+    """For each node ``v`` of the acyclic graph whose successor index is
+    ``succ``, the set of nodes a path (length >= 0) from ``v`` reaches, as
+    an int whose bit ``k`` stands for ``nodes[k]``.  ``order`` is a
+    topological order of the graph; the rows are built in one pass over it
+    backwards, each the OR of its successors'."""
     bit = {v: 1 << k for k, v in enumerate(nodes)}
-    succ = g._succ
     rows: dict[str, int] = {}
     for v in reversed(order):
         row = bit[v]
@@ -225,40 +235,67 @@ def _reach_rows(g: Dg, order: Sequence[str], nodes: Sequence[str]) -> dict[str, 
     return rows
 
 
+def _set_arc(succ: dict[str, tuple[str, ...]], src: str, dst: str, present: bool) -> None:
+    """Add (``present``) or drop the arc ``src -> dst`` in the successor
+    index ``succ``, keeping each tuple sorted and no empty one."""
+    targets = set(succ.get(src, ()))
+    if present:
+        targets.add(dst)
+    else:
+        targets.discard(dst)
+    if targets:
+        succ[src] = tuple(sorted(targets))
+    else:
+        succ.pop(src, None)
+
+
 def random_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
     """A script of ``cfg.script_length`` operators, each valid at its
     application point against a simulated copy of ``g``.
 
-    Each step builds :func:`_reach_rows` once and tests each of the V^2
-    candidate arcs with one bit.
+    The copy is a node set and a successor index of sorted tuples, edited
+    in place by each operator drawn; no graph is built.  Each step builds
+    :func:`_reach_rows` once and tests each of the V^2 candidate arcs with
+    one bit.
     """
     rng = random.Random(cfg.seed ^ 0x5EED)
-    cur = g
-    fresh = [c for c in _NAMES if c not in g.nodes]
+    present, succ = set(g.nodes), dict(g._succ)
+    fresh = [c for c in _NAMES if c not in present]
     ops: list[MutationOp] = []
     for _ in range(cfg.script_length):
         kinds = ["node_insert"] if fresh else []
-        nodes = sorted(cur.nodes)
-        arcs = sorted(cur.arcs)
-        order = topological_order(cur)
-        rows = _reach_rows(cur, order, nodes)
+        nodes = sorted(present)
+        order = _kahn(present, succ)
+        rows = _reach_rows(succ, order, nodes)
         # u -> v closes a cycle iff v reaches u; v reaches itself, so the
         # test also rules out self-loops
-        insertable = [(u, v) for k, u in enumerate(nodes) for v in nodes
-                      if not rows[v] >> k & 1 and (u, v) not in cur.arcs]
+        insertable = []
+        for k, u in enumerate(nodes):
+            targets = succ.get(u, ())
+            insertable += [(u, v) for v in nodes if not rows[v] >> k & 1 and v not in targets]
         if insertable:
             kinds.append("arc_insert")
-        if arcs:
+        if succ:
             kinds.append("arc_omit")
         if nodes:
             kinds.append("node_omit")
         kind = rng.choice(sorted(kinds))
         if kind == "arc_insert":
-            op: MutationOp = ArcInsert(*rng.choice(insertable))
+            src, dst = rng.choice(insertable)
+            op: MutationOp = ArcInsert(src, dst)
+            _set_arc(succ, src, dst, True)
         elif kind == "arc_omit":
-            op = ArcOmit(*rng.choice(arcs))
+            # sorted sources, each with its sorted targets: the sorted arcs
+            src, dst = rng.choice([(u, v) for u in sorted(succ) for v in succ[u]])
+            op = ArcOmit(src, dst)
+            _set_arc(succ, src, dst, False)
         elif kind == "node_omit":
-            op = NodeOmit(rng.choice(nodes))
+            v = rng.choice(nodes)
+            op = NodeOmit(v)
+            present.remove(v)
+            succ.pop(v, None)
+            for u in [u for u, targets in succ.items() if v in targets]:
+                _set_arc(succ, u, v, False)
         else:
             name = fresh.pop(0)
             # split a topological order: ingoing from the left part,
@@ -268,7 +305,11 @@ def random_script(cfg: GenConfig, g: Dg) -> tuple[MutationOp, ...]:
             right = order[pivot:]
             outgoing = sorted(rng.sample(right, min(len(right), rng.randint(0, 2))))
             op = NodeInsert(name, tuple(outgoing), tuple(ingoing))
-        cur = apply_dg_op(cur, op)
+            present.add(name)
+            if outgoing:
+                succ[name] = tuple(outgoing)
+            for y in ingoing:
+                _set_arc(succ, y, name, True)
         ops.append(op)
     return tuple(ops)
 
@@ -349,6 +390,14 @@ def _graph_difference(dg: Dg, ref: Dg) -> str:
     return "; ".join(parts)
 
 
+def _trial_config(seed: int, max_nodes: int) -> GenConfig:
+    """The model and script sizes of the :func:`run_differential` trial
+    ``seed``, drawn from a generator seeded with it."""
+    rng = random.Random(seed)
+    return GenConfig(node_count=rng.randint(0, max_nodes), arc_density=rng.uniform(0.15, 0.9),
+                     seed=seed, script_length=rng.randint(0, 6))
+
+
 def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10) -> VerifyReport:
     """Seeded random models and scripts, applied through the efficient
     implementation and the naive reference side by side.
@@ -372,11 +421,7 @@ def run_differential(trials: int = 200, base_seed: int = 0, max_nodes: int = 10)
     steps = 0
     for trial in range(trials):
         seed = base_seed * 1_000_003 + trial
-        rng = random.Random(seed)
-        cfg = GenConfig(node_count=rng.randint(0, max_nodes),
-                        arc_density=rng.uniform(0.15, 0.9),
-                        seed=seed,
-                        script_length=rng.randint(0, 6))
+        cfg = _trial_config(seed, max_nodes)
         g = random_model(cfg)
         script = random_script(cfg, g)
         script_text = format_script(script)

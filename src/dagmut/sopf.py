@@ -403,7 +403,10 @@ def parse_sopf(text: str, *, dotted: bool | None = None) -> SopfRe:
     """Parse the textual sum-of-products form.
 
     ``dotted`` forces the term reading; ``None`` auto-detects (dotted iff a
-    "." occurs anywhere in the input).
+    "." occurs anywhere in the input).  Compact text whose every symbol is
+    its own code is read at C speed, each ``+``-separated chunk being its
+    term's code string; any other text is read symbol by symbol, each
+    distinct token validated once.
     """
     stripped = text.strip()
     if not stripped:
@@ -412,6 +415,12 @@ def parse_sopf(text: str, *, dotted: bool | None = None) -> SopfRe:
         return SopfRe()
     if dotted is None:
         dotted = "." in stripped
+    if not dotted:
+        chunks = list(map(str.strip, stripped.split("+")))
+        # every character a symbol that is its own code: each chunk is
+        # its term's code string, and none needs a check of its own
+        if all(chunks) and _OWN_CODES.issuperset("".join(chunks)):
+            return _trusted(tuple(dict.fromkeys(chunks)))
     # token -> code: each distinct token is validated once per call
     seen: dict[str, Code] = {}
 

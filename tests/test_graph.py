@@ -2,6 +2,7 @@
 import itertools
 import pickle
 import random
+import re
 import sys
 import threading
 from dataclasses import FrozenInstanceError
@@ -176,6 +177,17 @@ def test_constructor_rejects_malformed_input():
         Dg({"a"}, {("a", "a")})
     with pytest.raises(ValueError, match="flag on an undeclared node"):
         Dg({"a"}, set(), {"b"})
+    with pytest.raises(ValueError, match="reserved for the empty expression"):
+        Dg({"a", "EMPTY"})
+    with pytest.raises(ValueError, match="nonempty string"):
+        Dg({"a", 1})
+    # an arc that is not a pair of strings is named, whatever else it is
+    for arc in [("a", "b", "c"), "ab", ("a",), ("a", 1), ("a", ["b"]), 7]:
+        with pytest.raises(ValueError, match=rf"^arc {re.escape(repr(arc))} is not a pair of node ids$"):
+            Dg({"a", "b"}, [("b", "a"), arc])
+    # a list pair, or pairs from a one-shot iterator, read as tuples
+    for arcs in ([["a", "b"]], iter([("a", "b")])):
+        assert Dg({"a", "b"}, arcs, {"a"}, {"b"}) == parse_graph("arc a b")
 
 
 def test_graphs_are_immutable_values_with_a_sorted_repr():

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -234,12 +235,55 @@ def test_parse_error_messages(text, message):
 
 
 def test_parse_validates_each_distinct_token_once(monkeypatch):
+    compact = sopf("ab", "ba", "abc", "cab")
+    wide = SopfRe([("é",), ("a", "é"), ("é", "a")])
     calls = count_calls(monkeypatch, sopf_module, "validate_symbol")
-    assert parse_sopf("ab + ba + abc + cab") == sopf("ab", "ba", "abc", "cab")
+    # compact text whose every symbol is its own code validates nothing
+    assert parse_sopf("ab + ba + abc + cab") == compact
+    assert calls == []
+    # the per-character path, forced by hiding those codes, validates each
+    # distinct token once, as it does on any other text
+    with monkeypatch.context() as m:
+        m.setattr(sopf_module, "_OWN_CODES", frozenset())
+        assert parse_sopf("ab + ba + abc + cab") == compact
     assert sorted(sym for sym, in calls) == ["a", "b", "c"]
+    calls.clear()
+    assert parse_sopf("é + aé + éa") == wide
+    assert sorted(sym for sym, in calls) == ["a", "é"]
     calls.clear()
     assert parse_sopf("n1.n2 + n2.n1 + n1") == SopfRe([("n1", "n2"), ("n2", "n1"), ("n1",)])
     assert sorted(sym for sym, in calls) == ["n1", "n2"]
+
+
+def _parsed(text: str, dotted: bool | None) -> SopfRe | str:
+    """What ``parse_sopf`` makes of ``text``: an expression, or the
+    message of its ``ParseError``."""
+    try:
+        return parse_sopf(text, dotted=dotted)
+    except ParseError as exc:
+        return str(exc)
+
+
+#: chunks of own-code symbols, a symbol without an own code, reserved
+#: characters and spaces inside terms, and EMPTY; joined they also give
+#: empty and trailing chunks
+expression_texts = (
+    st.lists(st.one_of(st.text(alphabet="ab1_-é .(,", max_size=4), st.just("EMPTY")),
+             max_size=4).map(" + ".join)
+    | st.text(alphabet="ab_é +.(", max_size=10)
+)
+
+
+@given(expression_texts, st.sampled_from([None, False, True]))
+def test_parse_fast_path_reads_as_the_per_character_path(text, dotted):
+    fast = _parsed(text, dotted)
+    with mock.patch.object(sopf_module, "_OWN_CODES", frozenset()):
+        slow = _parsed(text, dotted)
+    assert type(fast) is type(slow) and fast == slow
+    # and a fast path that stops reading the own codes, which the patch
+    # cannot reach, still lets no illegal symbol through
+    for sym in fast.symbols() if isinstance(fast, SopfRe) else ():
+        validate_symbol(sym)
 
 
 def test_dot_free_multicharacter_token_reads_as_compact():
